@@ -4,27 +4,71 @@ Three execution styles, matching the paper's design points:
 
 * **serialized** — the BMOs run as monolithic blocks, back to back,
   occupying one unit for their summed latency (the baseline system);
-* **dataflow** — each sub-operation becomes a simulator process that
-  waits for its dependencies, competes for a BMO unit, charges its
-  latency, runs its functional action, and signals completion.  With
-  ``k`` units this *is* list scheduling, and contention across
-  concurrent writes/cores emerges naturally from the shared
-  :class:`repro.sim.Resource`;
-* **partial/resume** — the same dataflow engine restricted to a subset
-  of sub-ops, used for pre-execution (run only what the available
-  inputs allow) and for completing or refreshing a write whose
-  pre-executed results were partially stale.
+* **dataflow** — one list scheduler per :meth:`BmoExecutor.run_subops`
+  call.  It readies each sub-operation once its dependencies inside
+  the call have finished, requests a BMO unit for it from the shared
+  :class:`repro.sim.Resource` (FIFO across every concurrent write and
+  core), holds the unit for the initiation interval, runs the
+  functional action when the full latency has elapsed, and completes
+  the call through a single event the caller waits on.  Contention
+  across writes emerges from the shared unit pool; the scheduler
+  itself is a plain object driven by simulator callbacks, not a
+  process per sub-operation;
+* **partial/resume** — the same scheduler restricted to a subset of
+  sub-ops, used for pre-execution (run only what the available inputs
+  allow) and for completing or refreshing a write whose pre-executed
+  results were partially stale.
+
+Same-instant ordering is part of the timing model: ties decide unit
+grants, coalesced ledger charges, and commits racing sub-op reads.
+The scheduler therefore dispatches its callbacks at fixed points in
+the simulator's same-instant FIFO batch:
+
+* the call starts with one callback, queued when the call is made;
+  it readies the call's roots in topological order;
+* a ready sub-op first consults :attr:`BmoExecutor.timing_policy`,
+  then requests a unit; the grant queues the sub-op's start callback
+  (immediately, or from the ``release`` that hands the unit over);
+* the start callback schedules the unit release at +occupancy, then
+  the finish callback at +latency;
+* a finished sub-op with dependents in the call queues one callback
+  that readies them in topological order; a dependent that waits on
+  two or more sub-ops of the call is readied one same-instant hop
+  later still;
+* a sub-op with zero latency runs at readiness without a unit (one the
+  timing policy discounts to zero still takes a unit for zero time);
+* the completion event fires directly when the call has a single
+  target and one hop later otherwise.  An exception from a sub-op's
+  action fails it instead, and is thrown into the waiting process.
 """
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from repro.bmo.base import BmoContext
 from repro.bmo.pipeline import BmoPipeline
 from repro.common.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator, quantize_ns
-from repro.sim.engine import Process, SimEvent
+from repro.sim.engine import SimEvent
 from repro.sim.stats import StatSet
+
+#: Distinct target sets whose call plans are cached per executor.  A
+#: run sees a handful (full write, addr-only and data-only
+#: pre-execution, and their stale remainders).
+_PLAN_CACHE_SIZE = 64
+
+
+class CallPlan(NamedTuple):
+    """The dependency structure of one target set, restricted to it."""
+
+    #: Each target's dependencies inside the call.
+    deps: Dict[str, Tuple[str, ...]]
+    #: Each target's dependents inside the call, in topological order.
+    dependents: Dict[str, Tuple[str, ...]]
+    #: In-call dependency counts of the targets that wait on two or more.
+    waiting: Dict[str, int]
+    #: Dependencies outside the call, which must already be completed.
+    outside: FrozenSet[str]
 
 
 class BmoExecutor:
@@ -53,17 +97,15 @@ class BmoExecutor:
         self._h_serialized_block = \
             self.stats.histogram("serialized_block_ns")
         self._h_subop: Dict[str, object] = {}
-        # Interned per-subop strings: building "done:<name>" /
-        # "subop:<name>" per write showed up in dispatch profiles.
-        self._done_names = {n: "done:" + n
-                            for n in pipeline.graph.subops}
-        self._proc_names = {n: "subop:" + n
-                            for n in pipeline.graph.subops}
+        graph = pipeline.graph
+        self._subops = graph.subops
+        self._order: Tuple[str, ...] = tuple(graph.topological_order)
+        self._plans: Dict[Tuple[str, ...], CallPlan] = {}
         # Per-subop (total, occupancy) quantized once: latencies and
         # the pipeline fraction are fixed for the executor's lifetime,
         # so there is nothing to recompute per dispatched sub-op.
         self._op_timing = {}
-        for n, op in pipeline.graph.subops.items():
+        for n, op in graph.subops.items():
             if op.latency_ns > 0:
                 total = quantize_ns(op.latency_ns)
                 occupancy = min(total, quantize_ns(
@@ -126,84 +168,53 @@ class BmoExecutor:
         as a dependency-respecting dataflow on the shared units.
         Completes when every requested sub-op has run.
         """
-        graph = self.pipeline.graph
+        completed = ctx.completed
         if names is None:
-            targets = [n for n in graph.topological_order
-                       if n not in ctx.completed]
+            targets = tuple([n for n in self._order
+                             if n not in completed])
         else:
-            targets = [n for n in graph.topological_order
-                       if n in set(names) and n not in ctx.completed]
+            wanted = set(names)
+            targets = tuple([n for n in self._order
+                             if n in wanted and n not in completed])
         if not targets:
             return ctx
-        target_set: Set[str] = set(targets)
+        plan = self._plans.get(targets)
+        if plan is None:
+            plan = self._plan(targets)
+        if not plan.outside <= completed:
+            self._reject(targets, completed)
+        done = SimEvent(self.sim, "bmo-subops")
+        SubopSchedule(self, ctx, targets, plan, done)
+        yield done
+        return ctx
+
+    def _plan(self, targets: Tuple[str, ...]) -> CallPlan:
+        target_set = set(targets)
+        graph = self.pipeline.graph
+        subops = self._subops
+        deps = {n: tuple(d for d in subops[n].deps if d in target_set)
+                for n in targets}
+        # Successors come in topological order: the order in which a
+        # finished sub-op readies its dependents.
+        dependents = {n: tuple(s for s in graph.successors(n)
+                               if s in target_set)
+                      for n in targets}
+        waiting = {n: len(d) for n, d in deps.items() if len(d) > 1}
+        outside = frozenset(d for n in targets for d in subops[n].deps
+                            if d not in target_set)
+        plan = CallPlan(deps, dependents, waiting, outside)
+        if len(self._plans) < _PLAN_CACHE_SIZE:
+            self._plans[targets] = plan
+        return plan
+
+    def _reject(self, targets, completed) -> None:
+        target_set = set(targets)
         for name in targets:
-            for dep in graph.subops[name].deps:
-                if dep not in target_set and dep not in ctx.completed:
+            for dep in self._subops[name].deps:
+                if dep not in target_set and dep not in completed:
                     raise SimulationError(
                         f"cannot run {name!r}: dependency {dep!r} neither "
                         f"completed nor scheduled")
-        sim = self.sim
-        done_names = self._done_names
-        proc_names = self._proc_names
-        # Direct constructor calls: the sim.event()/sim.process()
-        # factories are one extra frame per sub-op on the hottest
-        # allocation site in the write path.
-        done: Dict[str, object] = {
-            name: SimEvent(sim, done_names[name]) for name in targets}
-        children = [
-            Process(sim, self._run_one(ctx, name, done),
-                    proc_names[name])
-            for name in targets
-        ]
-        if len(children) == 1:
-            yield children[0]
-        else:
-            yield sim.all_of(children)
-        return ctx
-
-    def _run_one(self, ctx: BmoContext, name: str,
-                 done: Dict[str, object]):
-        op = self.pipeline.graph.subops[name]
-        waits = [done[d] for d in op.deps if d in done]
-        if len(waits) == 1:
-            # Bypass the AllOf wrapper for single-dependency chains —
-            # the common case in the default pipeline's hash ladders.
-            yield waits[0]
-        elif waits:
-            yield self.sim.all_of(waits)
-        sim = self.sim
-        ready = sim.now  # dependencies satisfied; queueing begins
-        total, occupancy = self._op_timing[name]
-        if total and self.timing_policy is not None:
-            total, occupancy = self.timing_policy.adjust_timing(
-                name, ctx, total, occupancy)
-        if op.latency_ns > 0:
-            grant = self.units.acquire()
-            try:
-                yield grant
-            except BaseException:
-                self.units.cancel(grant)
-                raise
-            exec_start = sim.now
-            sim._schedule(occupancy, self.units.release)
-            yield sim.delay(total)
-            op.execute(ctx)
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    name, "bmo", ("bmo", op.bmo),
-                    start_ns=exec_start,
-                    dur_ns=self.sim.now - exec_start,
-                    args={"addr": ctx.addr,
-                          "unit_wait_ns": exec_start - ready})
-        else:
-            op.execute(ctx)
-        self._c_subops_executed.add()
-        hist = self._h_subop.get(name)
-        if hist is None:
-            hist = self._h_subop[name] = \
-                self.stats.histogram(f"subop.{name}_ns")
-        hist.observe(self.sim.now - ready)
-        done[name].succeed()
 
     # -- pre-execution helpers -----------------------------------------------
     def pre_executable(self, ctx: BmoContext) -> list:
@@ -231,8 +242,153 @@ class BmoExecutor:
             if stale:
                 self._c_stale_rerun.add(len(stale))
                 self.pipeline.invalidate(ctx, stale)
-            remaining = [n for n in self.pipeline.graph.topological_order
-                         if n not in ctx.completed]
+            remaining = [n for n in self._order if n not in ctx.completed]
             if not remaining:
                 return ctx
             yield from self.run_subops(ctx, remaining)
+
+
+class SubopSchedule:
+    """The list scheduler of one :meth:`BmoExecutor.run_subops` call.
+
+    Driven entirely by simulator callbacks (see the module docstring
+    for where each one sits in a same-instant batch).  ``waiting``
+    counts the unfinished in-call dependencies of targets that wait on
+    two or more; ``left`` counts targets not yet finished.
+    """
+
+    __slots__ = ("executor", "sim", "ctx", "targets", "deps",
+                 "dependents", "waiting", "left", "done", "failed")
+
+    def __init__(self, executor: BmoExecutor, ctx: BmoContext,
+                 targets: Tuple[str, ...], plan: CallPlan,
+                 done: SimEvent):
+        self.executor = executor
+        self.sim = executor.sim
+        self.ctx = ctx
+        self.targets = targets
+        self.deps = plan.deps
+        self.dependents = plan.dependents
+        self.waiting = dict(plan.waiting)
+        self.left = len(targets)
+        self.done = done
+        self.failed = False
+        self.sim._schedule_now(self._begin)
+
+    def _begin(self) -> None:
+        """Ready the roots in topological order.
+
+        A zero-latency root finishes inside this callback.  Each of its
+        dependents is then readied by a callback of its own, queued at
+        the dependent's place in topological order (one more hop if it
+        waits on two or more sub-ops), not by the root's hand-off
+        callback: those are the slots the lockstep reference in
+        ``tests/test_executor_lockstep.py`` gives them.
+        """
+        deps = self.deps
+        early = None
+        for name in self.targets:
+            wait = deps[name]
+            if not wait:
+                if self._ready(name, False):
+                    if early is None:
+                        early = set()
+                    early.add(name)
+            elif early:
+                hits = sum(1 for dep in wait if dep in early)
+                if not hits:
+                    continue
+                if len(wait) == 1:
+                    self.sim._schedule_now(self._ready, name)
+                elif hits == len(wait):
+                    self.sim._schedule_now(self._ready_later, name)
+                else:
+                    self.waiting[name] -= hits
+
+    def _ready_later(self, name: str) -> None:
+        self.sim._schedule_now(self._ready, name)
+
+    def _ready(self, name: str, notify: bool = True) -> bool:
+        """Dependencies satisfied: time the sub-op and request a unit,
+        or run it now if it has no latency.  Returns whether it
+        finished here."""
+        executor = self.executor
+        ready = self.sim.now
+        total, occupancy = executor._op_timing[name]
+        try:
+            if total and executor.timing_policy is not None:
+                total, occupancy = executor.timing_policy.adjust_timing(
+                    name, self.ctx, total, occupancy)
+            op = executor._subops[name]
+            if op.latency_ns > 0:
+                executor.units.request(self._start, name, ready, total,
+                                       occupancy)
+                return False
+            op.execute(self.ctx)
+        except Exception as err:
+            self._fail(err)
+            return False
+        self._finished(name, ready, notify)
+        return True
+
+    def _start(self, name: str, ready: int, total: int,
+               occupancy: int) -> None:
+        """Unit granted: free it after the initiation interval, finish
+        after the full latency."""
+        sim = self.sim
+        sim._schedule(occupancy, self.executor.units.release)
+        sim._schedule(total, self._finish, name, ready, sim.now)
+
+    def _finish(self, name: str, ready: int, exec_start: int) -> None:
+        executor = self.executor
+        op = executor._subops[name]
+        try:
+            op.execute(self.ctx)
+        except Exception as err:
+            self._fail(err)
+            return
+        if executor.tracer.enabled:
+            executor.tracer.complete(
+                name, "bmo", ("bmo", op.bmo),
+                start_ns=exec_start, dur_ns=self.sim.now - exec_start,
+                args={"addr": self.ctx.addr,
+                      "unit_wait_ns": exec_start - ready})
+        self._finished(name, ready)
+
+    def _finished(self, name: str, ready: int, notify: bool = True) -> None:
+        executor = self.executor
+        sim = self.sim
+        executor._c_subops_executed.add()
+        hist = executor._h_subop.get(name)
+        if hist is None:
+            hist = executor._h_subop[name] = \
+                executor.stats.histogram(f"subop.{name}_ns")
+        hist.observe(sim.now - ready)
+        if notify and self.dependents[name]:
+            sim._schedule_now(self._release_dependents, name)
+        self.left -= 1
+        if not self.left:
+            if len(self.targets) == 1:
+                self.done.succeed()
+            else:
+                sim._schedule_now(self.done.succeed)
+
+    def _release_dependents(self, name: str) -> None:
+        waiting = self.waiting
+        for succ in self.dependents[name]:
+            if succ in waiting:
+                count = waiting[succ] - 1
+                waiting[succ] = count
+                if not count:
+                    self.sim._schedule_now(self._ready, succ)
+            else:
+                self._ready(succ)
+
+    def _fail(self, err: Exception) -> None:
+        if self.failed:
+            return
+        self.failed = True
+        if len(self.targets) == 1:
+            self.done.fail(err)
+        else:
+            self.sim._schedule_now(self.done.fail, err)

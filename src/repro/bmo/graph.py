@@ -36,6 +36,12 @@ class DependencyGraph:
                     raise SimulationError(
                         f"sub-op {op.name!r} depends on unknown {dep!r}")
         self._order = self._topological_order()
+        # The graph is immutable, so successor lists are computed once;
+        # each lists its sub-op's dependents in topological order.
+        self._successors: Dict[str, Tuple[str, ...]] = {
+            name: tuple(succ for succ in self._order
+                        if name in self.subops[succ].deps)
+            for name in self._order}
         self._closure = self._external_closure()
 
     # -- structure ---------------------------------------------------------
@@ -65,15 +71,18 @@ class DependencyGraph:
         return list(self._order)
 
     def successors(self, name: str) -> List[str]:
-        return [n for n, op in self.subops.items() if name in op.deps]
+        """Sub-ops that depend directly on ``name``, in topological
+        order."""
+        return list(self._successors[name])
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """All sub-ops reachable by following dependency edges forward."""
+        successors = self._successors
         seen: Set[str] = set()
         frontier = list(roots)
         while frontier:
             node = frontier.pop()
-            for succ in self.successors(node):
+            for succ in successors[node]:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)

@@ -42,6 +42,7 @@ torn (partially-flushed) epoch — see
 """
 
 import itertools
+import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
@@ -56,10 +57,14 @@ class SchedulingPolicy:
     durable_at_sfence = True
 
     def __init__(self, controller):
-        self.controller = controller
+        # Weak, like the controller's own back-reference: the system
+        # must stay free of reference cycles (see MemoryController).
+        self.controller = weakref.proxy(controller)
         self.system = controller.system
         self.sim = controller.sim
         self.cfg = controller.cfg
+        self.pipeline = controller.pipeline
+        self.executor = controller.executor
 
     # -- the write path ------------------------------------------------
     def writeback(self, thread_id: int, line_addr: int, data: bytes,
@@ -100,9 +105,8 @@ class SerializedPolicy(SchedulingPolicy):
     name = "serialized"
 
     def run_bmos(self, thread_id, line_addr, data):
-        ctx = self.system.pipeline.make_context(addr=line_addr,
-                                                data=data)
-        yield from self.system.executor.run_serialized(ctx)
+        ctx = self.pipeline.make_context(addr=line_addr, data=data)
+        yield from self.executor.run_serialized(ctx)
         return ctx
 
 
@@ -116,9 +120,8 @@ class ParallelPolicy(SchedulingPolicy):
     name = "parallel"
 
     def run_bmos(self, thread_id, line_addr, data):
-        ctx = self.system.pipeline.make_context(addr=line_addr,
-                                                data=data)
-        yield from self.system.executor.run_subops(ctx)
+        ctx = self.pipeline.make_context(addr=line_addr, data=data)
+        yield from self.executor.run_subops(ctx)
         return ctx
 
 
@@ -165,9 +168,8 @@ class IdealPolicy(SchedulingPolicy):
     def _background(self, line_addr, data, critical, wait_for=None):
         if wait_for is not None and not wait_for.triggered:
             yield wait_for
-        ctx = self.system.pipeline.make_context(addr=line_addr,
-                                                data=data)
-        yield from self.system.executor.run_subops(ctx)
+        ctx = self.pipeline.make_context(addr=line_addr, data=data)
+        yield from self.executor.run_subops(ctx)
         yield from self.controller._persist(ctx, critical)
 
 
@@ -218,7 +220,7 @@ class CoalescedPolicy(ParallelPolicy):
 
     def __init__(self, controller):
         super().__init__(controller)
-        integrity = self.system.pipeline.by_name.get("integrity")
+        integrity = self.pipeline.by_name.get("integrity")
         self._integrity = integrity
         #: sub-op name -> leaves covered per node at that level.
         self._strides: Dict[str, int] = {}
@@ -242,12 +244,12 @@ class CoalescedPolicy(ParallelPolicy):
         # the policy of the shard owning its line, so batching (and
         # the coalescing discount) stays per-controller.
         if self.cfg.shards == 1:
-            self.system.executor.timing_policy = self
+            self.executor.timing_policy = self
         else:
-            mux = self.system.executor.timing_policy
+            mux = self.executor.timing_policy
             if not isinstance(mux, TimingPolicyMux):
                 mux = TimingPolicyMux(self.system.router)
-                self.system.executor.timing_policy = mux
+                self.executor.timing_policy = mux
             mux.policies[controller.shard_id] = self
 
     def writeback(self, thread_id, line_addr, data, critical, start):
@@ -407,7 +409,9 @@ class AsyncEpochPolicy(SchedulingPolicy):
         #: single-shard machine).
         self._coordinator = self.system.txn_coordinator
         if self._coordinator is not None:
-            self._coordinator.policies.append(self)
+            # Weak: the system owns both the coordinator and this
+            # policy, so a strong link back would close a cycle.
+            self._coordinator.policies.append(weakref.proxy(self))
         stats = self.system.metrics.scope(
             self.system.scope_name("sched", controller.shard_id))
         self._c_buffered = stats.counter("epoch_buffered_writes")
@@ -484,9 +488,9 @@ class AsyncEpochPolicy(SchedulingPolicy):
             writes, txns = self._closed[0]
             start = self.sim.now
             for thread_id, line_addr, data, critical, txn, seq in writes:
-                ctx = self.system.pipeline.make_context(
+                ctx = self.pipeline.make_context(
                     addr=line_addr, data=data)
-                yield from self.system.executor.run_subops(ctx)
+                yield from self.executor.run_subops(ctx)
                 if coord is not None:
                     yield from coord.wait_turn(txn, seq)
                 yield from mc._persist(ctx, critical)

@@ -317,8 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'auto' (latest BENCH_*.json in DIR), or "
                             "'none'")
     bench.add_argument("--threshold", type=float, default=0.25,
-                       help="fail when events/sec falls by more than "
-                            "this fraction (default 0.25)")
+                       help="fail when transaction throughput "
+                            "(inverse host time per transaction) falls "
+                            "by more than this fraction (default 0.25)")
     bench.add_argument("--min-irb-speedup", type=float, default=2.0,
                        help="fail when the indexed IRB microbench "
                             "speedup over the linear baseline drops "

@@ -13,6 +13,7 @@ The full contract is documented in ``docs/sharding.md``.
 """
 
 import itertools
+import weakref
 from typing import Dict, List, Optional
 
 from repro.bmo.dedup import DedupTable
@@ -56,10 +57,18 @@ class MemoryController:
     METADATA_REGION_LINES = 1 << 14
 
     def __init__(self, system: "NvmSystem", shard_id: int = 0):
-        self.system = system
+        # Back-references to the owner are weak throughout the machine,
+        # so a finished system has no reference cycle and is freed by
+        # reference counting as soon as its last user drops it.
+        self.system = weakref.proxy(system)
         self.sim = system.sim
         self.cfg = system.cfg
         self.shard_id = shard_id
+        #: Chip-global BMO machinery and functional NVM, held directly
+        #: so the write path does not go through the weak proxy.
+        self.pipeline = system.pipeline
+        self.executor = system.executor
+        self.nvm = system.nvm
         #: This shard's slice of the memory substrate.  On the
         #: unsharded machine these are the system-wide singletons.
         self.device = system.devices[shard_id]
@@ -89,7 +98,7 @@ class MemoryController:
         # the data fetch (counter-mode's read-latency trick, §2.2);
         # a counter-cache miss serialises the counter fetch + AES.
         from repro.mem.cache import _SetAssocArray
-        self._has_encryption = "encryption" in system.pipeline.by_name
+        self._has_encryption = "encryption" in self.pipeline.by_name
         counter_entry_bytes = 16
         self._counter_cache = _SetAssocArray(
             self.cfg.cache.counter_cache_bytes, ways=16,
@@ -174,15 +183,16 @@ class MemoryController:
     def _persist(self, ctx, critical: bool):
         """Commit BMO state and enter the persist domain."""
         system = self.system
+        pipeline = self.pipeline
         # Refresh any staleness that crept in while queued (janus mode
         # already guarantees freshness; serialized/parallel contexts
         # executed just now, but concurrent cores may interleave).
-        stale = system.pipeline.stale_subops(ctx)
+        stale = pipeline.stale_subops(ctx)
         while stale:
-            system.pipeline.invalidate(ctx, stale)
-            yield from system.executor.run_subops(ctx)
-            stale = system.pipeline.stale_subops(ctx)
-        action = system.pipeline.commit(ctx)
+            pipeline.invalidate(ctx, stale)
+            yield from self.executor.run_subops(ctx)
+            stale = pipeline.stale_subops(ctx)
+        action = pipeline.commit(ctx)
 
         accepts = []
         if action.write_data:
@@ -228,7 +238,7 @@ class MemoryController:
         return self._metadata_base + line * CACHE_LINE_BYTES
 
     def _drain_to_nvm(self, entry: WriteEntry) -> None:
-        self.system.nvm.write_line(entry.addr, entry.data)
+        self.nvm.write_line(entry.addr, entry.data)
 
 
 class ShardedJanusFrontend:
@@ -247,7 +257,6 @@ class ShardedJanusFrontend:
     """
 
     def __init__(self, system: "NvmSystem"):
-        self.system = system
         self.engines = system.janus_engines
         self.router = system.router
 
@@ -285,7 +294,7 @@ class Core:
     """One hardware thread: the API workload programs run against."""
 
     def __init__(self, system: "NvmSystem", core_id: int):
-        self.system = system
+        self.system = weakref.proxy(system)
         self.sim = system.sim
         self.cfg = system.cfg
         self.core_id = core_id
@@ -293,11 +302,12 @@ class Core:
                                 memory_read_ns=self.cfg.memory.read_service_ns)
         self._outstanding: List = []
         self.current_txn_id = 0
+        core = weakref.ref(self)
         self.api = JanusInterface(
             self.sim,
             system.janus_frontend if self.cfg.mode == "janus" else None,
             thread_id=core_id,
-            transaction_id_provider=lambda: self.current_txn_id,
+            transaction_id_provider=lambda: core().current_txn_id,
             issue_cost_ns=2 * self.cfg.core.instruction_ns * 4,
             pre_id_counter=system._pre_ids)
         self.stats = system.metrics.scope(f"core{core_id}")
@@ -426,9 +436,10 @@ class NvmSystem:
         # figure sweeps.  At shards=1 the single device gets exactly
         # the configured channels and the legacy scope names, so the
         # machine is bit-identical to the unsharded one.
+        router = self.router
         local_addr = None
         if config.shards > 1:
-            local_addr = lambda addr: self.router.to_local(addr)[1]
+            local_addr = lambda addr: router.to_local(addr)[1]
         self.devices = [
             NvmDevice(self.sim, config.memory,
                       stats=self.metrics.scope(
@@ -457,9 +468,10 @@ class NvmSystem:
         heap_limit = shadow_base
         dedup_table = DedupTable(shadow_base=shadow_base,
                                  shadow_lines=shadow_lines)
+        copy_line = weakref.WeakMethod(self._copy_nvm_line)
         self.pipeline = build_pipeline(
             config, dedup_table=dedup_table,
-            nvm_copy_line=self._copy_nvm_line)
+            nvm_copy_line=lambda src, dst: copy_line()(src, dst))
 
         units = config.janus.scaled("bmo_units") * config.cores
         if config.janus.unlimited_resources:
@@ -482,7 +494,7 @@ class NvmSystem:
                 owns = None
                 if config.shards > 1:
                     owns = (lambda addr, _sid=sid:
-                            self.router.shard_of(addr) == _sid)
+                            router.shard_of(addr) == _sid)
                 self.janus_engines.append(JanusEngine(
                     self.sim, self.pipeline, self.executor,
                     config.janus, cores=config.cores,

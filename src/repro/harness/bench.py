@@ -8,8 +8,9 @@ event dispatch) are caught by CI instead of silently accumulating.
 Three parts:
 
 * **Workload benches** — run every tier-1 workload under Janus mode
-  and record wall-clock seconds, dispatched simulator events/sec, and
-  simulated-ns advanced per wall-second.
+  and record wall-clock seconds, host time per simulated transaction,
+  dispatched simulator events/sec, and simulated-ns advanced per
+  wall-second.
 * **IRB microbenchmark** — drive the indexed
   :class:`~repro.janus.irb.IntermediateResultBuffer` and the
   linear-scan reference (:class:`~repro.janus.irb_linear.LinearScanIrb`)
@@ -17,8 +18,9 @@ Three parts:
   indexed/linear speedup.  This ratio is host-speed-independent.
 * **Calibration** — a fixed pure-Python loop timed on the same host.
   Cross-machine comparisons (CI versus the machine that produced the
-  committed baseline) normalise events/sec by the calibration score,
-  so the regression gate measures the *code*, not the hardware.
+  committed baseline) normalise host time per transaction by the
+  calibration score, so the regression gate measures the *code*, not
+  the hardware.
 
 Reports are JSON (``schema: repro-bench-v1``), written as
 ``BENCH_<date>.json`` under ``benchmarks/perf/`` — the repo's perf
@@ -61,7 +63,7 @@ def calibrate(target_s: float = 0.05, repeats: int = 3) -> float:
     Best of ``repeats``: transient load only ever slows the loop
     down, so the fastest sample is the most faithful estimate of the
     host's steady speed.  A single sample can be depressed by a
-    scheduler stall, which skews every normalised events/sec number
+    scheduler stall, which skews every normalised time/txn number
     derived from the report.
     """
     n = 10_000
@@ -523,15 +525,35 @@ def load_report(path: str) -> Dict:
 
 
 # -- regression gate -----------------------------------------------------
-def _normalised_eps(report: Dict, workload: str,
-                    calibrated: bool) -> Optional[float]:
+def _txn_cost(wall_s: float, transactions: int, report: Dict,
+              calibrated: bool) -> Optional[float]:
+    """Host time per simulated transaction, in calibration-loop
+    iterations when ``calibrated`` (so hosts of different speed
+    compare), else in seconds."""
+    if not transactions:
+        return None
+    cost = wall_s / transactions
+    if calibrated:
+        cost *= report["meta"]["calibration_ops_per_sec"]
+    return cost
+
+
+def _workload_cost(report: Dict, workload: str,
+                   calibrated: bool) -> Optional[float]:
     bench = report.get("workloads", {}).get(workload)
     if bench is None:
         return None
-    eps = bench.get("events_per_sec", 0.0)
-    if calibrated:
-        return eps / report["meta"]["calibration_ops_per_sec"]
-    return eps
+    return _txn_cost(bench["wall_s"], bench.get("transactions", 0),
+                     report, calibrated)
+
+
+def _total_cost(report: Dict, calibrated: bool) -> Optional[float]:
+    wall_s = report.get("totals", {}).get("wall_s")
+    if wall_s is None:
+        return None
+    transactions = sum(bench.get("transactions", 0)
+                       for bench in report.get("workloads", {}).values())
+    return _txn_cost(wall_s, transactions, report, calibrated)
 
 
 #: Extra slack on per-workload checks over the aggregate threshold.
@@ -545,9 +567,15 @@ def compare(baseline: Dict, current: Dict,
             threshold: float = DEFAULT_THRESHOLD) -> List[str]:
     """Regressions of ``current`` vs ``baseline`` beyond ``threshold``.
 
-    Compares events/sec normalised by each report's calibration score
+    Compares host time per simulated transaction (``wall_s /
+    transactions``), normalised by each report's calibration score
     when both have one (so a slower CI host does not read as a code
-    regression).  Two tiers:
+    regression).  Events/sec is not gated: it rewards a design for
+    dispatching more events, and doing the same work with fewer
+    events would read as a slowdown.  A check fails when transaction
+    throughput — the inverse of the cost — falls by more than its
+    threshold, i.e. when the cost rises by more than
+    ``t / (1 - t)``.  Two tiers:
 
     * the **total** across all workloads — where independent
       per-workload noise largely averages out — gates at
@@ -563,31 +591,25 @@ def compare(baseline: Dict, current: Dict,
     calibrated = bool(
         baseline.get("meta", {}).get("calibration_ops_per_sec")
         and current.get("meta", {}).get("calibration_ops_per_sec"))
-    unit = "normalised events/sec" if calibrated else "events/sec"
+    unit = ("normalised host time/txn" if calibrated
+            else "host time/txn")
     workload_threshold = min(0.9, threshold + WORKLOAD_NOISE_ALLOWANCE)
-    for workload in sorted(baseline.get("workloads", {})):
-        base = _normalised_eps(baseline, workload, calibrated)
-        cur = _normalised_eps(current, workload, calibrated)
+    checks = [
+        (workload, _workload_cost(baseline, workload, calibrated),
+         _workload_cost(current, workload, calibrated),
+         workload_threshold)
+        for workload in sorted(baseline.get("workloads", {}))]
+    checks.append(("total", _total_cost(baseline, calibrated),
+                   _total_cost(current, calibrated), threshold))
+    for name, base, cur, limit in checks:
         if base is None or cur is None or base <= 0:
             continue
-        drop = 1.0 - cur / base
-        if drop > workload_threshold:
+        fall = 1.0 - base / cur
+        if fall > limit:
             regressions.append(
-                f"{workload}: {unit} fell {drop:.0%} "
-                f"({base:.3g} -> {cur:.3g}, "
-                f"threshold {workload_threshold:.0%})")
-    base_total = baseline.get("totals", {}).get("events_per_sec")
-    cur_total = current.get("totals", {}).get("events_per_sec")
-    if base_total and cur_total is not None:
-        if calibrated:
-            base_total /= baseline["meta"]["calibration_ops_per_sec"]
-            cur_total /= current["meta"]["calibration_ops_per_sec"]
-        drop = 1.0 - cur_total / base_total
-        if drop > threshold:
-            regressions.append(
-                f"total: {unit} fell {drop:.0%} "
-                f"({base_total:.3g} -> {cur_total:.3g}, "
-                f"threshold {threshold:.0%})")
+                f"{name}: {unit} rose {cur / base - 1.0:.0%} "
+                f"({base:.3g} -> {cur:.3g}; throughput fell {fall:.0%}, "
+                f"threshold {limit:.0%})")
     return regressions
 
 
@@ -598,16 +620,19 @@ def render(report: Dict, baseline: Optional[Dict] = None) -> str:
     lines.append(f"repro bench — {meta['date']}"
                  f"{' (quick)' if meta.get('quick') else ''}  "
                  f"py{meta['python']}")
-    lines.append(f"{'workload':12s} {'wall s':>8s} {'events':>9s} "
-                 f"{'events/s':>10s} {'sim-ns/s':>12s}")
+    lines.append(f"{'workload':12s} {'wall s':>8s} {'ms/txn':>8s} "
+                 f"{'events':>9s} {'events/s':>10s} {'sim-ns/s':>12s}")
     for name in sorted(report["workloads"]):
         w = report["workloads"][name]
-        lines.append(f"{name:12s} {w['wall_s']:8.3f} {w['events']:9d} "
+        ms_per_txn = 1e3 * (_workload_cost(report, name, False) or 0.0)
+        lines.append(f"{name:12s} {w['wall_s']:8.3f} {ms_per_txn:8.3f} "
+                     f"{w['events']:9d} "
                      f"{w['events_per_sec']:10,.0f} "
                      f"{w['sim_ns_per_wall_s']:12,.0f}")
     totals = report["totals"]
+    ms_per_txn = 1e3 * (_total_cost(report, False) or 0.0)
     lines.append(f"{'TOTAL':12s} {totals['wall_s']:8.3f} "
-                 f"{totals['events']:9d} "
+                 f"{ms_per_txn:8.3f} {totals['events']:9d} "
                  f"{totals['events_per_sec']:10,.0f} "
                  f"{totals['sim_ns_per_wall_s']:12,.0f}")
     micro = report["irb_micro"]
@@ -623,12 +648,12 @@ def render(report: Dict, baseline: Optional[Dict] = None) -> str:
             f"obs-off dispatch overhead ({obs['events']} events): "
             f"{obs['overhead']:+.2%} vs pre-profiler loop")
     if baseline is not None:
-        base_total = baseline["totals"]["events_per_sec"]
-        cur_total = totals["events_per_sec"]
-        if base_total > 0:
+        base_total = _total_cost(baseline, False)
+        cur_total = _total_cost(report, False)
+        if base_total and cur_total is not None:
             lines.append(
                 f"vs baseline {baseline['meta']['date']}: total "
-                f"events/sec {cur_total / base_total:.2f}x (raw)")
+                f"host time/txn {cur_total / base_total:.2f}x (raw)")
     return "\n".join(lines)
 
 

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import weakref
 from typing import Dict, List, Optional
 
 from repro.common.rng import DeterministicRng
@@ -240,7 +241,11 @@ class MetricsScope:
     def __init__(self, name: str = "stats",
                  registry: Optional["MetricsRegistry"] = None):
         self.name = name
-        self.registry = registry
+        #: The owning registry, held weakly: the registry owns its
+        #: scopes, so a strong back-reference would make every registry
+        #: a reference cycle that outlives its system.
+        self.registry = None if registry is None \
+            else weakref.proxy(registry)
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
 
@@ -289,7 +294,7 @@ class MetricsRegistry:
 
     def adopt(self, name: str, scope: MetricsScope) -> MetricsScope:
         """Register an externally-created scope (e.g. a legacy StatSet)."""
-        scope.registry = self
+        scope.registry = weakref.proxy(self)
         self._scopes[name] = scope
         return scope
 

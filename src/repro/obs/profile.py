@@ -6,8 +6,8 @@ complementary attributions, both derived from a single run:
 
 * **Dispatch profile** — the :class:`~repro.sim.engine.Simulator`
   instrumented loop classifies every dispatched callback into a
-  stable *event-type* key (``process:subop:aes``, ``timeout``,
-  ``event:done:xor``, ...) and records counts plus host wall-clock
+  stable *event-type* key (``subopschedule``, ``process:clwb``,
+  ``event:bmo-subops``, ...) and records counts plus host wall-clock
   nanoseconds.  Counts are a pure function of the run (deterministic
   and byte-stable); wall-clock is host-measured and reported
   separately, never written into the byte-stable artifacts.

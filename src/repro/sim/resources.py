@@ -18,7 +18,7 @@ silently vanishes from the pipeline.  The :meth:`Resource.use` and
 """
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import SimEvent, Simulator
@@ -34,7 +34,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
+        #: Pending grants: events from :meth:`acquire` and
+        #: ``(fn, args)`` callbacks from :meth:`request`, FIFO.
+        self._waiters: Deque[Union[SimEvent, Tuple]] = deque()
         self._acquire_name = f"{name}.acquire"
         # Utilisation accounting.
         self._busy_time = 0.0
@@ -69,6 +71,26 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def request(self, fn: Callable, *args) -> None:
+        """Callback-style :meth:`acquire`: once a slot is granted, the
+        simulator dispatches ``fn(*args)`` as one same-instant event.
+
+        Grant order, queueing and utilisation accounting are those of
+        :meth:`acquire`; the callback takes the batch slot the granted
+        waiter's resumption would have taken, without an event object
+        or a dispatch in between.  The holder must :meth:`release`
+        the slot.  A callback request cannot be cancelled.
+        """
+        now = self.sim.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.total_acquires += 1
+            self.sim._schedule_now(fn, *args)
+        else:
+            self._waiters.append((fn, args))
+
     def release(self) -> None:
         """Free one slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
@@ -79,7 +101,11 @@ class Resource:
         if self._waiters:
             # Hand the slot directly to the next waiter.
             self.total_acquires += 1
-            self._waiters.popleft().succeed()
+            waiter = self._waiters.popleft()
+            if waiter.__class__ is tuple:
+                self.sim._schedule_now(waiter[0], *waiter[1])
+            else:
+                waiter.succeed()
         else:
             self._in_use -= 1
 

@@ -270,7 +270,12 @@ class BTreeWorkload(TransactionalWorkload):
                 total += walk(child, bounds[i], bounds[i + 1], False)
             return total
 
-        return walk(self._root(), None, None, True)
+        size = walk(self._root(), None, None, True)
+        # A recursive closure is a reference cycle through its own
+        # cell; unlink it so this workload (and its system) are freed
+        # by reference counting, not only by the cyclic collector.
+        del walk
+        return size
 
     def lookup(self, key: int) -> Optional[int]:
         addr = self._root()
@@ -317,6 +322,7 @@ class BTreeWorkload(TransactionalWorkload):
 
         root = int.from_bytes(read(self.meta_addr, 8), "little")
         walk(root, 0)
+        del walk  # unlink the recursive closure's cycle (see validate)
         keys = [k for k, _v in items]
         if sorted(keys) != keys or len(set(keys)) != len(keys):
             raise RecoveryError("btree keys unsorted or duplicated")

@@ -291,6 +291,10 @@ class RBTreeWorkload(TransactionalWorkload):
             return bh, left_n + right_n + 1
 
         _bh, size = walk(root, None, None)
+        # A recursive closure is a reference cycle through its own
+        # cell; unlink it so this workload (and its system) are freed
+        # by reference counting, not only by the cyclic collector.
+        del walk
         return size
 
     def lookup(self, key: int) -> Optional[int]:
@@ -330,6 +334,7 @@ class RBTreeWorkload(TransactionalWorkload):
 
         root = int.from_bytes(read(self.meta_addr, 8), "little")
         walk(root, 0)
+        del walk  # unlink the recursive closure's cycle (see validate)
         keys = [k for k, _v in items]
         if sorted(keys) != keys or len(set(keys)) != len(keys):
             raise RecoveryError("rbtree keys unsorted or duplicated")

@@ -11,7 +11,7 @@ from repro.harness.bench import (
 )
 
 
-def tiny_report(date="2026-01-01", events_per_sec=1000.0,
+def tiny_report(date="2026-01-01", wall_s=0.1, events=100,
                 calibration=None):
     meta = {"date": date, "quick": True, "txns": 2, "python": "3.x",
             "platform": "test"}
@@ -21,8 +21,8 @@ def tiny_report(date="2026-01-01", events_per_sec=1000.0,
         "schema": BENCH_SCHEMA,
         "meta": meta,
         "workloads": {
-            "hash_table": {"wall_s": 0.1, "events": 100,
-                           "events_per_sec": events_per_sec,
+            "hash_table": {"wall_s": wall_s, "events": events,
+                           "events_per_sec": events / wall_s,
                            "sim_ns_per_wall_s": 1.0, "sim_ns": 10,
                            "transactions": 2},
         },
@@ -30,8 +30,8 @@ def tiny_report(date="2026-01-01", events_per_sec=1000.0,
                       "indexed_wall_s": 0.1, "linear_wall_s": 0.2,
                       "indexed_ops_per_sec": 80.0,
                       "linear_ops_per_sec": 40.0, "speedup": 2.0},
-        "totals": {"wall_s": 0.1, "events": 100,
-                   "events_per_sec": events_per_sec,
+        "totals": {"wall_s": wall_s, "events": events,
+                   "events_per_sec": events / wall_s,
                    "sim_ns_per_wall_s": 1.0},
     }
 
@@ -94,9 +94,9 @@ def test_bench_path_uses_date(tmp_path):
 
 
 def test_compare_flags_regression_beyond_threshold():
-    baseline = tiny_report(events_per_sec=1000.0)
-    ok = tiny_report(events_per_sec=900.0)        # -10%: fine
-    bad = tiny_report(events_per_sec=500.0)       # -50%: regression
+    baseline = tiny_report(wall_s=0.1)
+    ok = tiny_report(wall_s=0.11)       # throughput -9%: fine
+    bad = tiny_report(wall_s=0.2)       # throughput -50%: regression
     assert compare(baseline, ok, threshold=0.25) == []
     # -50% trips both tiers: the workload gate (25% + 15% noise
     # allowance) and the aggregate-total gate (25%).
@@ -109,32 +109,49 @@ def test_compare_flags_regression_beyond_threshold():
 def test_compare_tolerates_single_workload_noise():
     """A lone workload swinging -30% (within shared-host noise) must
     not trip the gate while the aggregate total holds up."""
-    baseline = tiny_report(events_per_sec=1000.0)
-    noisy = tiny_report(events_per_sec=700.0)     # workload: -30%
-    noisy["totals"]["events_per_sec"] = 900.0     # total: -10%
+    baseline = tiny_report(wall_s=0.1)
+    noisy = tiny_report(wall_s=0.1 / 0.7)     # workload: -30%
+    noisy["totals"]["wall_s"] = 0.1 / 0.9     # total: -10%
     assert compare(baseline, noisy, threshold=0.25) == []
 
 
 def test_compare_total_gate_catches_broad_slowdown():
     """An across-the-board -30% passes every per-workload check (bar
     is 40%) but must still trip on the aggregate total."""
-    baseline = tiny_report(events_per_sec=1000.0)
-    slow = tiny_report(events_per_sec=700.0)      # workload and total -30%
+    baseline = tiny_report(wall_s=0.1)
+    slow = tiny_report(wall_s=0.1 / 0.7)      # workload and total -30%
     regressions = compare(baseline, slow, threshold=0.25)
     assert len(regressions) == 1
     assert regressions[0].startswith("total:")
 
 
 def test_compare_normalises_by_calibration():
-    """A slower host (half the calibration score, half the events/sec)
-    must not read as a code regression."""
-    baseline = tiny_report(events_per_sec=1000.0, calibration=2_000_000)
-    slower_host = tiny_report(events_per_sec=500.0, calibration=1_000_000)
+    """A slower host (half the calibration score, twice the wall
+    time) must not read as a code regression."""
+    baseline = tiny_report(wall_s=0.1, calibration=2_000_000)
+    slower_host = tiny_report(wall_s=0.2, calibration=1_000_000)
     assert compare(baseline, slower_host, threshold=0.25) == []
     # But a genuine slowdown on the same host is still caught.
-    same_host_slow = tiny_report(events_per_sec=500.0,
-                                 calibration=2_000_000)
+    same_host_slow = tiny_report(wall_s=0.2, calibration=2_000_000)
     assert compare(baseline, same_host_slow, threshold=0.25) != []
+
+
+def test_compare_passes_fewer_events_in_less_wall_time():
+    """Doing the same transactions with far fewer events is a speedup,
+    even though events/sec falls."""
+    baseline = tiny_report(wall_s=0.1, events=100, calibration=1_000_000)
+    leaner = tiny_report(wall_s=0.08, events=40, calibration=1_000_000)
+    assert leaner["totals"]["events_per_sec"] < \
+        0.6 * baseline["totals"]["events_per_sec"]
+    assert compare(baseline, leaner, threshold=0.25) == []
+
+
+def test_compare_fails_equal_events_in_more_wall_time():
+    baseline = tiny_report(wall_s=0.1, events=100, calibration=1_000_000)
+    slower = tiny_report(wall_s=0.2, events=100, calibration=1_000_000)
+    regressions = compare(baseline, slower, threshold=0.25)
+    assert len(regressions) == 2
+    assert all("host time/txn rose 100%" in r for r in regressions)
 
 
 def test_compare_skips_missing_workloads():
@@ -147,5 +164,6 @@ def test_compare_skips_missing_workloads():
 def test_render_mentions_totals_and_micro():
     text = bench.render(tiny_report())
     assert "TOTAL" in text
+    assert "ms/txn" in text
     assert "irb micro" in text
     assert "2.0x" in text
