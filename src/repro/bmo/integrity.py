@@ -13,12 +13,20 @@ The leaf covers the co-located metadata entry — the encryption counter
 and the dedup remap pointer (DeWrite-style integration) — hence the
 inter-operation dependencies I1 <- E1 and I1 <- D2.
 
-Functional safety: pre-executed path digests are *never* installed
-blindly.  The commit recomputes the path against the live tree (always
-correct); the pre-executed sibling snapshot is used only to decide how
-much hashing *time* must be recharged.  ``tests/test_crypto_merkle.py::
-test_apply_stale_path_breaks_verification`` demonstrates the hazard
-this avoids.
+The ``I`` sub-ops carry timing only.  Each committed write hashes
+its path exactly once, at :meth:`IntegrityBmo.commit`, against the
+live tree (:meth:`repro.crypto.merkle.MerkleTree.update_leaf`), so
+the installed digests are correct however stale a pre-execution was,
+and a pre-execution leaves no hashed digests behind to install
+blindly.  Pre-executing I1..I<height> therefore buys simulated time
+only, never host work.
+
+Strict ablation (``IntegrityConfig.strict_sibling_invalidation``):
+I1 and the top level record the path's sibling blocks
+(:meth:`~repro.crypto.merkle.MerkleTree.sibling_blocks`, a read with
+no hashing).  When the write arrives, the lowest level whose recorded
+siblings another commit has since changed decides which upper ``I``
+sub-ops are re-run, i.e. how much hashing *time* is recharged.
 
 The same recompute-at-commit guarantee is what makes the ``coalesced``
 scheduling mode (:mod:`repro.bmo.policy`) a pure timing optimization:
@@ -74,48 +82,14 @@ class IntegrityBmo(BackendOperation):
         return (addr // self.line_bytes) % self.tree.leaf_capacity
 
     # -- functional sub-op bodies -------------------------------------
-    def _snapshot_path(self, ctx: BmoContext) -> None:
-        leaf_value = leaf_value_for(ctx)
-        index = self.leaf_index(ctx.addr)
-        if self.cfg.strict_sibling_invalidation:
-            path, siblings = self.tree.path_with_siblings(index, leaf_value)
-        else:
-            # The sibling snapshot is consumed only by the strict
-            # ablation mode's staleness judgement; the default model
-            # needs just the pre-executed path digests.
-            path = self.tree.path_digests(index, leaf_value)
-            siblings = None
-        ctx.values["merkle_index"] = index
-        ctx.values["merkle_leaf_value"] = leaf_value
-        ctx.values["merkle_path"] = path
-        ctx.values["merkle_siblings"] = siblings
-        ctx.values["merkle_tree_version"] = self.tree.mutations
-
-    def _snapshot_fresh(self, ctx: BmoContext) -> bool:
-        """True iff the recorded snapshot provably matches what a
-        recomputation against the live tree would produce: the tree
-        has not mutated since the snapshot and the leaf value (which
-        depends on earlier sub-op results a fault may have perturbed)
-        is unchanged."""
-        return (ctx.values.get("merkle_path") is not None
-                and ctx.values.get("merkle_tree_version")
-                == self.tree.mutations
-                and ctx.values.get("merkle_leaf_value")
-                == leaf_value_for(ctx))
-
-    def _i1(self, ctx: BmoContext) -> None:
-        self._snapshot_path(ctx)
-
-    def _i_top(self, ctx: BmoContext) -> None:
-        # The root-level hash re-reads the (possibly changed) upper
-        # siblings.  Refreshing the snapshot here is what lets a
-        # partial re-execution (only upper levels stale) converge —
-        # the recorded siblings match the live tree again afterwards.
-        # If the tree has not mutated since I1 the refresh would read
-        # back byte-identical state, so it is skipped.
-        if self._snapshot_fresh(ctx):
-            return
-        self._snapshot_path(ctx)
+    def _record_siblings(self, ctx: BmoContext) -> None:
+        # Strict ablation only: remember the blocks this path reads its
+        # siblings from, for ``stale_subops``.  I1 records them and the
+        # top level records them again, so a partial re-execution
+        # (only upper levels stale) converges: the record matches the
+        # live tree once the re-run reaches the root.
+        ctx.values["merkle_siblings"] = self.tree.sibling_blocks(
+            self.leaf_index(ctx.addr))
 
     def subops(self) -> Tuple[SubOp, ...]:
         i1_deps = []
@@ -123,17 +97,16 @@ class IntegrityBmo(BackendOperation):
             i1_deps.append("E1")
         if self.with_dedup:
             i1_deps.append("D2")
+        record = self._record_siblings \
+            if self.cfg.strict_sibling_invalidation else None
         height = self.tree.height
-        if height == 1:
-            return (SubOp("I1", self.name, self._level_latency(1),
-                          deps=tuple(i1_deps), run=self._i_top),)
         ops = [SubOp("I1", self.name, self._level_latency(1),
-                     deps=tuple(i1_deps), run=self._i1)]
+                     deps=tuple(i1_deps), run=record)]
         for level in range(2, height + 1):
-            run = self._i_top if level == height else None
             ops.append(SubOp(f"I{level}", self.name,
                              self._level_latency(level),
-                             deps=(f"I{level - 1}",), run=run))
+                             deps=(f"I{level - 1}",),
+                             run=record if level == height else None))
         return tuple(ops)
 
     def _level_latency(self, level: int) -> float:
@@ -145,23 +118,14 @@ class IntegrityBmo(BackendOperation):
 
     # -- commit / staleness --------------------------------------------
     def commit(self, ctx: BmoContext) -> None:
+        # The only place a path is hashed: against the live tree, so
+        # the result is correct however stale the pre-execution was.
         leaf_value = leaf_value_for(ctx)
         index = self.leaf_index(ctx.addr)
-        if self._snapshot_fresh(ctx) \
-                and ctx.values.get("merkle_index") == index:
-            # Janus's consume path: the pre-executed digests are
-            # provably identical to what a recomputation would yield,
-            # so install them directly.
-            self.tree.apply_path(ctx.values["merkle_path"])
-        else:
-            # Recompute against the live tree: correct regardless of
-            # how stale the pre-executed digests were.
-            self.tree.update_leaf(index, leaf_value)
+        self.tree.update_leaf(index, leaf_value)
         self.committed_leaves[index] = leaf_value
 
     def stale_subops(self, ctx: BmoContext) -> set:
-        if ctx.values.get("merkle_siblings") is None:
-            return set()
         # A leaf-value change (stale counter / dedup verdict) is
         # caught upstream: E1/D2 staleness invalidates I1..In through
         # the dependency closure.  Sibling churn from *other* lines'
@@ -171,8 +135,10 @@ class IntegrityBmo(BackendOperation):
         # (the committed tree is recomputed functionally either way).
         if not self.cfg.strict_sibling_invalidation:
             return set()
-        siblings = ctx.values["merkle_siblings"]
-        depth = self.tree.stale_depth(siblings)
+        record = ctx.values.get("merkle_siblings")
+        if record is None:
+            return set()
+        depth = self.tree.stale_depth(record)
         if depth > self.tree.height:
             return set()
         # Re-hash from the first level whose input changed upward.

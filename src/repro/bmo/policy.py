@@ -21,9 +21,8 @@ dataflow execution like ``parallel``, plus write-queue-level Merkle
 path coalescing — temporally-overlapping writebacks whose integrity
 paths share a tree ancestor charge that ancestor's hash once per
 batch.  The discount is timing-only: the functional commit path is
-byte-identical to ``serialized`` because the commit still recomputes
-or freshness-checks the path through the PR-7 memoization counter
-(``MerkleTree.mutations`` / ``IntegrityBmo._snapshot_fresh``), which
+byte-identical to ``serialized`` because every commit recomputes its
+write's path against the live tree (``IntegrityBmo.commit``), which
 is exactly what makes a shared pending node update safe to not
 re-hash.
 
@@ -186,7 +185,8 @@ class TimingPolicyMux:
 
     def __init__(self, router):
         self.router = router
-        #: shard id -> policy exposing ``adjust_timing``.
+        #: shard id -> policy exposing ``adjust_timing`` (a weak
+        #: proxy; the policy's controller owns it).
         self.policies: Dict[int, "CoalescedPolicy"] = {}
 
     def adjust_timing(self, name: str, ctx, total: int,
@@ -210,10 +210,10 @@ class CoalescedPolicy(ParallelPolicy):
     id; a batch ends when the in-flight count drains to zero, so
     batching is deterministic (simulation order, not wall clock).
 
-    Functional model: unchanged.  The commit path recomputes (or
-    freshness-validates via ``MerkleTree.mutations``) every path it
-    installs, so the final image is byte-identical to ``serialized``
-    — asserted by ``repro.validate.oracles.check_mode_equivalence``.
+    Functional model: unchanged.  Every commit recomputes the path it
+    installs against the live tree, so the final image is
+    byte-identical to ``serialized`` — asserted by
+    ``repro.validate.oracles.check_mode_equivalence``.
     """
 
     name = "coalesced"
@@ -242,15 +242,18 @@ class CoalescedPolicy(ParallelPolicy):
         # policy installs itself directly (legacy).  Sharded: all the
         # per-shard policies share one mux that routes each context to
         # the policy of the shard owning its line, so batching (and
-        # the coalescing discount) stays per-controller.
+        # the coalescing discount) stays per-controller.  Either way
+        # the hook holds the policy weakly: the policy holds the
+        # executor, so a strong link back would close a cycle.
+        hook = weakref.proxy(self)
         if self.cfg.shards == 1:
-            self.executor.timing_policy = self
+            self.executor.timing_policy = hook
         else:
             mux = self.executor.timing_policy
             if not isinstance(mux, TimingPolicyMux):
                 mux = TimingPolicyMux(self.system.router)
                 self.executor.timing_policy = mux
-            mux.policies[controller.shard_id] = self
+            mux.policies[controller.shard_id] = hook
 
     def writeback(self, thread_id, line_addr, data, critical, start):
         if self._inflight == 0:

@@ -1,4 +1,5 @@
-"""Sparse Bonsai Merkle tree for integrity verification.
+"""Sparse Bonsai Merkle tree for integrity verification, stored as
+packed child blocks.
 
 The Bonsai Merkle tree (Rogers et al., MICRO'07) protects the
 encryption counters (and, in the DeWrite-style integration the paper
@@ -11,6 +12,16 @@ materialise, so the tree is *sparse*: subtrees whose leaves were never
 written hash to a precomputed "empty" digest per level.  Updating one
 leaf recomputes exactly ``height`` hashes (the path to the root),
 which is why the paper charges 9 x 40 ns = 360 ns per write.
+
+Layout: every internal node is stored as its *child block* — its
+``arity`` child digests concatenated, which are exactly the bytes
+SHA-1 hashes to produce the node's own digest.  The digest of node
+``(L, i)`` is slot ``i % arity`` of the block of its parent
+``(L + 1, i // arity)``; the root digest sits in its own register.
+Hashing a path therefore costs one splice (the new child digest into
+its parent's block) and one SHA-1 call per level, with no per-child
+lookups or joins.  A block that was never written is absent and reads
+as the level's empty block.
 """
 
 import hashlib
@@ -21,10 +32,12 @@ from repro.common.errors import IntegrityError
 
 _sha1 = hashlib.sha1
 
+#: Bytes per node digest (SHA-1).
+DIGEST_BYTES = 20
 
-def _node_hash(children: bytes) -> bytes:
-    """SHA-1 over concatenated child digests (paper uses SHA-1)."""
-    return _sha1(children).digest()
+#: One level of a sibling record: ``(parent index, byte offset of the
+#: path's own slot, the parent's child block)``.
+SiblingBlock = Tuple[int, int, bytes]
 
 
 class MerkleTree:
@@ -40,34 +53,44 @@ class MerkleTree:
         self.arity = arity
         self.height = height
         self.leaf_capacity = arity ** height
-        # nodes[level][index] -> digest; missing nodes are "empty".
-        self._nodes: List[Dict[int, bytes]] = [
-            {} for _ in range(height + 1)]
         self._empty = self._empty_digests()
-        #: Monotone count of tree mutations.  Two reads of the tree
-        #: with the same ``mutations`` value observe identical state,
-        #: which lets pre-executed path snapshots prove themselves
-        #: still fresh without re-reading any node.
-        self.mutations = 0
+        self._install([{} for _ in range(height)], self._empty[height])
 
     def _empty_digests(self) -> List[bytes]:
         """Digest of an all-empty subtree at each level."""
-        empties = [hashlib.sha1(b"janus-empty-leaf").digest()]
+        empties = [_sha1(b"janus-empty-leaf").digest()]
         for _ in range(self.height):
-            empties.append(_node_hash(empties[-1] * self.arity))
+            empties.append(_sha1(empties[-1] * self.arity).digest())
         return empties
+
+    def _install(self, blocks: List[Dict[int, bytes]],
+                 root: bytes) -> None:
+        self._root = root
+        #: Per level ``L`` in 1..height, bottom-up (entry ``L - 1``):
+        #: ``({index: child block of node (L, index)}, the child block
+        #: of a never-written node)``.  A path walk iterates over it.
+        self._levels: Tuple[Tuple[Dict[int, bytes], bytes], ...] = \
+            tuple((level_blocks, self._empty[child_level] * self.arity)
+                  for child_level, level_blocks in enumerate(blocks))
 
     # -- queries ---------------------------------------------------------
     @property
     def root(self) -> bytes:
         """Current root digest (the secure-register value)."""
-        return self._nodes[self.height].get(0, self._empty[self.height])
+        return self._root
 
     def node(self, level: int, index: int) -> bytes:
         """Digest of the node at ``(level, index)``."""
         if not 0 <= level <= self.height:
             raise IntegrityError(f"level {level} out of range")
-        return self._nodes[level].get(index, self._empty[level])
+        if level == self.height:
+            return self._root if index == 0 else self._empty[level]
+        parent, slot = divmod(index, self.arity)
+        block = self._levels[level][0].get(parent)
+        if block is None:
+            return self._empty[level]
+        offset = slot * DIGEST_BYTES
+        return block[offset:offset + DIGEST_BYTES]
 
     def leaf(self, index: int) -> bytes:
         return self.node(0, index)
@@ -78,106 +101,24 @@ class MerkleTree:
             raise IntegrityError(
                 f"leaf index {index} outside [0, {self.leaf_capacity})")
 
-    def path_digests(self, index: int,
-                     leaf_value: bytes) -> List[Tuple[int, int, bytes]]:
-        """Compute, without mutating the tree, every digest on the path
-        from leaf ``index`` (set to ``Hash(leaf_value)``) to the root.
-
-        Returns ``[(level, node_index, digest), ...]`` bottom-up.  This
-        is the functional core of the integrity sub-operations I1–I3:
-        Janus pre-executes it into the IRB and applies it later, so it
-        must not touch tree state (requirement 1 of §3.2).
-        """
-        self._check_leaf_index(index)
-        arity = self.arity
-        nodes = self._nodes
-        empty = self._empty
-        path: List[Tuple[int, int, bytes]] = []
-        digest = _sha1(leaf_value).digest()
-        path.append((0, index, digest))
-        node_index = index
-        for level in range(1, self.height + 1):
-            parent_index = node_index // arity
-            first_child = parent_index * arity
-            level_nodes = nodes[level - 1]
-            level_empty = empty[level - 1]
-            parts = [
-                digest if child == node_index
-                else level_nodes.get(child, level_empty)
-                for child in range(first_child, first_child + arity)
-            ]
-            digest = _sha1(b"".join(parts)).digest()
-            path.append((level, parent_index, digest))
-            node_index = parent_index
-        return path
-
-    def path_with_siblings(
-            self, index: int, leaf_value: bytes
-    ) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple[int, int], bytes]]:
-        """Like :meth:`path_digests`, but also return the sibling
-        digests that were read while hashing.
-
-        The sibling map is what a pre-execution stores so that, when
-        the actual write arrives, staleness can be judged per level:
-        the deepest level whose recorded sibling no longer matches the
-        live tree is the level from which hashing must be redone
-        (Janus charges only that partial re-hash).
-        """
-        self._check_leaf_index(index)
-        arity = self.arity
-        nodes = self._nodes
-        empty = self._empty
-        path: List[Tuple[int, int, bytes]] = []
-        siblings: Dict[Tuple[int, int], bytes] = {}
-        digest = _sha1(leaf_value).digest()
-        path.append((0, index, digest))
-        node_index = index
-        for level in range(1, self.height + 1):
-            parent_index = node_index // arity
-            first_child = parent_index * arity
-            child_level = level - 1
-            level_nodes = nodes[child_level]
-            level_empty = empty[child_level]
-            parts = []
-            for child in range(first_child, first_child + arity):
-                if child == node_index:
-                    parts.append(digest)
-                else:
-                    sib = level_nodes.get(child, level_empty)
-                    siblings[(child_level, child)] = sib
-                    parts.append(sib)
-            digest = _sha1(b"".join(parts)).digest()
-            path.append((level, parent_index, digest))
-            node_index = parent_index
-        return path, siblings
-
-    def stale_depth(self,
-                    siblings: Dict[Tuple[int, int], bytes]) -> int:
-        """Lowest tree level at which a recorded sibling changed.
-
-        Returns ``height + 1`` if nothing changed (the pre-executed
-        hashes are fully reusable); returns ``L`` if hashing must be
-        redone from the node at level ``L`` upwards.
-        """
-        stale = self.height + 1
-        nodes = self._nodes
-        empty = self._empty
-        for (level, child), digest in siblings.items():
-            if nodes[level].get(child, empty[level]) != digest:
-                stale = min(stale, level + 1)
-        return stale
-
-    def apply_path(self, path: List[Tuple[int, int, bytes]]) -> bytes:
-        """Install precomputed path digests; returns the new root."""
-        self.mutations += 1
-        nodes = self._nodes
-        for level, node_index, digest in path:
-            nodes[level][node_index] = digest
-        return self.root
-
     def update_leaf(self, index: int, leaf_value: bytes) -> bytes:
-        """Convenience: compute and apply the path for one leaf."""
-        return self.apply_path(self.path_digests(index, leaf_value))
+        """Set leaf ``index`` to ``Hash(leaf_value)`` and re-hash its
+        path against the live tree; returns the new root."""
+        self._check_leaf_index(index)
+        arity = self.arity
+        digest = _sha1(leaf_value).digest()
+        node = index
+        for level_blocks, empty_block in self._levels:
+            parent, slot = divmod(node, arity)
+            offset = slot * DIGEST_BYTES
+            block = level_blocks.get(parent, empty_block)
+            block = (block[:offset] + digest
+                     + block[offset + DIGEST_BYTES:])
+            level_blocks[parent] = block
+            digest = _sha1(block).digest()
+            node = parent
+        self._root = digest
+        return digest
 
     def verify_leaf(self, index: int, leaf_value: bytes) -> bool:
         """Check that ``leaf_value`` at ``index`` matches the root.
@@ -187,31 +128,65 @@ class MerkleTree:
         """
         self._check_leaf_index(index)
         arity = self.arity
-        nodes = self._nodes
-        empty = self._empty
         digest = _sha1(leaf_value).digest()
-        node_index = index
-        for level in range(1, self.height + 1):
-            parent_index = node_index // arity
-            first_child = parent_index * arity
-            level_nodes = nodes[level - 1]
-            level_empty = empty[level - 1]
-            parts = [
-                digest if child == node_index
-                else level_nodes.get(child, level_empty)
-                for child in range(first_child, first_child + arity)
-            ]
-            digest = _sha1(b"".join(parts)).digest()
-            node_index = parent_index
-        return digest == self.root
+        node = index
+        for level_blocks, empty_block in self._levels:
+            parent, slot = divmod(node, arity)
+            offset = slot * DIGEST_BYTES
+            block = level_blocks.get(parent, empty_block)
+            digest = _sha1(block[:offset] + digest
+                           + block[offset + DIGEST_BYTES:]).digest()
+            node = parent
+        return digest == self._root
+
+    # -- staleness of a recorded path --------------------------------------
+    def sibling_blocks(self, index: int) -> Tuple[SiblingBlock, ...]:
+        """Record the child blocks the path from leaf ``index`` reads
+        its siblings from, one per level bottom-up.
+
+        A read with no hashing.  A pre-execution keeps the record so
+        that, when the actual write arrives, :meth:`stale_depth` can
+        judge staleness per level.
+        """
+        self._check_leaf_index(index)
+        arity = self.arity
+        record = []
+        node = index
+        for level_blocks, empty_block in self._levels:
+            parent, slot = divmod(node, arity)
+            record.append((parent, slot * DIGEST_BYTES,
+                           level_blocks.get(parent, empty_block)))
+            node = parent
+        return tuple(record)
+
+    def stale_depth(self, record: Tuple[SiblingBlock, ...]) -> int:
+        """Lowest tree level at which a recorded sibling changed.
+
+        Returns ``height + 1`` if nothing changed (the pre-executed
+        hashes are fully reusable); returns ``L`` if hashing must be
+        redone from the node at level ``L`` upwards.  The path's own
+        slot in each block is not a sibling and is ignored.
+        """
+        level = 0
+        for (level_blocks, empty_block), (parent, offset, recorded) \
+                in zip(self._levels, record):
+            level += 1
+            live = level_blocks.get(parent, empty_block)
+            if live is recorded:
+                continue
+            end = offset + DIGEST_BYTES
+            if live[:offset] != recorded[:offset] \
+                    or live[end:] != recorded[end:]:
+                return level
+        return self.height + 1
 
     # -- persistence hooks -------------------------------------------------
     def snapshot(self) -> dict:
-        """Deep copy of tree state (crash/recovery tests)."""
-        return {
-            "nodes": [dict(level) for level in self._nodes],
-        }
+        """Copy of tree state (crash/recovery tests)."""
+        return {"blocks": [dict(level_blocks)
+                           for level_blocks, _empty in self._levels],
+                "root": self._root}
 
     def restore(self, snap: dict) -> None:
-        self._nodes = [dict(level) for level in snap["nodes"]]
-        self.mutations += 1
+        self._install([dict(level) for level in snap["blocks"]],
+                      snap["root"])

@@ -19,7 +19,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise CryptoError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    # One big-int XOR: several times faster than XOR-ing byte by byte.
+    return (int.from_bytes(a, "little")
+            ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def derive_otp(key: bytes, counter: int, addr: int,

@@ -9,14 +9,19 @@ of the paper's headline observations (§5.2.1, trend 2).
 """
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_LINE_BYTES
 
 
 class _SetAssocArray:
-    """LRU tag array (no data)."""
+    """LRU tag array (no data).
+
+    A set is created on its first fill: a system touches few of its
+    thousands of sets, so building them all up front would dominate
+    its construction.  A set not yet created is empty.
+    """
 
     def __init__(self, size_bytes: int, ways: int,
                  line_bytes: int = CACHE_LINE_BYTES):
@@ -27,7 +32,8 @@ class _SetAssocArray:
         self.sets = lines // ways
         self.ways = ways
         self.line_bytes = line_bytes
-        self._tags = [OrderedDict() for _ in range(self.sets)]
+        #: set index -> tags in LRU order (oldest first).
+        self._tags: Dict[int, OrderedDict] = {}
 
     def _locate(self, addr: int) -> Tuple[int, int]:
         line = addr // self.line_bytes
@@ -36,22 +42,27 @@ class _SetAssocArray:
     def access(self, addr: int) -> bool:
         """Touch ``addr``; returns True on hit, inserting on miss."""
         set_index, tag = self._locate(addr)
-        tags = self._tags[set_index]
-        if tag in tags:
+        tags = self._tags.get(set_index)
+        if tags is None:
+            tags = self._tags[set_index] = OrderedDict()
+        elif tag in tags:
             tags.move_to_end(tag)
             return True
-        if len(tags) >= self.ways:
+        elif len(tags) >= self.ways:
             tags.popitem(last=False)
         tags[tag] = True
         return False
 
     def contains(self, addr: int) -> bool:
         set_index, tag = self._locate(addr)
-        return tag in self._tags[set_index]
+        tags = self._tags.get(set_index)
+        return tags is not None and tag in tags
 
     def invalidate(self, addr: int) -> None:
         set_index, tag = self._locate(addr)
-        self._tags[set_index].pop(tag, None)
+        tags = self._tags.get(set_index)
+        if tags is not None:
+            tags.pop(tag, None)
 
 
 class CacheModel:

@@ -46,26 +46,6 @@ def test_same_leaves_same_root_regardless_of_order():
     assert t1.root == t2.root
 
 
-def test_path_digests_do_not_mutate():
-    tree = small_tree()
-    root = tree.root
-    path = tree.path_digests(2, b"pending")
-    assert tree.root == root  # pure
-    assert len(path) == tree.height + 1
-    tree.apply_path(path)
-    assert tree.verify_leaf(2, b"pending")
-
-
-def test_apply_stale_path_breaks_verification():
-    """A pre-executed path computed before a sibling changed is stale —
-    this is exactly the hazard the IRB invalidation logic exists for."""
-    tree = small_tree()
-    stale = tree.path_digests(0, b"mine")
-    tree.update_leaf(1, b"sibling-moved")  # invalidates the path
-    tree.apply_path(stale)
-    assert not tree.verify_leaf(0, b"mine")
-
-
 def test_leaf_index_bounds():
     tree = small_tree()
     with pytest.raises(IntegrityError):

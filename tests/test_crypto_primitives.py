@@ -21,6 +21,14 @@ def test_xor_length_mismatch_raises():
         xor_bytes(b"ab", b"abc")
 
 
+@given(data=st.integers(0, 80).flatmap(
+    lambda n: st.tuples(st.binary(min_size=n, max_size=n),
+                        st.binary(min_size=n, max_size=n))))
+def test_xor_matches_per_byte_reference(data):
+    a, b = data
+    assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+
 def test_otp_is_deterministic():
     assert derive_otp(b"k", 1, 0x40) == derive_otp(b"k", 1, 0x40)
 

@@ -1,9 +1,14 @@
 """Tests for cache latency model, NVM device, and write queue."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, MemoryConfig
 from repro.mem import CacheModel, FunctionalMemory, NvmDevice, WriteQueue
+from repro.mem.cache import _SetAssocArray
 from repro.mem.write_queue import WriteEntry
 from repro.sim import Simulator
 
@@ -26,6 +31,56 @@ def test_cache_l2_catches_l1_evictions():
         cache.access_ns(i * stride)
     latency = cache.access_ns(0)  # evicted from L1, still in L2
     assert latency == pytest.approx(cfg.l1_hit_ns + cfg.l2_hit_ns)
+
+
+class _EagerSetAssocArray:
+    """Reference tag array: every set built up front."""
+
+    def __init__(self, size_bytes, ways, line_bytes=64):
+        lines = size_bytes // line_bytes
+        self.sets = lines // ways
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self._tags = [OrderedDict() for _ in range(self.sets)]
+
+    def _locate(self, addr):
+        line = addr // self.line_bytes
+        return line % self.sets, line // self.sets
+
+    def access(self, addr):
+        set_index, tag = self._locate(addr)
+        tags = self._tags[set_index]
+        if tag in tags:
+            tags.move_to_end(tag)
+            return True
+        if len(tags) >= self.ways:
+            tags.popitem(last=False)
+        tags[tag] = True
+        return False
+
+    def contains(self, addr):
+        set_index, tag = self._locate(addr)
+        return tag in self._tags[set_index]
+
+    def invalidate(self, addr):
+        set_index, tag = self._locate(addr)
+        self._tags[set_index].pop(tag, None)
+
+
+@settings(max_examples=50)
+@given(stream=st.lists(
+    st.tuples(st.sampled_from(("access", "contains", "invalidate")),
+              st.integers(0, 63)),
+    max_size=200))
+def test_lazy_cache_sets_match_eager_reference(stream):
+    # 4 sets x 2 ways over 64 lines: nearly every access conflicts.
+    lazy = _SetAssocArray(8 * 64, ways=2)
+    eager = _EagerSetAssocArray(8 * 64, ways=2)
+    for op, line in stream:
+        addr = line * 64
+        assert getattr(lazy, op)(addr) == getattr(eager, op)(addr)
+    for line in range(64):
+        assert lazy.contains(line * 64) == eager.contains(line * 64)
 
 
 def test_cache_hit_rate_counts():

@@ -2,7 +2,8 @@
 
 Back-references inside the machine (controller, core and policy to
 their owner, the cores' transaction-id provider, dedup's line-copy
-callback, the sharded address filters) are weak, so an
+callback, the sharded address filters, the executor's timing hook to
+the coalesced policy) are weak, so an
 :class:`NvmSystem` holds no reference cycle.  Without this, every
 finished system waits for CPython's cyclic collector, which runs
 rarely once the write path allocates little, and dead systems pile up
@@ -23,7 +24,7 @@ ALL_MODES = ("serialized", "parallel", "janus", "ideal",
              "coalesced", "async-epoch")
 
 
-def _run_crash_recover(mode: str, shards: int) -> weakref.ref:
+def _run_crash_recover(mode: str, shards: int) -> dict:
     system = NvmSystem(default_config(mode=mode, shards=shards,
                                       cores=shards))
     workloads = [
@@ -36,7 +37,11 @@ def _run_crash_recover(mode: str, shards: int) -> weakref.ref:
     state = recover(snapshot, regions, verify_macs=True)
     for workload in workloads:
         workload.logical_digest(state.read)
-    return weakref.ref(system)
+    # The chip-global pipeline (dedup table, Merkle tree, counters)
+    # and its executor must die with the system, in every mode.
+    return {name: weakref.ref(obj) for name, obj in (
+        ("system", system), ("pipeline", system.pipeline),
+        ("executor", system.executor))}
 
 
 @pytest.mark.parametrize("shards", (1, 2))
@@ -46,8 +51,10 @@ def test_finished_system_is_freed_without_the_cycle_collector(mode,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ref = _run_crash_recover(mode, shards)
-        assert ref() is None, "a reference cycle keeps the system alive"
+        refs = _run_crash_recover(mode, shards)
+        alive = sorted(name for name, ref in refs.items()
+                       if ref() is not None)
+        assert not alive, f"a reference cycle keeps {alive} alive"
     finally:
         if enabled:
             gc.enable()
