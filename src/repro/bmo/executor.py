@@ -47,10 +47,10 @@ from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 from repro.bmo.base import BmoContext
 from repro.bmo.pipeline import BmoPipeline
 from repro.common.errors import SimulationError
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator, quantize_ns
 from repro.sim.engine import SimEvent
-from repro.sim.stats import StatSet
 
 #: Distinct target sets whose call plans are cached per executor.  A
 #: run sees a handful (full write, addr-only and data-only
@@ -75,7 +75,7 @@ class BmoExecutor:
     """Schedules sub-operations of one pipeline on shared BMO units."""
 
     def __init__(self, sim: Simulator, pipeline: BmoPipeline,
-                 units: Resource, stats: Optional[StatSet] = None,
+                 units: Resource, stats: Optional[MetricsScope] = None,
                  pipeline_fraction: float = 0.25, tracer=None):
         if not 0.0 < pipeline_fraction <= 1.0:
             raise SimulationError(
@@ -87,7 +87,7 @@ class BmoExecutor:
         #: for ``latency * pipeline_fraction`` (the initiation
         #: interval) while its results appear after the full latency.
         self.pipeline_fraction = pipeline_fraction
-        self.stats = stats or StatSet("bmo-executor")
+        self.stats = stats or MetricsScope("bmo-executor")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot metric handles: resolved once, not per sub-operation.
         self._c_subops_executed = self.stats.counter("subops_executed")

@@ -38,9 +38,9 @@ Commands
     invariant-check -> resume on the recovered image, N cycles per
     workload and mode, with per-cycle fault plans and media wear
     accumulating across cycles.  Writes ``results/SOAK_<date>.json``
-    (byte-identical at any ``--jobs`` and either scheduler) and
-    fails (exit 1) on any violation: silent fault, broken recovery
-    idempotence, digest mismatch, or lost committed work.
+    (byte-identical at any ``--jobs``) and fails (exit 1) on any
+    violation: silent fault, broken recovery idempotence, digest
+    mismatch, or lost committed work.
 ``fuzz [--cases N] [--seed S] [--quick] [--replay PATH]``
     Seeded stateful fuzzing (:mod:`repro.validate.fuzz`): random op
     sequences over the Janus API, IRB lockstep traces, and workload
@@ -144,15 +144,6 @@ def _add_shards_arg(parser) -> None:
              "machine, bit for bit")
 
 
-def _add_scheduler_arg(parser) -> None:
-    parser.add_argument(
-        "--scheduler", default=None, choices=("bucket", "heap"),
-        help="simulation dispatch structure: the bucketed calendar "
-             "queue (default) or the reference per-event heap — "
-             "behaviourally identical, the heap is the slow oracle "
-             "(default: $REPRO_SCHEDULER, then bucket)")
-
-
 def _add_timeseries_args(parser) -> None:
     parser.add_argument(
         "--timeseries", type=float, default=None, metavar="N",
@@ -250,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accepted for interface uniformity with the "
                           "sweep commands; a single design point "
                           "always runs inline")
-    _add_scheduler_arg(run)
     _add_timeseries_args(run)
     _add_log_arg(run)
 
@@ -324,10 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fail when the indexed IRB microbench "
                             "speedup over the linear baseline drops "
                             "below this (default 2.0)")
-    bench.add_argument("--max-obs-overhead", type=float, default=0.02,
-                       help="fail when the obs-off dispatch loop is "
-                            "slower than the pre-profiler loop by "
-                            "more than this fraction (default 0.02)")
     bench.add_argument("--no-write", action="store_true",
                        help="do not write the report JSON")
     bench.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -336,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "contend for cores, so the regression "
                             "gate and committed baselines are always "
                             "jobs=1)")
-    _add_scheduler_arg(bench)
 
     scrub = sub.add_parser(
         "scrub", help="crash, recover, and scrub one workload")
@@ -524,7 +509,6 @@ def cmd_run(args) -> int:
                            params=_params(args), tracer=tracer,
                            sampler=sampler,
                            check_invariants=args.check,
-                           scheduler=args.scheduler or "",
                            shards=args.shards,
                            with_digest=args.digest is not None,
                            **_scheduling_overrides(args))
@@ -746,11 +730,6 @@ def cmd_misuse(args) -> int:
 def cmd_bench(args) -> int:
     from repro.harness import bench
 
-    if args.scheduler:
-        # Through the environment so --jobs worker processes (which
-        # construct their own Simulators) inherit the choice too.
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
-
     directory = args.dir if args.dir is not None else bench.DEFAULT_DIR
     out = args.out if args.out is not None \
         else bench.bench_path(directory)
@@ -783,22 +762,6 @@ def cmd_bench(args) -> int:
         failures.append(
             f"irb_micro: indexed speedup {speedup:.2f}x below the "
             f"{args.min_irb_speedup:.1f}x floor")
-    # The gate reasons about *added* cost, so negative raw readings
-    # (the obs-capable loop beating the baseline on timer noise) clamp
-    # to zero here; the raw signed value stays in the JSON report for
-    # trend analysis.
-    overhead = max(0.0, report["obs_overhead"]["overhead"])
-    if overhead > args.max_obs_overhead:
-        # One re-measure before failing: the micro is short, and the
-        # gate should catch a real added per-event cost, not a
-        # scheduler stall during the first sample.
-        overhead = min(overhead,
-                       max(0.0, bench.bench_obs_overhead()["overhead"]))
-    if overhead > args.max_obs_overhead:
-        failures.append(
-            f"obs_overhead: disabled-path dispatch overhead "
-            f"{overhead:.2%} above the {args.max_obs_overhead:.0%} "
-            f"gate")
     if baseline is not None:
         failures.extend(
             bench.compare(baseline, report, threshold=args.threshold))

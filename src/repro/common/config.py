@@ -325,10 +325,6 @@ class SystemConfig:
     #: (CLI ``repro run --check``).  Functional-only: violations raise
     #: ``InvariantViolation``, timing is unaffected.
     check_invariants: bool = False
-    #: Event-loop scheduler: ``"bucket"`` (calendar queue, default),
-    #: ``"heap"`` (reference loop), or ``""`` to defer to the
-    #: ``REPRO_SCHEDULER`` environment variable / the bucket default.
-    scheduler: str = ""
     seed: int = 42
 
     MODES = ("serialized", "parallel", "janus", "ideal",
@@ -336,7 +332,6 @@ class SystemConfig:
     #: Modes whose sfence completion does not imply durability (the
     #: write may still sit in a volatile epoch buffer).
     RELAXED_MODES = ("async-epoch",)
-    SCHEDULERS = ("", "bucket", "heap")
 
     def validate(self) -> "SystemConfig":
         """Check the whole tree; returns self for chaining."""
@@ -345,10 +340,6 @@ class SystemConfig:
         if self.mode not in self.MODES:
             raise ConfigError(
                 f"mode must be one of {self.MODES}, got {self.mode!r}")
-        if self.scheduler not in self.SCHEDULERS:
-            raise ConfigError(
-                f"scheduler must be one of {self.SCHEDULERS}, "
-                f"got {self.scheduler!r}")
         self._validate_sharding()
         _quantize_ns_fields(self.core)
         _quantize_ns_fields(self.cache)

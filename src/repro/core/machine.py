@@ -417,7 +417,7 @@ class NvmSystem:
     def __init__(self, config: SystemConfig, tracer: Optional[Tracer] = None,
                  injector=None):
         self.cfg = config.validate()
-        self.sim = Simulator(config.scheduler or None)
+        self.sim = Simulator()
         self.rng = DeterministicRng(config.seed)
         #: Unified observability: one registry + one tracer for every
         #: component.  The tracer starts disabled (near-zero overhead)

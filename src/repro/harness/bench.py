@@ -210,220 +210,6 @@ def bench_irb_micro(resident: int = 384, ops: int = 4000,
     }
 
 
-# -- observability-off overhead micro ------------------------------------
-def _obs_overhead_subprocess(events: int, repeats: int
-                             ) -> Optional[Dict]:
-    """Run one in-process overhead measurement in a fresh interpreter.
-
-    Returns ``None`` when a subprocess cannot be launched (restricted
-    environments), letting the caller fall back to measuring
-    in-process.
-    """
-    import subprocess
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    code = (
-        "import json\n"
-        "from repro.harness.bench import bench_obs_overhead\n"
-        f"r = bench_obs_overhead(events={events}, repeats={repeats}, "
-        "processes=1)\n"
-        "print(json.dumps(r))\n")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, timeout=120,
-            capture_output=True, text=True)
-        if proc.returncode != 0:
-            return None
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-    except (OSError, subprocess.SubprocessError, ValueError,
-            IndexError):
-        return None
-
-
-def _dispatch_cascade(sim: Simulator, events: int) -> None:
-    """Schedule a pure self-rescheduling dispatch chain of ``events``
-    callbacks — the cheapest possible workload, so any per-event cost
-    added to the dispatch loop shows at full relative weight."""
-    remaining = [events]
-
-    def tick() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            sim._schedule(1.0, tick)
-
-    sim._schedule(0.0, tick)
-
-
-def _baseline_loop(sim: Simulator, until=None, stop_event=None) -> float:
-    """The bare bucketed dispatch loop, verbatim — the obs-off gate
-    measures :meth:`Simulator.run` against this copy of
-    ``Simulator._run_bucket`` with no profiler/sampler delegation
-    check.  Keeping the batch bookkeeping and the
-    ``stop_event``/``until``/monotonicity checks is what makes the
-    comparison honest: those costs belong to the scheduler itself and
-    must not be counted as observability overhead."""
-    from heapq import heappop
-
-    from repro.common.errors import SimulationError
-    buckets = sim._buckets
-    times = sim._times
-    batch = sim._batch
-    pos = sim._batch_pos
-    base = pos
-    dispatched = 0
-    stopped = False
-    try:
-        while True:
-            if pos < len(batch):
-                if stop_event is not None and stop_event.triggered:
-                    stopped = True
-                    break
-                if until is not None and sim._batch_time > until:
-                    sim.now = until
-                    return sim.now
-                if stop_event is None:
-                    if pos:
-                        while pos < len(batch):
-                            fn, args = batch[pos]
-                            pos += 1
-                            fn(*args)
-                    else:
-                        for pos, (fn, args) in enumerate(batch, 1):
-                            fn(*args)
-                else:
-                    while pos < len(batch):
-                        if stop_event.triggered:
-                            stopped = True
-                            break
-                        fn, args = batch[pos]
-                        pos += 1
-                        fn(*args)
-                    if stopped:
-                        break
-                continue
-            if stop_event is not None and stop_event.triggered:
-                stopped = True
-                break
-            if not times:
-                break
-            time_ = times[0]
-            if until is not None and time_ > until:
-                sim.now = until
-                return sim.now
-            heappop(times)
-            if time_ < sim.now:
-                raise SimulationError("time went backwards")
-            dispatched += pos - base
-            sim.now = time_
-            sim._batch_time = time_
-            batch = sim._batch = buckets.pop(time_)
-            pos = 0
-            base = 0
-    finally:
-        sim.events += dispatched + (pos - base)
-        sim._batch_pos = pos
-    if until is not None and not times and pos >= len(batch) \
-            and not stopped:
-        sim.now = max(sim.now, until)
-    return sim.now
-
-
-def bench_obs_overhead(events: int = 120_000,
-                       repeats: int = 10,
-                       processes: int = 3) -> Dict:
-    """Overhead of the obs-capable ``run()`` with observability off.
-
-    Times an identical pure-dispatch cascade through (a) the real
-    :meth:`Simulator.run` with ``profile``/``sampler`` unset and (b) a
-    verbatim copy of the pre-profiler loop.  Overhead is the ratio of
-    the two *minima*: transient host effects only ever slow a sample
-    down, so with enough alternating trials each side's fastest
-    sample converges on its true cost, while a real per-event cost
-    inflates every sample of the ``run()`` side including its
-    minimum.  Noise controls, each of which proved necessary on
-    shared/virtualized runners: trials are timed with
-    :func:`time.process_time` (CPU time — hypervisor steal and
-    scheduler preemption do not count against either side), GC is
-    paused inside the timed regions (collector pauses otherwise land
-    on one side at random), a sustained untimed warm-up lets a
-    frequency-scaled host reach its steady clock before anything is
-    timed, and trials are sized in the tens of milliseconds (shorter
-    samples are dominated by timer jitter).
-
-    One noise source survives all of that: per-interpreter memory
-    layout (ASLR, allocation order) biases two distinct code objects
-    against each other by several percent, with the same sign for the
-    lifetime of the process — no amount of in-process repetition
-    averages it out.  So when ``processes`` > 1 the measurement runs
-    in that many *fresh interpreters* and the smallest overhead wins:
-    a favourably-laid-out process reads the true ~0%, while a real
-    per-event cost shows in every layout.  ``processes=1`` measures
-    in-process (it is also what each subprocess runs).  The
-    acceptance gate is overhead < 2% (``repro bench`` fails beyond
-    ``--max-obs-overhead``).
-    """
-    import gc
-
-    if processes > 1:
-        best: Optional[Dict] = None
-        for _ in range(processes):
-            result = _obs_overhead_subprocess(events, repeats)
-            if result is None:       # no subprocess support: fall back
-                break
-            if best is None or result["overhead"] < best["overhead"]:
-                best = result
-        if best is not None:
-            best["processes"] = processes
-            return best
-
-    # Sustained warm-up: ~0.5s of full-speed alternating runs, enough
-    # for bytecode specialization on both loops and for the host to
-    # leave its idle frequency state.
-    deadline = time.perf_counter() + 0.5
-    while time.perf_counter() < deadline:
-        for loop in (lambda s: s.run(), _baseline_loop):
-            sim = Simulator("bucket")
-            _dispatch_cascade(sim, min(events, 20_000))
-            loop(sim)
-
-    fast_s = baseline_s = float("inf")
-    gc_was_enabled = gc.isenabled()
-    try:
-        for _ in range(repeats):
-            sim = Simulator("bucket")
-            _dispatch_cascade(sim, events)
-            gc.collect()
-            gc.disable()
-            start = time.process_time()
-            sim.run()
-            fast_s = min(fast_s, time.process_time() - start)
-            if gc_was_enabled:
-                gc.enable()
-
-            sim = Simulator("bucket")
-            _dispatch_cascade(sim, events)
-            gc.collect()
-            gc.disable()
-            start = time.process_time()
-            _baseline_loop(sim)
-            baseline_s = min(baseline_s, time.process_time() - start)
-            if gc_was_enabled:
-                gc.enable()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "events": events,
-        "run_wall_s": fast_s,
-        "baseline_wall_s": baseline_s,
-        "overhead": fast_s / baseline_s - 1.0 if baseline_s else 0.0,
-    }
-
-
 # -- the full report -----------------------------------------------------
 def run_bench(quick: bool = False, seed: int = 0,
               workloads: Optional[List[str]] = None,
@@ -457,9 +243,6 @@ def run_bench(quick: bool = False, seed: int = 0,
         ops=1500 if quick else 4000,
         seed=seed,
         repeats=2 if quick else 3)
-    obs_overhead = bench_obs_overhead(
-        events=60_000 if quick else 120_000,
-        repeats=6 if quick else 10)
     total_wall = sum(w["wall_s"] for w in per_workload.values())
     total_events = sum(w["events"] for w in per_workload.values())
     total_sim_ns = sum(w["sim_ns"] for w in per_workload.values())
@@ -476,7 +259,6 @@ def run_bench(quick: bool = False, seed: int = 0,
         },
         "workloads": per_workload,
         "irb_micro": micro,
-        "obs_overhead": obs_overhead,
         "totals": {
             "wall_s": total_wall,
             "events": total_events,
@@ -642,11 +424,6 @@ def render(report: Dict, baseline: Optional[Dict] = None) -> str:
         f"{micro['indexed_ops_per_sec']:,.0f} ops/s vs linear "
         f"{micro['linear_ops_per_sec']:,.0f} ops/s -> "
         f"{micro['speedup']:.1f}x")
-    obs = report.get("obs_overhead")
-    if obs:
-        lines.append(
-            f"obs-off dispatch overhead ({obs['events']} events): "
-            f"{obs['overhead']:+.2%} vs pre-profiler loop")
     if baseline is not None:
         base_total = _total_cost(baseline, False)
         cur_total = _total_cost(report, False)

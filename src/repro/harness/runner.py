@@ -55,8 +55,8 @@ def run_point(workload: str,
     :class:`repro.obs.profile.SimProfiler` to attribute dispatch
     cost, and/or a :class:`repro.obs.timeseries.TimeSeriesSampler`
     to record a metric time series (the sampler is bound to the
-    system's registry here).  With neither, the simulator runs its
-    unmodified fast dispatch loop.
+    system's registry here).  Both are hooks on the simulator's one
+    dispatch loop; with neither, it does no observability work.
     """
     if variant is None:
         variant = "manual" if mode == "janus" else "baseline"

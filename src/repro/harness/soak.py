@@ -32,7 +32,7 @@ by wear).
 Each cell is a sealed, seeded computation, so the campaign shards
 cells across worker processes through :mod:`repro.harness.parallel`
 and assembles the report in submission order — the JSON document is
-byte-identical at any ``--jobs`` and under either scheduler.
+byte-identical at any ``--jobs``.
 """
 
 import json
@@ -538,7 +538,7 @@ def run_soak(config: Optional[SoakConfig] = None,
 
     Cells shard across worker processes; the report is assembled in
     submission order, so the JSON document is byte-identical for any
-    job count and either scheduler.
+    job count.
     """
     config = config or SoakConfig()
     executor = ParallelExecutor(jobs=jobs, timeout_s=timeout_s,

@@ -26,7 +26,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.stats import Histogram
+from repro.obs.metrics import Histogram
 
 
 @dataclass

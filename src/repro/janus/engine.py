@@ -26,9 +26,9 @@ from repro.janus.queues import (
     PreExecRequestQueue,
     decode_request,
 )
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Simulator
-from repro.sim.stats import StatSet
 
 
 class JanusEngine:
@@ -67,7 +67,7 @@ class JanusEngine:
         #: them (stale results must never be silently consumed).
         self.injector = None
         self.stats = metrics.scope(scope) if metrics is not None \
-            else StatSet("janus")
+            else MetricsScope("janus")
         # Hot metric handles: one registry lookup at construction
         # instead of a string-keyed dict probe per write/admit.
         self._c_requests = self.stats.counter("requests")

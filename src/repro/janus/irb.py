@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bmo.base import BmoContext
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Simulator
-from repro.sim.stats import StatSet
 
 
 @dataclass(eq=False)
@@ -95,7 +95,7 @@ class IntermediateResultBuffer:
         self.sim = sim
         self.capacity = capacity
         self.max_age_ns = max_age_ns
-        self.stats = stats if stats is not None else StatSet("irb")
+        self.stats = stats if stats is not None else MetricsScope("irb")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # -- indexes (see module docstring) --
         self._order: _EntrySet = {}

@@ -18,9 +18,9 @@ It is **not** used on any simulation path.
 from typing import Callable, List, Optional
 
 from repro.janus.irb import IrbEntry
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Simulator
-from repro.sim.stats import StatSet
 
 
 class LinearScanIrb:
@@ -33,7 +33,7 @@ class LinearScanIrb:
         self.capacity = capacity
         self.max_age_ns = max_age_ns
         self._entries: List[IrbEntry] = []
-        self.stats = stats if stats is not None else StatSet("irb")
+        self.stats = stats if stats is not None else MetricsScope("irb")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Register the same base counters the indexed IRB caches, so
         # stats snapshots of the two implementations are comparable.

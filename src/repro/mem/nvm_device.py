@@ -19,8 +19,8 @@ metrics registry, so enabling it costs no snapshot bytes.
 from typing import Dict, List, Optional
 
 from repro.common.config import MemoryConfig
+from repro.obs.metrics import MetricsScope
 from repro.sim import Resource, Simulator
-from repro.sim.stats import StatSet
 
 
 class NvmDevice:
@@ -33,7 +33,7 @@ class NvmDevice:
     """
 
     def __init__(self, sim: Simulator, config: MemoryConfig,
-                 stats: Optional[StatSet] = None,
+                 stats: Optional[MetricsScope] = None,
                  channels: Optional[int] = None,
                  shard_id: int = 0,
                  local_addr=None):
@@ -65,7 +65,7 @@ class NvmDevice:
         self._ch_accesses: List[int] = [0] * n_channels
         self._ch_wait_ns: List[float] = [0.0] * n_channels
         self._ch_busy_ns: List[float] = [0.0] * n_channels
-        self.stats = stats if stats is not None else StatSet("nvm")
+        self.stats = stats if stats is not None else MetricsScope("nvm")
         #: Optional ``repro.faults.FaultInjector`` (set by ``attach``).
         #: Read-side media faults are armed here on the timing path;
         #: write-side corruption applies where the functional bytes

@@ -19,9 +19,9 @@ from typing import Callable, List, Optional
 from repro.common.config import MemoryConfig
 from repro.common.errors import SimulationError
 from repro.mem.nvm_device import NvmDevice
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator
-from repro.sim.stats import StatSet
 
 
 @dataclass
@@ -56,7 +56,7 @@ class WriteQueue:
         self._idle_waiters: List = []
         #: Entries accepted (durable under ADR) but not yet drained.
         self._pending: List[WriteEntry] = []
-        self.stats = stats if stats is not None else StatSet("wq")
+        self.stats = stats if stats is not None else MetricsScope("wq")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional ``repro.faults.FaultInjector``: consulted after
         #: each drain (media faults on the landed line) and per entry

@@ -5,10 +5,9 @@ register a :class:`MetricsScope` (``registry.scope("irb")``) and create
 labeled counters/histograms inside it; the registry can then take a
 point-in-time :meth:`MetricsRegistry.snapshot`, diff two snapshots
 with :meth:`MetricsRegistry.delta`, and export everything as JSON or
-CSV.  ``MetricsScope`` is API-compatible with the old
-``repro.sim.stats.StatSet`` (``.counters`` / ``.histograms`` dicts,
-``counter()`` / ``histogram()`` / ``as_dict()``), so all existing
-call sites and tests keep working.
+CSV.  A component built without a registry gets a free-standing
+``MetricsScope(name)`` with the same ``.counters`` / ``.histograms``
+dicts and ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
 
 Histograms use *bounded reservoir sampling* (Algorithm R, seeded from
 ``repro.common.rng`` by metric name) so arbitrarily long runs keep a
@@ -231,11 +230,10 @@ class Histogram:
 class MetricsScope:
     """A namespaced bag of counters and histograms inside a registry.
 
-    Drop-in compatible with the old ``StatSet``: exposes ``counters``
-    and ``histograms`` dicts keyed by short (label-free) name, and the
-    same ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
-    Labeled variants of a metric live alongside the unlabeled one,
-    keyed by ``name{k=v}``.
+    Exposes ``counters`` and ``histograms`` dicts keyed by short
+    (label-free) name.  Labeled variants of a metric live alongside
+    the unlabeled one, keyed by ``name{k=v}``.  With ``registry=None``
+    the scope stands alone (a component built outside a system).
     """
 
     def __init__(self, name: str = "stats",
@@ -270,7 +268,7 @@ class MetricsScope:
         return self.histograms[key]
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat name -> value view (StatSet-compatible)."""
+        """Flat name -> value view: counters, histogram mean/count."""
         out: Dict[str, float] = {}
         for name, counter in self.counters.items():
             out[name] = counter.value
@@ -293,7 +291,7 @@ class MetricsRegistry:
         return self._scopes[name]
 
     def adopt(self, name: str, scope: MetricsScope) -> MetricsScope:
-        """Register an externally-created scope (e.g. a legacy StatSet)."""
+        """Register an externally-created, free-standing scope."""
         scope.registry = weakref.proxy(self)
         self._scopes[name] = scope
         return scope

@@ -5,12 +5,13 @@ before touching anything: *where does simulation cost go?*  Two
 complementary attributions, both derived from a single run:
 
 * **Dispatch profile** — the :class:`~repro.sim.engine.Simulator`
-  instrumented loop classifies every dispatched callback into a
-  stable *event-type* key (``subopschedule``, ``process:clwb``,
-  ``event:bmo-subops``, ...) and records counts plus host wall-clock
-  nanoseconds.  Counts are a pure function of the run (deterministic
-  and byte-stable); wall-clock is host-measured and reported
-  separately, never written into the byte-stable artifacts.
+  dispatch loop, with this profiler hooked in, classifies every
+  dispatched callback into a stable *event-type* key
+  (``subopschedule``, ``process:clwb``, ``event:bmo-subops``, ...)
+  and records counts plus host wall-clock nanoseconds.  Counts are a
+  pure function of the run (deterministic and byte-stable);
+  wall-clock is host-measured and reported separately, never written
+  into the byte-stable artifacts.
 * **Component profile** — the span stream of an enabled
   :class:`~repro.obs.tracer.Tracer` is folded into per-track call
   stacks by interval containment, yielding per-``(track, name)``
@@ -19,14 +20,13 @@ complementary attributions, both derived from a single run:
   speedscope and standard flamegraph tooling load directly.
 
 The profiler is attach-by-assignment: ``sim.profile = SimProfiler()``
-switches :meth:`Simulator.run` onto its instrumented loop; with no
-profiler (and no sampler) the fast loop is the *unmodified* dispatch
-loop, so the disabled path costs exactly one ``is None`` check per
-``run()`` call — not per event (pinned by
-``tests/test_obs_overhead.py``).  There is one instrumented loop per
-scheduler — the bucketed calendar queue and the reference heap — each
-mirroring its fast loop's dispatch order exactly, so a profile never
-changes what it measures.
+is a hook on :meth:`Simulator.run`, the one dispatch loop.  The loop
+reads it once per ``run()`` call and, when it is set, gives each
+same-instant batch a timed drain that calls :meth:`SimProfiler.record`
+per callback.  With no profiler the batch takes the bare drain, so
+the disabled path does no per-event work.  The dispatch order is the
+same either way, so a profile never changes what it measures
+(pinned by ``tests/test_obs_overhead.py``).
 """
 
 import re
@@ -89,7 +89,7 @@ class SimProfiler:
         self.total_wall_ns = 0
 
     def record(self, fn: Callable, wall_ns: int) -> None:
-        """Called by the instrumented dispatch loop, once per event."""
+        """Called by the dispatch loop's timed drain, once per event."""
         owner = getattr(fn, "__self__", None)
         if owner is None:
             key = classify_callback(fn)

@@ -10,14 +10,13 @@ parallel sweep executor guarantees for its reports.
 The sampler deliberately does **not** schedule simulator events: a
 self-rescheduling "sampler process" would inflate the event count,
 keep the event queue non-empty forever, and perturb
-``run(until=...)`` semantics.  Instead the
-:class:`~repro.sim.engine.Simulator` dispatch loop calls
-:meth:`on_advance` whenever the clock crosses the next sample
-boundary (see ``Simulator.run`` — the check only exists on the
-instrumented loop, so an unsampled run pays nothing).  Under the
-default bucketed scheduler the clock only advances *between* same-time
+``run(until=...)`` semantics.  Instead the sampler is a hook on
+:meth:`Simulator.run <repro.sim.engine.Simulator.run>`: the dispatch
+loop calls :meth:`on_advance` whenever the clock crosses the next
+sample boundary.  The clock only advances *between* same-time
 batches, so the boundary check runs once per batch rather than once
-per event — the sample points are identical either way because a
+per event, and an unsampled run skips it on one ``is None`` test.
+The sample points are those a per-event check would find, because a
 boundary can only be crossed where time advances.
 
 Outputs:
@@ -51,9 +50,9 @@ class TimeSeriesSampler:
     ``interval_ns`` of simulation time.
 
     Attach by assignment: ``sim.sampler = sampler`` (after
-    ``bind(system.metrics)``); the simulator's instrumented dispatch
-    loop drives :meth:`on_advance`.  Call :meth:`finish` once the run
-    ends to record the final partial interval.
+    ``bind(system.metrics)``); the simulator's dispatch loop drives
+    :meth:`on_advance`.  Call :meth:`finish` once the run ends to
+    record the final partial interval.
     """
 
     def __init__(self, interval_ns: float,

@@ -13,22 +13,17 @@ Shared hardware (memory channels, BMO units) is modelled with
 (FIFO queue of items).
 """
 
-from repro.sim.engine import (AllOf, Delay, Process, SCHEDULERS, SimEvent,
-                              Simulator, Timeout, quantize_ns)
+from repro.sim.engine import (AllOf, Delay, Process, SimEvent, Simulator,
+                              Timeout, quantize_ns)
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import Counter, Histogram, StatSet
 
 __all__ = [
     "AllOf",
-    "Counter",
     "Delay",
-    "Histogram",
     "Process",
     "Resource",
-    "SCHEDULERS",
     "SimEvent",
     "Simulator",
-    "StatSet",
     "Store",
     "Timeout",
     "quantize_ns",

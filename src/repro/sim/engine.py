@@ -7,22 +7,15 @@ boundary, with round-half-up (:func:`quantize_ns`).  All arithmetic on
 ``Simulator.now`` is therefore exact, which kills float drift and the
 cross-platform "time went backwards" hazard the old float clock had.
 
-Two interchangeable schedulers share identical semantics:
-
-* ``bucket`` (default) — a calendar-queue: a dict of
-  ``timestamp -> [callback, ...]`` buckets plus a small heap of
-  *distinct* timestamps.  Events at the same instant dispatch as one
-  batch, so the per-event cost is a list append on schedule and a list
-  index on dispatch; the heap is touched once per distinct timestamp
-  instead of once per event.
-* ``heap`` — the original per-event ``(time, seq, fn, args)`` heapq
-  loop, kept as the reference implementation
-  (``--scheduler=heap`` / ``REPRO_SCHEDULER=heap``).
-
-Both dispatch events in exactly the same order: the bucket batch is
-FIFO within a timestamp, which is precisely what the heap's ``seq``
-tie-breaker produced.  ``repro.validate.oracles.SchedulerLockstep``
-checks this on randomized programs.
+The scheduler is a calendar queue: a dict of
+``timestamp -> [(fn, args), ...]`` buckets plus a small heap of
+*distinct* timestamps.  Events at the same instant dispatch as one
+batch, so the per-event cost is a list append on schedule and a list
+index on dispatch; the heap is touched once per distinct timestamp
+instead of once per event.  The batch is FIFO within a timestamp,
+which is exactly the order a per-event ``(time, seq)`` heap produces.
+``tests/test_scheduler_equivalence.py`` keeps that heap as a
+reference oracle and checks the two in lockstep.
 
 :meth:`Simulator.delay` is the trampoline-bypass fast path for the
 dominant "yield a timeout nobody else can see" pattern: it returns a
@@ -33,13 +26,10 @@ same single dispatched callback and the same ordering as
 ``yield sim.timeout(ns)``.
 """
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.common.errors import SimulationError
-
-SCHEDULERS = ("bucket", "heap")
 
 
 def quantize_ns(delay) -> int:
@@ -320,61 +310,37 @@ class Process(SimEvent):
 
 
 class Simulator:
-    """The event loop.
+    """The event loop: a calendar queue drained by :meth:`run`."""
 
-    ``scheduler`` selects the dispatch structure: ``"bucket"`` (the
-    default calendar queue) or ``"heap"`` (the reference per-event
-    heap).  When ``None``, the ``REPRO_SCHEDULER`` environment
-    variable decides, falling back to ``"bucket"`` — which is how the
-    CI heap smoke leg runs the whole suite against the reference loop.
-    """
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if not scheduler:
-            scheduler = os.environ.get("REPRO_SCHEDULER") or "bucket"
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self.now = 0
         #: Callbacks dispatched so far (one per resumed process step,
         #: event dispatch, or fired timeout) — the denominator of the
-        #: bench harness's events/sec throughput metric.  Identical
-        #: under both schedulers.
+        #: bench harness's events/sec throughput metric.
         self.events: int = 0
         #: Optional :class:`repro.obs.profile.SimProfiler`.  Attach by
-        #: assignment before :meth:`run`; ``None`` keeps the fast loop.
+        #: assignment before :meth:`run`; it times every callback.
         self.profile = None
         #: Optional :class:`repro.obs.timeseries.TimeSeriesSampler`,
-        #: driven from the instrumented loop at sample boundaries.
+        #: driven by :meth:`run` whenever the clock advances.
         self.sampler = None
         #: Recycled :class:`Delay` markers (bounded free list).
         self._delay_pool: List[Delay] = []
-        if scheduler == "heap":
-            self._heap: List = []
-            self._seq = 0
-            self._schedule = self._schedule_heap
-            self._schedule_now = self._schedule_now_heap
-            self._run_fast = self._run_heap
-        else:
-            #: timestamp -> list of ``(fn, args)`` in schedule order.
-            self._buckets = {}
-            #: Heap of *distinct* pending timestamps (each pushed once,
-            #: when its bucket is created).
-            self._times: List[int] = []
-            #: Batch currently being drained, its cursor, and its
-            #: timestamp (-1 = no batch yet).  A batch interrupted by
-            #: ``stop_event`` persists here and resumes on the next
-            #: :meth:`run`.
-            self._batch: List = []
-            self._batch_pos = 0
-            self._batch_time = -1
-            self._schedule = self._schedule_bucket
-            self._schedule_now = self._schedule_now_bucket
-            self._run_fast = self._run_bucket
+        #: timestamp -> list of ``(fn, args)`` in schedule order.
+        self._buckets = {}
+        #: Heap of *distinct* pending timestamps (each pushed once,
+        #: when its bucket is created).
+        self._times: List[int] = []
+        #: Batch currently being drained, its cursor, and its
+        #: timestamp (-1 = no batch yet).  A batch interrupted by
+        #: ``stop_event`` or by a raising callback persists here and
+        #: resumes on the next :meth:`run`.
+        self._batch: List = []
+        self._batch_pos = 0
+        self._batch_time = -1
 
     # -- scheduling ----------------------------------------------------
-    def _schedule_bucket(self, delay, fn: Callable, *args) -> None:
+    def _schedule(self, delay, fn: Callable, *args) -> None:
         if type(delay) is not int:
             if delay < 0:
                 raise SimulationError(f"negative delay {delay}")
@@ -385,7 +351,7 @@ class Simulator:
         if time == self._batch_time:
             # Same-instant event scheduled while its batch is live (or
             # just drained at the current time): append to the batch so
-            # it dispatches in FIFO order, exactly like the heap's seq
+            # it dispatches in FIFO order, exactly like a heap's seq
             # tie-breaker.
             self._batch.append((fn, args))
             return
@@ -396,7 +362,7 @@ class Simulator:
         else:
             bucket.append((fn, args))
 
-    def _schedule_now_bucket(self, fn: Callable, *args) -> None:
+    def _schedule_now(self, fn: Callable, *args) -> None:
         # Hot path: called for every process step and event dispatch.
         if self.now == self._batch_time:
             self._batch.append((fn, args))
@@ -408,20 +374,6 @@ class Simulator:
             heappush(self._times, time)
         else:
             bucket.append((fn, args))
-
-    def _schedule_heap(self, delay, fn: Callable, *args) -> None:
-        if type(delay) is not int:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay}")
-            delay = int(delay + 0.5)
-        elif delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, fn, args))
-
-    def _schedule_now_heap(self, fn: Callable, *args) -> None:
-        self._seq += 1
-        heappush(self._heap, (self.now, self._seq, fn, args))
 
     # -- public factory helpers ----------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -465,19 +417,28 @@ class Simulator:
         When the queue drains before ``until`` and the run was *not*
         ended by ``stop_event``, the clock advances to ``until`` — the
         same result whether or not a (never-triggered) ``stop_event``
-        was passed.
+        was passed.  An ``until`` before the clock raises
+        :class:`SimulationError`, like a negative delay.
 
-        With a :attr:`profile` or :attr:`sampler` attached the run is
-        delegated to :meth:`_run_instrumented`; the check happens once
-        per ``run()`` call, never per event, so disabled-observability
-        runs execute the bare scheduler loop unchanged.
+        A run ended by ``stop_event`` or by a raising callback keeps
+        its place in the current batch: the next call resumes after
+        the last dispatched callback.
+
+        Observability hooks are read once per call and consulted once
+        per batch, never per callback: with a :attr:`profile` the
+        batch takes a timed drain, and a :attr:`sampler` is driven at
+        each clock advance (before the batch at the new time
+        dispatches, so samples reflect state *at* the boundary) and
+        once more at the end.
         """
-        if self.profile is not None or self.sampler is not None:
-            return self._run_instrumented(until, stop_event)
-        return self._run_fast(until, stop_event)
-
-    def _run_bucket(self, until: Optional[float],
-                    stop_event: Optional[SimEvent]) -> float:
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is before the clock ({self.now})")
+        profile = self.profile
+        sampler = self.sampler
+        if profile is not None:
+            clock = profile.clock
+            record = profile.record
         buckets = self._buckets
         times = self._times
         batch = self._batch
@@ -493,12 +454,20 @@ class Simulator:
                     if stop_event is not None and stop_event.triggered:
                         stopped = True
                         break
-                    if until is not None and self._batch_time > until:
-                        # Leftover batch from a stopped run lies beyond
-                        # the new horizon: mirror the heap's peek path.
-                        self.now = until
-                        return self.now
-                    if stop_event is None:
+                    if profile is not None:
+                        while pos < len(batch):
+                            if stop_event is not None \
+                                    and stop_event.triggered:
+                                stopped = True
+                                break
+                            fn, args = batch[pos]
+                            pos += 1
+                            start = clock()
+                            fn(*args)
+                            record(fn, clock() - start)
+                        if stopped:
+                            break
+                    elif stop_event is None:
                         if pos:
                             # Resuming mid-batch: index from the cursor.
                             while pos < len(batch):
@@ -512,8 +481,8 @@ class Simulator:
                             # same-time events appended during dispatch
                             # are picked up, exactly like the indexed
                             # loop; ``pos`` is assigned before the call,
-                            # so exception-time accounting includes the
-                            # failing event, like the indexed loop.
+                            # so a raising callback counts as dispatched
+                            # and is not replayed on resume.
                             for pos, (fn, args) in enumerate(batch, 1):
                                 fn(*args)
                     else:
@@ -535,12 +504,17 @@ class Simulator:
                 time = times[0]
                 if until is not None and time > until:
                     self.now = until
-                    return self.now
+                    break
                 heappop(times)
                 if time < self.now:
                     raise SimulationError("time went backwards")
                 dispatched += pos - base
                 self.now = time
+                # Time only advances between batches, so one boundary
+                # check per batch sees every crossing a per-event check
+                # would (on_advance pushes next_ns past ``time``).
+                if sampler is not None and time >= sampler.next_ns:
+                    sampler.on_advance(time)
                 self._batch_time = time
                 batch = self._batch = buckets.pop(time)
                 pos = 0
@@ -548,141 +522,7 @@ class Simulator:
         finally:
             self.events += dispatched + (pos - base)
             self._batch_pos = pos
-        if until is not None and not times and pos >= len(batch) \
-                and not stopped:
-            self.now = max(self.now, until)
-        return self.now
-
-    def _run_heap(self, until: Optional[float],
-                  stop_event: Optional[SimEvent]) -> float:
-        heap = self._heap
-        while heap:
-            if stop_event is not None and stop_event.triggered:
-                break
-            time, _seq, fn, args = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heappop(heap)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            self.events += 1
-            fn(*args)
-        stopped = stop_event is not None and stop_event.triggered
-        if until is not None and not heap and not stopped:
-            self.now = max(self.now, until)
-        return self.now
-
-    def _run_instrumented(self, until: Optional[float],
-                          stop_event: Optional[SimEvent]) -> float:
-        """The :meth:`run` loop with profiler / sampler hooks.
-
-        Identical scheduling semantics to the fast loops; additionally
-        times each callback for :attr:`profile` and drives
-        :attr:`sampler` whenever the clock crosses its next sample
-        boundary (before dispatching the crossing event, so samples
-        reflect state *at* the boundary).
-        """
-        if self.scheduler == "heap":
-            return self._run_instrumented_heap(until, stop_event)
-        buckets = self._buckets
-        times = self._times
-        batch = self._batch
-        pos = self._batch_pos
-        profile = self.profile
-        sampler = self.sampler
-        clock = profile.clock if profile is not None else None
-        stopped = False
-        while True:
-            if pos < len(batch):
-                if stop_event is not None and stop_event.triggered:
-                    stopped = True
-                    break
-                if until is not None and self._batch_time > until:
-                    self._batch_pos = pos
-                    self.now = until
-                    if sampler is not None and self.now >= sampler.next_ns:
-                        sampler.on_advance(self.now)
-                    return self.now
-                while pos < len(batch):
-                    if stop_event is not None and stop_event.triggered:
-                        stopped = True
-                        break
-                    fn, args = batch[pos]
-                    pos += 1
-                    self.events += 1
-                    if profile is not None:
-                        start = clock()
-                        fn(*args)
-                        profile.record(fn, clock() - start)
-                    else:
-                        fn(*args)
-                if stopped:
-                    break
-                continue
-            if stop_event is not None and stop_event.triggered:
-                stopped = True
-                break
-            if not times:
-                break
-            time = times[0]
-            if until is not None and time > until:
-                self._batch_pos = pos
-                self.now = until
-                if sampler is not None and self.now >= sampler.next_ns:
-                    sampler.on_advance(self.now)
-                return self.now
-            heappop(times)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            # Time only advances between batches, so one boundary
-            # check per batch is equivalent to the heap loop's
-            # per-event check (on_advance pushes next_ns past `time`).
-            if sampler is not None and time >= sampler.next_ns:
-                sampler.on_advance(time)
-            self._batch_time = time
-            batch = self._batch = buckets.pop(time)
-            pos = 0
-        self._batch_pos = pos
-        if until is not None and not times and pos >= len(batch) \
-                and not stopped:
-            self.now = max(self.now, until)
-        if sampler is not None and self.now >= sampler.next_ns:
-            sampler.on_advance(self.now)
-        return self.now
-
-    def _run_instrumented_heap(self, until: Optional[float],
-                               stop_event: Optional[SimEvent]) -> float:
-        heap = self._heap
-        profile = self.profile
-        sampler = self.sampler
-        clock = profile.clock if profile is not None else None
-        while heap:
-            if stop_event is not None and stop_event.triggered:
-                break
-            time, _seq, fn, args = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                if sampler is not None and self.now >= sampler.next_ns:
-                    sampler.on_advance(self.now)
-                return self.now
-            heappop(heap)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            if sampler is not None and time >= sampler.next_ns:
-                sampler.on_advance(time)
-            self.events += 1
-            if profile is not None:
-                start = clock()
-                fn(*args)
-                profile.record(fn, clock() - start)
-            else:
-                fn(*args)
-        stopped = stop_event is not None and stop_event.triggered
-        if until is not None and not heap and not stopped:
+        if until is not None and not times and not stopped:
             self.now = max(self.now, until)
         if sampler is not None and self.now >= sampler.next_ns:
             sampler.on_advance(self.now)

@@ -7,11 +7,8 @@ from repro.validate.invariants import InvariantChecker, InvariantViolation
 from repro.validate.oracles import (
     IrbLockstep,
     OracleMismatch,
-    build_scheduler_program,
     check_recovery_idempotent,
-    check_scheduler_equivalence,
     diff_images,
-    run_scheduler_program,
     run_write_program,
 )
 
@@ -20,10 +17,7 @@ __all__ = [
     "InvariantViolation",
     "IrbLockstep",
     "OracleMismatch",
-    "build_scheduler_program",
     "check_recovery_idempotent",
-    "check_scheduler_equivalence",
     "diff_images",
-    "run_scheduler_program",
     "run_write_program",
 ]

@@ -51,7 +51,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core import NvmSystem
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
 from repro.janus.irb_linear import LinearScanIrb
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Simulator
 from repro.workloads import WorkloadParams, make_workload
 
 LINE = 64
@@ -690,172 +690,3 @@ def run_random_irb_trace(rng, steps: int = 400, capacity: int = 10,
         else:
             lo = rng.choice(lines)
             pair.invalidate_range(lo, lo + LINE * rng.randrange(1, 4))
-
-
-# ---------------------------------------------------------------------------
-# Scheduler lockstep: bucket calendar queue vs reference heap
-# ---------------------------------------------------------------------------
-class SchedulerPoke(ReproError):
-    """Exception thrown into scheduler-lockstep workers by the
-    ``interrupt`` op — a stand-in for fault-injection kills."""
-
-
-def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
-                            shared_events: int = 4) -> List[List[tuple]]:
-    """Pre-generate a random event program from ``rng``.
-
-    The program is pure data (one op script per worker), so the exact
-    same script can drive any number of :class:`Simulator` instances —
-    that is what makes the scheduler comparison a true lockstep rather
-    than two independently random runs.  The vocabulary deliberately
-    covers every scheduling primitive the kernel exposes: timeouts,
-    pooled delays (integer *and* float, to exercise quantization),
-    one-shot event signal/wait, ``all_of`` joins, resource ``use``,
-    store put/take, same-instant zero-delay bursts, process spawns,
-    and cross-worker interrupts (which drive the cancellation paths).
-    """
-    program: List[List[tuple]] = []
-    for _ in range(workers):
-        script: List[tuple] = []
-        for _ in range(steps):
-            roll = rng.random()
-            if roll < 0.20:
-                script.append(
-                    ("timeout", rng.choice([0, 1, 2, 3, 5, 7.5, 12])))
-            elif roll < 0.38:
-                script.append(("delay", rng.choice([0, 1, 2.5, 4, 9])))
-            elif roll < 0.48:
-                script.append(("signal", rng.randrange(shared_events)))
-            elif roll < 0.56:
-                script.append(("wait", rng.randrange(shared_events)))
-            elif roll < 0.68:
-                script.append(("use", rng.choice([1.5, 3, 6])))
-            elif roll < 0.75:
-                script.append(("put", rng.randrange(100)))
-            elif roll < 0.81:
-                script.append(("take",))
-            elif roll < 0.87:
-                script.append(("all_of", tuple(
-                    rng.choice([1, 2, 4, 6.5])
-                    for _ in range(rng.randrange(2, 4)))))
-            elif roll < 0.91:
-                script.append(("spawn", rng.choice([0, 1, 3]),
-                               rng.choice([2, 5.5])))
-            elif roll < 0.96:
-                script.append(("interrupt", rng.randrange(workers)))
-            else:
-                script.append(("burst", rng.randrange(2, 5)))
-        program.append(script)
-    return program
-
-
-def run_scheduler_program(scheduler: str,
-                          program: Sequence[Sequence[tuple]]) -> dict:
-    """Execute a pre-generated program under ``scheduler``; return the
-    full observable outcome: the dispatch-ordered trace of completed
-    ops (worker, step, sim-time, op kind), the final clock, the
-    dispatched-event count, and the store's leftover items."""
-    sim = Simulator(scheduler)
-    n_shared = 1 + max((op[1] for script in program for op in script
-                        if op[0] in ("signal", "wait")), default=0)
-    shared = [sim.event(f"shared{i}") for i in range(n_shared)]
-    resource = Resource(sim, capacity=2, name="lockstep-unit")
-    store = Store(sim, name="lockstep-store")
-    procs: dict = {}
-    trace: List[tuple] = []
-
-    def child(delay):
-        yield sim.delay(delay)
-        return delay
-
-    def worker(wid: int, script):
-        for step, op in enumerate(script):
-            kind = op[0]
-            try:
-                if kind == "timeout":
-                    yield sim.timeout(op[1])
-                elif kind == "delay":
-                    yield sim.delay(op[1])
-                elif kind == "signal":
-                    ev = shared[op[1]]
-                    if not ev.triggered:
-                        ev.succeed((wid, step))
-                elif kind == "wait":
-                    yield shared[op[1]]
-                elif kind == "use":
-                    yield from resource.use(op[1])
-                elif kind == "put":
-                    store.put((wid, step, op[1]))
-                elif kind == "take":
-                    got = yield from store.take()
-                    trace.append((wid, step, sim.now, "took", got))
-                    continue
-                elif kind == "all_of":
-                    yield sim.all_of([sim.timeout(d) for d in op[1]])
-                elif kind == "spawn":
-                    children = [sim.process(child(op[2]), name="spawned")
-                                for _ in range(op[1])]
-                    if children:
-                        yield sim.all_of(children)
-                elif kind == "interrupt":
-                    other = procs.get(op[1])
-                    if other is not None and other is not procs[wid] \
-                            and not other.triggered:
-                        other.interrupt(
-                            SchedulerPoke(f"poke from w{wid}"))
-                elif kind == "burst":
-                    for _ in range(op[1]):
-                        yield sim.delay(0)
-                else:  # pragma: no cover - vocabulary guard
-                    raise ValueError(f"unknown scheduler op {op!r}")
-            except SchedulerPoke:
-                trace.append((wid, step, sim.now, "poked"))
-                continue
-            trace.append((wid, step, sim.now, kind))
-
-    for wid, script in enumerate(program):
-        procs[wid] = sim.process(worker(wid, script), name=f"w{wid}")
-    sim.run()
-    return {
-        "trace": trace,
-        "final_now": sim.now,
-        "events": sim.events,
-        "store_leftover": store.peek_all(),
-        "resource_in_use": resource.in_use,
-        "finished": sorted(wid for wid, p in procs.items()
-                           if p.triggered),
-    }
-
-
-def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
-                                rounds: int = 1) -> None:
-    """Raise :class:`OracleMismatch` unless the bucket scheduler
-    reproduces the reference heap's behaviour — same dispatch order,
-    same clocks, same dispatched-event count — on ``rounds`` random
-    programs drawn from ``rng``."""
-    for round_no in range(rounds):
-        program = build_scheduler_program(rng, workers=workers,
-                                          steps=steps)
-        ref = run_scheduler_program("heap", program)
-        got = run_scheduler_program("bucket", program)
-        if ref == got:
-            continue
-        for key in ("trace", "final_now", "events", "store_leftover",
-                    "resource_in_use", "finished"):
-            if ref[key] != got[key]:
-                detail = f"{key}: heap={ref[key]!r} bucket={got[key]!r}"
-                if key == "trace":
-                    for i, (a, b) in enumerate(zip(ref["trace"],
-                                                   got["trace"])):
-                        if a != b:
-                            detail = (f"trace[{i}]: heap={a!r} "
-                                      f"bucket={b!r}")
-                            break
-                    else:
-                        detail = (f"trace length "
-                                  f"{len(ref['trace'])} != "
-                                  f"{len(got['trace'])}")
-                raise OracleMismatch(
-                    f"scheduler lockstep diverged on round {round_no}: "
-                    f"{detail}",
-                    diff=[("heap", ref), ("bucket", got)])

@@ -24,7 +24,7 @@ from repro.harness.report import (
     format_series,
     geometric_mean,
 )
-from repro.sim.stats import Counter, Histogram, StatSet
+from repro.obs.metrics import Counter, Histogram
 
 
 class TestUnits:
@@ -199,14 +199,6 @@ class TestStats:
         h = Histogram("lat")
         assert h.mean == 0.0
         assert h.percentile(50) == 0.0
-
-    def test_statset_as_dict(self):
-        stats = StatSet()
-        stats.counter("hits").add(3)
-        stats.histogram("lat").observe(10.0)
-        d = stats.as_dict()
-        assert d["hits"] == 3
-        assert d["lat.mean"] == 10.0
 
 
 class TestReport:

@@ -28,7 +28,7 @@ from repro.common.errors import SimulationError
 from repro.core import NvmSystem
 from repro.harness.runner import run_point
 from repro.obs.tracer import Tracer
-from repro.sim import SCHEDULERS, Resource, Simulator
+from repro.sim import Resource, Simulator
 from repro.sim.engine import Process, SimEvent
 from repro.workloads import WORKLOADS, WorkloadParams
 
@@ -179,7 +179,6 @@ def make_scenario(seed: int, contended: bool = False) -> dict:
         boom = (rng.randrange(len(writes)),
                 rng.choice(("D1", "E1", "E3", "I1", "I4", "I9")))
     return {
-        "scheduler": rng.choice(SCHEDULERS),
         "units": rng.randint(1, 4),
         "fraction": rng.choice((0.05, 0.25, 1.0)),
         "zero": (("dedup_lookup_ns", "counter_gen_ns") if contended
@@ -196,7 +195,7 @@ def make_scenario(seed: int, contended: bool = False) -> dict:
 def drive(executor_cls, scenario: dict) -> dict:
     """Run ``scenario`` on a fresh executor; return everything the
     executor's behaviour is observable through."""
-    sim = Simulator(scheduler=scenario["scheduler"])
+    sim = Simulator()
     cfg = default_config(bmo_latencies=BmoLatencies(
         **{field: 0.0 for field in scenario["zero"]}))
     pipeline = build_pipeline(cfg)
@@ -288,7 +287,6 @@ def test_scenarios_cover_the_contract():
     assert any(s["zero"] for s in scenarios)
     assert any(s["levels"] for s in scenarios)
     assert any(s["boom"] for s in scenarios)
-    assert {s["scheduler"] for s in scenarios} == set(SCHEDULERS)
     booms = [drive(BmoExecutor, s)["log"] for s in scenarios if s["boom"]]
     assert any(entry[0] == "boom" for log in booms for entry in log)
 
@@ -308,7 +306,7 @@ def test_zero_latency_root_calls_match_reference():
     and they must still be readied at the old slots relative to the
     other roots' grants."""
     scenario = {
-        "scheduler": "bucket", "units": 1, "fraction": 1.0,
+        "units": 1, "fraction": 1.0,
         "zero": ("counter_gen_ns", "xor_ns"), "levels": ("I3",),
         "writes": [{"kind": "full", "start": 0, "gap": 0,
                     "addr": 0x40 * (i + 1), "pattern": i}

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsScope,
 )
-from repro.sim.stats import StatSet
 
 
 class TestHistogramReservoir:
@@ -144,9 +143,6 @@ class TestScope:
         d = scope.as_dict()
         assert d["hits"] == 3 and d["lat.mean"] == 10.0
 
-    def test_statset_is_a_scope(self):
-        assert isinstance(StatSet("x"), MetricsScope)
-
     def test_labeled_counters_are_distinct(self):
         scope = MetricsScope("mc")
         scope.counter("writes", labels={"kind": "data"}).add(2)
@@ -229,7 +225,7 @@ class TestRegistry:
 
     def test_adopt_external_scope(self):
         reg = MetricsRegistry()
-        legacy = StatSet("legacy")
+        legacy = MetricsScope("legacy")
         legacy.counter("n").add(2)
         reg.adopt("legacy", legacy)
         assert reg.as_flat_dict()["legacy.n"] == 2

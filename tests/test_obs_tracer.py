@@ -106,14 +106,14 @@ class TestSystemIntegration:
         system = run_system()
         irb_stats = system.janus.irb.stats
         snap = system.metrics.snapshot()
-        # Same values through the registry as through the legacy
-        # StatSet-style object the IRB exposes.
+        # Same values through the registry as through the scope the
+        # IRB exposes.
         for name, counter in irb_stats.counters.items():
             assert snap["counters"][f"irb.{name}"] == counter.value
         assert snap["counters"]["irb.hits"] > 0
 
     def test_irb_counts_match_standalone_statset_path(self):
-        # The same run with an unattached (StatSet-backed) IRB must
+        # The same run with an unattached (free-standing scope) IRB must
         # produce identical counter values: registering into the
         # registry is observation, not behavior.
         from repro.janus.irb import IntermediateResultBuffer

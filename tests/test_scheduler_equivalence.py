@@ -1,34 +1,249 @@
-"""Bucket calendar-queue scheduler vs the reference heap.
+"""The calendar-queue dispatch loop vs the per-event heap it replaced.
 
-The bucketed dispatcher is a pure throughput optimization: for any
-program it must dispatch the same callbacks in the same order at the
-same times, count the same number of events, and leave the same final
-clock.  These tests prove it three ways — seeded random event
-programs through the lockstep oracle, full workload runs compared
-end to end, and the stop/until edge semantics pinned explicitly.
+:class:`HeapSimulator` keeps the original ``(time, seq, fn, args)``
+heap loop verbatim as the reference oracle.  The bucketed dispatcher
+is a pure throughput optimization: for any program it must dispatch
+the same callbacks in the same order at the same times, count the
+same number of events, and leave the same final clock.  These tests
+prove it three ways — seeded random event programs run in lockstep,
+full workload runs compared end to end, and the stop/until edge
+semantics pinned explicitly.
 """
+
+from heapq import heappop, heappush
+from typing import List, Optional, Sequence
 
 import pytest
 
+import repro.core.machine
+from repro.common.errors import ReproError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.harness.runner import run_point
-from repro.sim import SCHEDULERS, Simulator
-from repro.validate import check_scheduler_equivalence
+from repro.sim import Resource, Simulator, Store
+from repro.sim.engine import SimEvent
+from repro.validate import OracleMismatch
 
 
-def test_scheduler_names_exported(monkeypatch):
-    assert set(SCHEDULERS) == {"bucket", "heap"}
-    # Absent the env override the default must be the bucket queue
-    # (the CI heap leg runs this suite with REPRO_SCHEDULER=heap).
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert Simulator().scheduler == "bucket"
-    assert Simulator("heap").scheduler == "heap"
+class HeapSimulator(Simulator):
+    """The per-event heap scheduler, kept verbatim as the oracle.
+
+    Every event is one ``(time, seq, fn, args)`` heap entry; ``seq``
+    breaks same-instant ties in schedule order, which is the FIFO
+    order the calendar queue's batches reproduce.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap: List = []
+        self._seq = 0
+
+    def _schedule(self, delay, fn, *args) -> None:
+        if type(delay) is not int:
+            if delay < 0:
+                raise SimulationError(f"negative delay {delay}")
+            delay = int(delay + 0.5)
+        elif delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        self._seq += 1
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
+
+    def _schedule_now(self, fn, *args) -> None:
+        self._seq += 1
+        heappush(self._heap, (self.now, self._seq, fn, args))
+
+    def run(self, until: Optional[float] = None,
+            stop_event: Optional[SimEvent] = None) -> float:
+        heap = self._heap
+        while heap:
+            if stop_event is not None and stop_event.triggered:
+                break
+            time, _seq, fn, args = heap[0]
+            if until is not None and time > until:
+                self.now = until
+                return self.now
+            heappop(heap)
+            if time < self.now:
+                raise SimulationError("time went backwards")
+            self.now = time
+            self.events += 1
+            fn(*args)
+        stopped = stop_event is not None and stop_event.triggered
+        if until is not None and not heap and not stopped:
+            self.now = max(self.now, until)
+        return self.now
 
 
-def test_unknown_scheduler_rejected():
-    from repro.common.errors import SimulationError
-    with pytest.raises(SimulationError):
-        Simulator("fifo")
+# -- lockstep program oracle ------------------------------------------------
+class SchedulerPoke(ReproError):
+    """Exception thrown into scheduler-lockstep workers by the
+    ``interrupt`` op — a stand-in for fault-injection kills."""
+
+
+def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
+                            shared_events: int = 4) -> List[List[tuple]]:
+    """Pre-generate a random event program from ``rng``.
+
+    The program is pure data (one op script per worker), so the exact
+    same script can drive any number of :class:`Simulator` instances —
+    that is what makes the scheduler comparison a true lockstep rather
+    than two independently random runs.  The vocabulary deliberately
+    covers every scheduling primitive the kernel exposes: timeouts,
+    pooled delays (integer *and* float, to exercise quantization),
+    one-shot event signal/wait, ``all_of`` joins, resource ``use``,
+    store put/take, same-instant zero-delay bursts, process spawns,
+    and cross-worker interrupts (which drive the cancellation paths).
+    """
+    program: List[List[tuple]] = []
+    for _ in range(workers):
+        script: List[tuple] = []
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.20:
+                script.append(
+                    ("timeout", rng.choice([0, 1, 2, 3, 5, 7.5, 12])))
+            elif roll < 0.38:
+                script.append(("delay", rng.choice([0, 1, 2.5, 4, 9])))
+            elif roll < 0.48:
+                script.append(("signal", rng.randrange(shared_events)))
+            elif roll < 0.56:
+                script.append(("wait", rng.randrange(shared_events)))
+            elif roll < 0.68:
+                script.append(("use", rng.choice([1.5, 3, 6])))
+            elif roll < 0.75:
+                script.append(("put", rng.randrange(100)))
+            elif roll < 0.81:
+                script.append(("take",))
+            elif roll < 0.87:
+                script.append(("all_of", tuple(
+                    rng.choice([1, 2, 4, 6.5])
+                    for _ in range(rng.randrange(2, 4)))))
+            elif roll < 0.91:
+                script.append(("spawn", rng.choice([0, 1, 3]),
+                               rng.choice([2, 5.5])))
+            elif roll < 0.96:
+                script.append(("interrupt", rng.randrange(workers)))
+            else:
+                script.append(("burst", rng.randrange(2, 5)))
+        program.append(script)
+    return program
+
+
+def run_scheduler_program(sim_cls,
+                          program: Sequence[Sequence[tuple]]) -> dict:
+    """Execute a pre-generated program on a fresh ``sim_cls``; return
+    the full observable outcome: the dispatch-ordered trace of
+    completed ops (worker, step, sim-time, op kind), the final clock,
+    the dispatched-event count, and the store's leftover items."""
+    sim = sim_cls()
+    n_shared = 1 + max((op[1] for script in program for op in script
+                        if op[0] in ("signal", "wait")), default=0)
+    shared = [sim.event(f"shared{i}") for i in range(n_shared)]
+    resource = Resource(sim, capacity=2, name="lockstep-unit")
+    store = Store(sim, name="lockstep-store")
+    procs: dict = {}
+    trace: List[tuple] = []
+
+    def child(delay):
+        yield sim.delay(delay)
+        return delay
+
+    def worker(wid: int, script):
+        for step, op in enumerate(script):
+            kind = op[0]
+            try:
+                if kind == "timeout":
+                    yield sim.timeout(op[1])
+                elif kind == "delay":
+                    yield sim.delay(op[1])
+                elif kind == "signal":
+                    ev = shared[op[1]]
+                    if not ev.triggered:
+                        ev.succeed((wid, step))
+                elif kind == "wait":
+                    yield shared[op[1]]
+                elif kind == "use":
+                    yield from resource.use(op[1])
+                elif kind == "put":
+                    store.put((wid, step, op[1]))
+                elif kind == "take":
+                    got = yield from store.take()
+                    trace.append((wid, step, sim.now, "took", got))
+                    continue
+                elif kind == "all_of":
+                    yield sim.all_of([sim.timeout(d) for d in op[1]])
+                elif kind == "spawn":
+                    children = [sim.process(child(op[2]), name="spawned")
+                                for _ in range(op[1])]
+                    if children:
+                        yield sim.all_of(children)
+                elif kind == "interrupt":
+                    other = procs.get(op[1])
+                    if other is not None and other is not procs[wid] \
+                            and not other.triggered:
+                        other.interrupt(
+                            SchedulerPoke(f"poke from w{wid}"))
+                elif kind == "burst":
+                    for _ in range(op[1]):
+                        yield sim.delay(0)
+                else:  # pragma: no cover - vocabulary guard
+                    raise ValueError(f"unknown scheduler op {op!r}")
+            except SchedulerPoke:
+                trace.append((wid, step, sim.now, "poked"))
+                continue
+            trace.append((wid, step, sim.now, kind))
+
+    for wid, script in enumerate(program):
+        procs[wid] = sim.process(worker(wid, script), name=f"w{wid}")
+    sim.run()
+    return {
+        "trace": trace,
+        "final_now": sim.now,
+        "events": sim.events,
+        "store_leftover": store.peek_all(),
+        "resource_in_use": resource.in_use,
+        "finished": sorted(wid for wid, p in procs.items()
+                           if p.triggered),
+    }
+
+
+def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
+                                rounds: int = 1) -> None:
+    """Raise :class:`OracleMismatch` unless the calendar queue
+    reproduces the reference heap's behaviour — same dispatch order,
+    same clocks, same dispatched-event count — on ``rounds`` random
+    programs drawn from ``rng``."""
+    for round_no in range(rounds):
+        program = build_scheduler_program(rng, workers=workers,
+                                          steps=steps)
+        ref = run_scheduler_program(HeapSimulator, program)
+        got = run_scheduler_program(Simulator, program)
+        if ref == got:
+            continue
+        for key in ("trace", "final_now", "events", "store_leftover",
+                    "resource_in_use", "finished"):
+            if ref[key] != got[key]:
+                detail = f"{key}: heap={ref[key]!r} bucket={got[key]!r}"
+                if key == "trace":
+                    for i, (a, b) in enumerate(zip(ref["trace"],
+                                                   got["trace"])):
+                        if a != b:
+                            detail = (f"trace[{i}]: heap={a!r} "
+                                      f"bucket={b!r}")
+                            break
+                    else:
+                        detail = (f"trace length "
+                                  f"{len(ref['trace'])} != "
+                                  f"{len(got['trace'])}")
+                raise OracleMismatch(
+                    f"scheduler lockstep diverged on round {round_no}: "
+                    f"{detail}",
+                    diff=[("heap", ref), ("bucket", got)])
+
+
+# -- tests ------------------------------------------------------------------
+#: The production loop and the oracle, under their historical names.
+SIMULATORS = pytest.mark.parametrize(
+    "sim_cls", [Simulator, HeapSimulator], ids=["bucket", "heap"])
 
 
 def test_random_programs_run_in_lockstep():
@@ -46,23 +261,37 @@ def test_dense_same_time_programs_run_in_lockstep():
     check_scheduler_equivalence(rng, workers=10, steps=40, rounds=3)
 
 
+def _run_queue(monkeypatch, sim_cls, mode: str) -> tuple:
+    """``run_point("queue")`` with the system built on ``sim_cls``."""
+    sims = []
+
+    class Recording(sim_cls):
+        def __init__(self):
+            super().__init__()
+            sims.append(self)
+
+    monkeypatch.setattr(repro.core.machine, "Simulator", Recording)
+    result = run_point("queue", mode=mode)
+    (sim,) = sims
+    return result.elapsed_ns, sim.events, sorted(result.stats.items())
+
+
 @pytest.mark.parametrize("mode", ["serialized", "janus"])
-def test_workload_identical_under_both_schedulers(mode):
+def test_workload_identical_under_both_schedulers(monkeypatch, mode):
     """A real workload produces the same simulated time, event count,
-    and result digest under both schedulers."""
-    results = {}
-    for scheduler in ("heap", "bucket"):
-        r = run_point("queue", mode=mode, scheduler=scheduler)
-        results[scheduler] = (r.elapsed_ns, r.stats.get("sim_events"),
-                              sorted(r.stats.items()))
-    assert results["heap"] == results["bucket"]
+    and metrics on the production loop and on the heap oracle."""
+    with monkeypatch.context() as patch:
+        expected = _run_queue(patch, HeapSimulator, mode)
+    got = _run_queue(monkeypatch, Simulator, mode)
+    assert got[1] > 0
+    assert got == expected
 
 
-@pytest.mark.parametrize("scheduler", ["bucket", "heap"])
-def test_until_and_stop_event_semantics(scheduler):
+@SIMULATORS
+def test_until_and_stop_event_semantics(sim_cls):
     """run(until=...) and stop_event behave identically under both
     schedulers, including the drained-early clock advance."""
-    sim = Simulator(scheduler)
+    sim = sim_cls()
 
     def proc():
         yield sim.timeout(5)
@@ -71,7 +300,7 @@ def test_until_and_stop_event_semantics(scheduler):
     sim.run(until=30, stop_event=sim.event("never"))
     assert sim.now == 30
 
-    sim2 = Simulator(scheduler)
+    sim2 = sim_cls()
     stop = sim2.event()
 
     def stopper():
@@ -87,9 +316,9 @@ def test_until_and_stop_event_semantics(scheduler):
     assert sim2.now == 105
 
 
-@pytest.mark.parametrize("scheduler", ["bucket", "heap"])
-def test_events_counter_identical(scheduler):
-    sim = Simulator(scheduler)
+@SIMULATORS
+def test_events_counter_identical(sim_cls):
+    sim = sim_cls()
 
     def worker():
         for _ in range(10):
@@ -99,9 +328,6 @@ def test_events_counter_identical(scheduler):
     sim.process(worker())
     sim.process(worker())
     sim.run()
-    if not hasattr(test_events_counter_identical, "_seen"):
-        test_events_counter_identical._seen = {}
-    test_events_counter_identical._seen[scheduler] = sim.events
-    seen = test_events_counter_identical._seen
-    if len(seen) == 2:
-        assert seen["bucket"] == seen["heap"]
+    # Per worker: its first step, 10 timeout firings, 10 delay
+    # resumes, and the finished process's own dispatch.
+    assert sim.events == 2 * (1 + 10 + 10 + 1)

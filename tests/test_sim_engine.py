@@ -3,6 +3,9 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import SimProfiler
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim import Simulator
 
 
@@ -219,6 +222,56 @@ def test_run_until_limit_stops_clock():
     sim.process(proc())
     sim.run(until=30)
     assert sim.now == 30
+
+
+def test_run_until_before_the_clock_is_rejected():
+    """``run(until=)`` never winds the clock back: a horizon before
+    ``now`` fails loud, like a negative delay, and the queue stays
+    intact."""
+    sim = Simulator()
+    sim.timeout(10)
+    sim.timeout(20)
+    sim.run(until=10)
+    assert sim.now == 10
+    with pytest.raises(SimulationError):
+        sim.run(until=5)
+    assert sim.now == 10
+    sim.run()
+    assert sim.now == 20
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("hook", ["plain", "profiled", "sampled"])
+def test_resume_after_callback_raises(hook):
+    """A callback that raises mid-batch counts as dispatched; the next
+    ``run()`` resumes after it, with or without observability hooks."""
+    sim = Simulator()
+    if hook == "profiled":
+        sim.profile = SimProfiler()
+    elif hook == "sampled":
+        sim.sampler = TimeSeriesSampler(4).bind(MetricsRegistry())
+    log = []
+
+    def boom():
+        log.append("boom")
+        raise Boom()
+
+    sim._schedule(5, log.append, "a")
+    sim._schedule(5, boom)
+    sim._schedule(5, log.append, "b")
+    sim._schedule(9, log.append, "c")
+    for _ in range(2):
+        try:
+            sim.run()
+        except Boom:
+            pass
+        log.append("|")
+    assert log == ["a", "boom", "|", "b", "c", "|"]
+    assert sim.events == 4
+    assert sim.now == 9
 
 
 def test_run_with_stop_event():
