@@ -76,9 +76,11 @@ import json
 import os
 import sys
 
-from repro.common.config import SystemConfig
+from repro.common.config import ShardingError, SystemConfig, \
+    default_config
 from repro.harness import experiments
-from repro.harness.report import Table
+from repro.harness.report import RESULTS_DIR, ReportOverwriteError, \
+    Table, dated_path, ensure_parent, write_json, write_report_text
 from repro.harness.runner import run_point, speedup_over
 from repro.workloads import WORKLOADS, WorkloadParams
 
@@ -136,12 +138,51 @@ def _add_log_arg(parser) -> None:
              "$REPRO_LOG sets the default")
 
 
+def _shard_count(text: str) -> int:
+    """argparse type: one ``--shards`` value, put through the
+    config's own sharding check so a bad count stops at parse time."""
+    count = int(text)
+    try:
+        default_config(shards=count)
+    except ShardingError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return count
+
+
+def _shard_counts(text: str) -> tuple:
+    """argparse type: a comma-separated list of shard counts."""
+    return tuple(_shard_count(n) for n in text.split(",") if n.strip())
+
+
 def _add_shards_arg(parser) -> None:
     parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=_shard_count, default=1, metavar="N",
         help="memory-controller shards (power of two; docs/"
              "sharding.md).  1 is the classic single-controller "
              "machine, bit for bit")
+
+
+def _add_campaign_args(parser, quick: str, stem: str) -> None:
+    """The flags crashtest and soak share; :func:`_run_campaign`
+    applies them.  ``stem`` names the dated default report."""
+    parser.add_argument("--quick", action="store_true", help=quick)
+    parser.add_argument("--workloads", default=None, metavar="W,W",
+                        help="comma-separated subset (default all)")
+    parser.add_argument("--modes", default=None, metavar="M,M",
+                        help="comma-separated modes to sweep (default "
+                             "serialized,janus; any of "
+                             + ",".join(SystemConfig.MODES) + ")")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--dir", default=RESULTS_DIR, metavar="DIR",
+                        help=f"report directory (default {RESULTS_DIR})")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help=f"report path (default "
+                             f"DIR/{stem}_<date>.json)")
+    parser.add_argument("--no-write", action="store_true",
+                        help="do not write the report JSON")
+    _add_shards_arg(parser)
+    _add_jobs_arg(parser)
+    _add_log_arg(parser)
 
 
 def _add_timeseries_args(parser) -> None:
@@ -187,6 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="overwrite --out even when the existing "
                              "file is not a previous render")
     figure.add_argument("--shards", default=None, metavar="N,N",
+                        type=_shard_counts,
                         help="shard counts for the 'shards' figure "
                              "(comma-separated, default 1,2,4); "
                              "rejected for other figures")
@@ -338,60 +380,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crashtest = sub.add_parser(
         "crashtest", help="crash-point campaign + fault scenarios")
-    crashtest.add_argument("--quick", action="store_true",
-                           help="CI-sized: 2 workloads, 5 points")
+    _add_campaign_args(crashtest, "CI-sized: 2 workloads, 5 points",
+                       "CRASHTEST")
     crashtest.add_argument("--points", type=int, default=None,
                            help="crash points per workload x mode "
                                 "(default 20, or 5 with --quick)")
-    crashtest.add_argument("--workloads", default=None, metavar="W,W",
-                           help="comma-separated subset (default all)")
-    crashtest.add_argument("--modes", default=None, metavar="M,M",
-                           help="comma-separated modes to sweep "
-                                "(default serialized,janus; any of "
-                                "serialized,parallel,janus,ideal,"
-                                "coalesced,async-epoch)")
-    crashtest.add_argument("--seed", type=int, default=7)
     crashtest.add_argument("--no-scenarios", action="store_true",
                            help="skip the fault-class scenarios")
-    crashtest.add_argument("--dir", default=None, metavar="DIR",
-                           help="report directory (default results)")
-    crashtest.add_argument("--out", default=None, metavar="PATH",
-                           help="report path (default "
-                                "DIR/CRASHTEST_<date>.json)")
-    crashtest.add_argument("--no-write", action="store_true",
-                           help="do not write the report JSON")
-    _add_shards_arg(crashtest)
-    _add_jobs_arg(crashtest)
-    _add_log_arg(crashtest)
 
     soak = sub.add_parser(
         "soak", help="multi-cycle crash/recover/resume soak campaign")
-    soak.add_argument("--quick", action="store_true",
-                      help="CI-sized: 2 workloads, 4 cycles")
+    _add_campaign_args(soak, "CI-sized: 2 workloads, 4 cycles", "SOAK")
     soak.add_argument("--cycles", type=int, default=None,
                       help="lifecycle cycles per workload x mode "
                            "(default 20, or 4 with --quick)")
-    soak.add_argument("--workloads", default=None, metavar="W,W",
-                      help="comma-separated subset (default all)")
-    soak.add_argument("--modes", default=None, metavar="M,M",
-                      help="comma-separated modes to sweep "
-                           "(default serialized,janus; any of "
-                           "serialized,parallel,janus,ideal,"
-                           "coalesced,async-epoch)")
-    soak.add_argument("--seed", type=int, default=7)
     soak.add_argument("--no-oracle", action="store_true",
                       help="skip the per-crash-point idempotence "
                            "oracle (faster)")
-    soak.add_argument("--dir", default=None, metavar="DIR",
-                      help="report directory (default results)")
-    soak.add_argument("--out", default=None, metavar="PATH",
-                      help="report path (default "
-                           "DIR/SOAK_<date>.json)")
-    soak.add_argument("--no-write", action="store_true",
-                      help="do not write the report JSON")
-    _add_shards_arg(soak)
-    _add_jobs_arg(soak)
-    _add_log_arg(soak)
 
     fuzz = sub.add_parser(
         "fuzz", help="seeded stateful fuzz under checkers + oracles")
@@ -453,10 +458,8 @@ def cmd_figure(args) -> int:
               file=sys.stderr)
         return 2
     if args.name == "shards" and args.shards is not None:
-        counts = tuple(int(n) for n in args.shards.split(",")
-                       if n.strip())
         result = experiments.shards_sweep(
-            scale=args.scale, shards=counts, jobs=args.jobs,
+            scale=args.scale, shards=args.shards, jobs=args.jobs,
             progress=_progress_for(args, "figure shards"))
     else:
         result = FIGURES[args.name](
@@ -477,10 +480,6 @@ def cmd_figure(args) -> int:
             rendered.append("")
             rendered.append(chart)
     if args.out:
-        from repro.harness.report import (
-            ReportOverwriteError,
-            write_report_text,
-        )
         try:
             write_report_text("\n".join(rendered), args.out,
                               force=args.force)
@@ -532,19 +531,16 @@ def cmd_run(args) -> int:
     for key in sorted(result.stats):
         print(f"  {key:40s} {result.stats[key]:.2f}")
     if args.trace:
-        from repro.harness.report import ensure_parent
         from repro.obs import export_chrome_trace
         export_chrome_trace(tracer, path=ensure_parent(args.trace))
         print(f"  trace: {len(tracer)} events -> {args.trace} "
               f"(open in ui.perfetto.dev)")
     if args.stats:
-        from repro.harness.report import ensure_parent
         with open(ensure_parent(args.stats), "w") as handle:
             json.dump(result.snapshot, handle, indent=2, sort_keys=True)
         print(f"  stats snapshot -> {args.stats}")
     if args.digest:
-        from repro.harness.report import ensure_parent
-        payload = {
+        write_json({
             "schema": "repro-digest-v1",
             "workload": result.workload,
             "mode": result.mode,
@@ -553,10 +549,7 @@ def cmd_run(args) -> int:
             "transactions": result.transactions,
             "elapsed_ns": result.elapsed_ns,
             "digest": result.digest,
-        }
-        with open(ensure_parent(args.digest), "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        }, args.digest)
         print(f"  recovered-structure digest -> {args.digest}")
     if sampler is not None:
         sampler.write_jsonl(args.timeseries_out)
@@ -564,7 +557,6 @@ def cmd_run(args) -> int:
               f"{args.timeseries:,.0f} sim-ns -> {args.timeseries_out} "
               f"(plot with `repro chart`)")
     if args.prom:
-        from repro.harness.report import ensure_parent
         from repro.obs import prometheus_exposition
         with open(ensure_parent(args.prom), "w") as handle:
             handle.write(prometheus_exposition(result.snapshot))
@@ -580,7 +572,6 @@ def cmd_profile(args) -> int:
         profile_report,
         render_hotspots,
     )
-    from repro.obs.profile import write_report
 
     if args.quick:
         args.txns = min(args.txns, 8)
@@ -603,10 +594,9 @@ def cmd_profile(args) -> int:
         "transactions": result.transactions})
     print(render_hotspots(report, profiler, top=args.top))
     if args.out:
-        write_report(report, args.out)
+        write_json(report, args.out)
         print(f"profile report -> {args.out}")
     if args.folded:
-        from repro.harness.report import ensure_parent
         with open(ensure_parent(args.folded), "w") as handle:
             handle.write(report["folded"])
         print(f"folded stacks -> {args.folded} "
@@ -700,7 +690,6 @@ def cmd_compare(args) -> int:
 
 def cmd_plan(args) -> int:
     from repro.bmo import build_pipeline
-    from repro.common.config import default_config
     from repro.compiler.window import render_report
     from repro.workloads.registry import plan_for
 
@@ -714,7 +703,6 @@ def cmd_plan(args) -> int:
 
 
 def cmd_misuse(args) -> int:
-    from repro.common.config import default_config
     from repro.core import NvmSystem
     from repro.janus.misuse import diagnose
     from repro.workloads import make_workload
@@ -753,7 +741,7 @@ def cmd_bench(args) -> int:
 
     print(bench.render(report, baseline=baseline))
     if not args.no_write:
-        bench.write_report(report, out)
+        write_json(report, out)
         print(f"report -> {out}")
 
     failures = []
@@ -774,16 +762,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scrub(args) -> int:
-    from repro.common.config import default_config
     from repro.common.errors import ReproError
     from repro.consistency import recover, scrub as run_scrub
-    from repro.core import NvmSystem
     from repro.faults import (
         DegradedModeManager,
         FaultInjector,
         FaultPlan,
     )
-    from repro.workloads import make_workload
+    from repro.harness.crash_campaign import build
 
     injector = None
     if args.faults:
@@ -792,25 +778,18 @@ def cmd_scrub(args) -> int:
         injector = FaultInjector(FaultPlan.seeded(args.seed, kinds))
 
     params = _params(args)
-    variant = args.variant or \
-        ("manual" if args.mode == "janus" else "baseline")
-
     crash_at = args.crash_at
     if crash_at is None:
         # Calibrate: a fault-free twin run fixes the time horizon.
-        calib = NvmSystem(default_config(
-            mode=args.mode, seed=args.seed,
-            **_scheduling_overrides(args)))
-        twin = make_workload(args.workload, calib, calib.cores[0],
-                             params, variant=variant)
+        calib, twin = build(args.workload, args.mode, params, args.seed,
+                            variant=args.variant,
+                            **_scheduling_overrides(args))
         horizon = calib.run_programs([twin.run()])
         crash_at = max(1.0, 0.6 * horizon)
 
-    system = NvmSystem(default_config(mode=args.mode, seed=args.seed,
-                                      **_scheduling_overrides(args)),
-                       injector=injector)
-    workload = make_workload(args.workload, system, system.cores[0],
-                             params, variant=variant)
+    system, workload = build(args.workload, args.mode, params, args.seed,
+                             injector=injector, variant=args.variant,
+                             **_scheduling_overrides(args))
     system.sim.process(workload.run(), name="stream")
     system.sim.run(until=crash_at)
     snapshot = system.crash()
@@ -836,39 +815,52 @@ def cmd_scrub(args) -> int:
     return 0 if report.clean else 1
 
 
+def _names(text: str, known, what: str):
+    """Parse a comma-separated ``--workloads``/``--modes`` value; on
+    a name not in ``known``, print ``unknown <what>`` and return None."""
+    names = tuple(name.strip() for name in text.split(",")
+                  if name.strip())
+    unknown = set(names) - set(known)
+    if unknown:
+        print(f"unknown {what}: {sorted(unknown)}", file=sys.stderr)
+        return None
+    return names
+
+
+def _run_campaign(args, config, run, render_summary, stem: str) -> int:
+    """The command tail crashtest and soak share: apply the shared
+    flags to ``config``, run, print the summary, write the report."""
+    config.shards = args.shards
+    for flag, known in (("workloads", WORKLOADS),
+                        ("modes", SystemConfig.MODES)):
+        text = getattr(args, flag)
+        if text:
+            names = _names(text, known, flag)
+            if names is None:
+                return 2
+            setattr(config, flag, names)
+    report = run(config, jobs=args.jobs,
+                 progress=_progress_for(args, args.command))
+    print(render_summary(report))
+    if not args.no_write:
+        out = args.out if args.out is not None \
+            else dated_path(args.dir, f"{stem}.json")
+        write_json(report, out)
+        print(f"report -> {out}")
+    return 1 if report["violations"] else 0
+
+
 def cmd_crashtest(args) -> int:
     from repro.harness import crash_campaign as cc
 
     config = cc.quick_config(seed=args.seed) if args.quick \
         else cc.CampaignConfig(seed=args.seed)
-    config.shards = args.shards
     if args.points is not None:
         config.points = args.points
-    if args.workloads:
-        config.workloads = tuple(w.strip()
-                                 for w in args.workloads.split(",")
-                                 if w.strip())
-        unknown = set(config.workloads) - set(WORKLOADS)
-        if unknown:
-            print(f"unknown workloads: {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
-    if args.modes:
-        config.modes = tuple(m.strip() for m in args.modes.split(",")
-                             if m.strip())
     if args.no_scenarios:
         config.fault_scenarios = False
-
-    report = cc.run_campaign(config, jobs=args.jobs,
-                             progress=_progress_for(args, "crashtest"))
-    print(cc.render_summary(report))
-    if not args.no_write:
-        directory = args.dir if args.dir is not None else cc.DEFAULT_DIR
-        out = args.out if args.out is not None \
-            else cc.crashtest_path(directory)
-        cc.write_report(report, out)
-        print(f"report -> {out}")
-    return 1 if report["violations"] else 0
+    return _run_campaign(args, config, cc.run_campaign,
+                         cc.render_summary, "CRASHTEST")
 
 
 def cmd_soak(args) -> int:
@@ -876,34 +868,12 @@ def cmd_soak(args) -> int:
 
     config = sk.quick_config(seed=args.seed) if args.quick \
         else sk.SoakConfig(seed=args.seed)
-    config.shards = args.shards
     if args.cycles is not None:
         config.cycles = args.cycles
-    if args.workloads:
-        config.workloads = tuple(w.strip()
-                                 for w in args.workloads.split(",")
-                                 if w.strip())
-        unknown = set(config.workloads) - set(WORKLOADS)
-        if unknown:
-            print(f"unknown workloads: {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
-    if args.modes:
-        config.modes = tuple(m.strip() for m in args.modes.split(",")
-                             if m.strip())
     if args.no_oracle:
         config.idempotence_oracle = False
-
-    report = sk.run_soak(config, jobs=args.jobs,
-                         progress=_progress_for(args, "soak"))
-    print(sk.render_summary(report))
-    if not args.no_write:
-        directory = args.dir if args.dir is not None else sk.DEFAULT_DIR
-        out = args.out if args.out is not None \
-            else sk.soak_path(directory)
-        sk.write_report(report, out)
-        print(f"report -> {out}")
-    return 1 if report["violations"] else 0
+    return _run_campaign(args, config, sk.run_soak, sk.render_summary,
+                         "SOAK")
 
 
 def cmd_fuzz(args) -> int:
@@ -923,12 +893,8 @@ def cmd_fuzz(args) -> int:
     elif args.workloads.strip().lower() == "none":
         workloads = ()
     else:
-        workloads = tuple(w.strip() for w in args.workloads.split(",")
-                          if w.strip())
-        unknown = set(workloads) - set(WORKLOADS)
-        if unknown:
-            print(f"unknown workloads: {sorted(unknown)}",
-                  file=sys.stderr)
+        workloads = _names(args.workloads, WORKLOADS, "workloads")
+        if workloads is None:
             return 2
     cases = args.cases if args.cases is not None \
         else (12 if args.quick else 60)

@@ -290,14 +290,6 @@ def find_baseline(directory: str = DEFAULT_DIR,
     return paths[-1] if paths else None
 
 
-def write_report(report: Dict, path: str) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def load_report(path: str) -> Dict:
     with open(path) as handle:
         report = json.load(handle)

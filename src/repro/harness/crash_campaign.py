@@ -36,11 +36,16 @@ the campaign shards them across worker processes through
 :mod:`repro.harness.parallel` (``jobs``/``--jobs``/``$REPRO_JOBS``)
 and assembles the report in sweep order — the bytes are identical at
 any job count.
+
+The crash step (:func:`build`, :func:`trajectory`,
+:func:`run_to_accept`, :func:`recovery_fields`, :func:`account`) and
+the report close-out live here once: the soak campaign, the
+differential oracles and ``repro scrub`` call the same functions, and
+every report is written by :func:`repro.harness.report.write_json`.
 """
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import default_config
@@ -55,7 +60,6 @@ from repro.obs import log as runlog
 from repro.workloads import WORKLOADS, WorkloadParams, make_workload
 
 SCHEMA = "repro-crashtest-v1"
-DEFAULT_DIR = "results"
 DEFAULT_MODES = ("serialized", "janus")
 #: Worker entry points, resolved by dotted path inside each worker.
 _REFERENCE_FN = "repro.harness.crash_campaign:reference_trajectory"
@@ -64,6 +68,23 @@ _SCENARIO_FN = "repro.harness.crash_campaign:run_fault_scenario"
 #: BMO set used by the fault scenarios: every metadata store plus ECC,
 #: so media faults exercise correction *and* poisoning.
 FAULT_BMOS = ("dedup", "encryption", "integrity", "ecc")
+#: IRB faults need the Janus engine; run every scenario under Janus so
+#: the scenarios also cover the pre-execution datapath.
+SCENARIO_MODE = "janus"
+
+
+def config_dict(config) -> Dict:
+    """A campaign config's serialised form (its ``to_dict``): every
+    field, tuples as lists.  ``shards`` appears only when sharded, so
+    unsharded reports stay byte-identical to pre-sharding campaigns."""
+    out = {}
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if spec.name == "shards" and value == 1:
+            continue
+        out[spec.name] = list(value) if isinstance(value, tuple) \
+            else value
+    return out
 
 
 @dataclass
@@ -90,22 +111,7 @@ class CampaignConfig:
                               value_size=self.value_size,
                               n_transactions=self.n_transactions)
 
-    def to_dict(self) -> Dict:
-        out = {
-            "workloads": list(self.workloads),
-            "modes": list(self.modes),
-            "points": self.points,
-            "seed": self.seed,
-            "n_items": self.n_items,
-            "value_size": self.value_size,
-            "n_transactions": self.n_transactions,
-            "fault_scenarios": self.fault_scenarios,
-        }
-        # Only serialised when sharded, so unsharded reports stay
-        # byte-identical to pre-sharding campaigns.
-        if self.shards != 1:
-            out["shards"] = self.shards
-        return out
+    to_dict = config_dict
 
 
 def quick_config(seed: int = 7) -> CampaignConfig:
@@ -114,45 +120,41 @@ def quick_config(seed: int = 7) -> CampaignConfig:
                           points=5, seed=seed, n_transactions=8)
 
 
-# -- building blocks ---------------------------------------------------------
-def _variant(mode: str) -> str:
-    return "manual" if mode == "janus" else "baseline"
+# -- the crash step ----------------------------------------------------------
+def build(name: str, mode: str, params: WorkloadParams, seed: int,
+          injector: Optional[FaultInjector] = None,
+          variant: Optional[str] = None,
+          bmos: Optional[Sequence[str]] = None, **config_overrides):
+    """A fresh system and ``name``'s workload on its first core.
 
-
-def _build(name: str, mode: str, params: WorkloadParams, seed: int,
-           injector: Optional[FaultInjector] = None,
-           bmos: Optional[Sequence[str]] = None,
-           shards: int = 1):
-    overrides = {"mode": mode, "seed": seed}
+    ``variant`` defaults to the paper's: hand instrumentation under
+    janus, none elsewhere.  ``config_overrides`` go to
+    :func:`default_config` (``shards``, ``scheduling``, ...).
+    """
     if bmos is not None:
-        overrides["bmos"] = tuple(bmos)
-    if shards != 1:
-        overrides["shards"] = shards
-    system = NvmSystem(default_config(**overrides), injector=injector)
+        config_overrides["bmos"] = tuple(bmos)
+    if variant is None:
+        variant = "manual" if mode == "janus" else "baseline"
+    system = NvmSystem(default_config(mode=mode, seed=seed,
+                                      **config_overrides),
+                       injector=injector)
     workload = make_workload(name, system, system.cores[0], params,
-                             variant=_variant(mode))
+                             variant=variant)
     return system, workload
 
 
-def reference_trajectory(name: str, mode: str, params: WorkloadParams,
-                         seed: int,
-                         bmos: Optional[Sequence[str]] = None,
-                         shards: int = 1):
-    """Run to completion; digest after setup and after every commit.
+def trajectory(system, workload, txns: int):
+    """Run ``txns`` transactions to completion, taking the logical
+    digest after setup and after every commit.
 
     Returns ``(digests, horizon_ns)`` where ``digests[k]`` is the
-    logical digest with exactly ``k`` transactions committed.  The
-    workloads draw all their randomness from mode-independent rng
-    streams, so for a fixed seed the trajectory is identical across
-    modes — the campaign asserts exactly that.
+    logical digest with exactly ``k`` transactions committed.
     """
-    system, workload = _build(name, mode, params, seed, bmos=bmos,
-                              shards=shards)
     digests: Dict[int, str] = {
         0: workload.logical_digest(system.volatile.read)}
 
     def driver():
-        for _ in range(params.n_transactions):
+        for _ in range(txns):
             workload._preobjs = {}
             yield from workload.transaction()
             workload.completed_transactions += 1
@@ -161,6 +163,77 @@ def reference_trajectory(name: str, mode: str, params: WorkloadParams,
 
     horizon = system.run_programs([driver()])
     return digests, horizon
+
+
+def reference_trajectory(name: str, mode: str, params: WorkloadParams,
+                         seed: int,
+                         bmos: Optional[Sequence[str]] = None,
+                         shards: int = 1):
+    """Run to completion; digest after setup and after every commit.
+
+    Returns :func:`trajectory`'s ``(digests, horizon_ns)``.  The
+    workloads draw all their randomness from mode-independent rng
+    streams, so for a fixed seed the trajectory is identical across
+    modes — the campaign asserts exactly that.
+    """
+    system, workload = build(name, mode, params, seed, bmos=bmos,
+                             shards=shards)
+    return trajectory(system, workload, params.n_transactions)
+
+
+def run_to_accept(system, program, n: int) -> None:
+    """Run ``program`` until the ``n``th write-queue acceptance,
+    counted across every shard's queue, completes: the only instant
+    an entry is sure to sit undrained in the ADR domain, which the
+    ``wq_*`` faults need.  Every queue's ``accept`` is restored."""
+    stop = system.sim.event("accept-crash")
+    originals = [queue.accept for queue in system.write_queues]
+    seen = {"accepts": 0}
+
+    def _wrap(original):
+        def wrapped(entry):
+            yield from original(entry)
+            seen["accepts"] += 1
+            if seen["accepts"] == n and not stop.triggered:
+                stop.succeed()
+        return wrapped
+
+    for queue, original in zip(system.write_queues, originals):
+        queue.accept = _wrap(original)
+    system.sim.process(program, name="stream")
+    try:
+        system.sim.run(stop_event=stop)
+    finally:
+        for queue, original in zip(system.write_queues, originals):
+            queue.accept = original
+
+
+def recovery_fields(state) -> Dict:
+    """The record fields of a successful recovery: the commit count,
+    whether the commits are the prefix ``1..k``, and the rollback,
+    media-correction and torn-log evidence."""
+    committed = state.committed_txns
+    return {
+        "committed": len(committed),
+        "prefix_ok": committed == list(range(1, len(committed) + 1)),
+        "rolled_back": len(state.rolled_back),
+        "media_corrected": len(state.media_corrected),
+        "torn_log_lines": len(set(state.torn_log_lines)),
+    }
+
+
+def account(record: Dict, evidence: Dict) -> None:
+    """Set ``record``'s ``evidence`` and silent-fault verdict: an
+    injected fault must leave the recovered state consistent (ECC fix,
+    IRB recompute, rollback) or leave evidence; a divergent digest
+    with no evidence is a silent failure."""
+    record["evidence"] = evidence
+    injected = record.get("injected", [])
+    silent = (record["result"] == "recovered"
+              and not record.get("digest_ok", False)
+              and not any(evidence.values()))
+    record["accounted"] = not injected or not silent
+    record["silent"] = bool(injected) and silent
 
 
 def run_crash_point(name: str, mode: str, params: WorkloadParams,
@@ -178,55 +251,26 @@ def run_crash_point(name: str, mode: str, params: WorkloadParams,
     explicit rejection.
 
     ``crash_on_accept=N`` crashes the instant the Nth write-queue
-    acceptance completes — the only moment an entry is guaranteed to
-    sit in the ADR domain undrained, which the ``wq_*`` fault
-    scenarios need (a wall-clock crash time almost always finds the
-    single-core queue empty).
+    acceptance completes (:func:`run_to_accept`).
     """
     injector = FaultInjector(plan) if plan is not None else None
-    system, workload = _build(name, mode, params, seed,
-                              injector=injector, bmos=bmos,
-                              shards=shards)
-    system.sim.process(workload.run(), name="stream")
+    system, workload = build(name, mode, params, seed,
+                             injector=injector, bmos=bmos,
+                             shards=shards)
     if crash_on_accept is None:
+        system.sim.process(workload.run(), name="stream")
         system.sim.run(until=crash_at)
     else:
-        # Count acceptances across every shard's queue — the Nth
-        # acceptance system-wide, wherever it lands.
-        stop = system.sim.event("accept-crash")
-        originals = [queue.accept for queue in system.write_queues]
-        seen = {"accepts": 0}
-
-        def _wrap(original):
-            def wrapped(entry):
-                yield from original(entry)
-                seen["accepts"] += 1
-                if seen["accepts"] == crash_on_accept \
-                        and not stop.triggered:
-                    stop.succeed()
-            return wrapped
-
-        for queue, original in zip(system.write_queues, originals):
-            queue.accept = _wrap(original)
-        system.sim.run(stop_event=stop)
-        for queue, original in zip(system.write_queues, originals):
-            queue.accept = original
+        run_to_accept(system, workload.run(), crash_on_accept)
         crash_at = system.sim.now
     snapshot = system.crash()
 
     record: Dict = {"crash_at": crash_at, "mode": mode}
-    state = None
     try:
         state = recover(snapshot,
                         [(workload.log.base, workload.log.capacity)],
                         verify_macs=True)
-        committed = state.committed_txns
-        record["committed"] = len(committed)
-        record["prefix_ok"] = \
-            committed == list(range(1, len(committed) + 1))
-        record["rolled_back"] = len(state.rolled_back)
-        record["media_corrected"] = len(state.media_corrected)
-        record["torn_log_lines"] = len(set(state.torn_log_lines))
+        record.update(recovery_fields(state))
         record["digest"] = workload.logical_digest(state.read)
         record["result"] = "recovered"
     except ReproError as error:
@@ -265,7 +309,7 @@ def crash_mid_bmo(name: str, mode: str = "janus",
     """
     params = params or WorkloadParams(n_items=8, value_size=64,
                                       n_transactions=10)
-    system, workload = _build(name, mode, params, seed)
+    system, workload = build(name, mode, params, seed)
     original = system.pipeline.commit
     stop = system.sim.event("mid-bmo-crash")
     state = {"commits": 0}
@@ -281,9 +325,6 @@ def crash_mid_bmo(name: str, mode: str = "janus",
     system.sim.process(workload.run(), name="stream")
     system.sim.run(stop_event=stop)
     system.pipeline.commit = original
-    if state["commits"] < commit_index:
-        # Short run: fall back to crashing at the end (still valid).
-        pass
     snapshot = system.crash()
     return system, workload, snapshot
 
@@ -322,27 +363,20 @@ FAULT_SCENARIOS = (
 )
 
 
-def _scenario_mode(kind: str) -> str:
-    # IRB faults need the Janus engine; run everything under Janus so
-    # the scenarios also cover the pre-execution datapath.
-    return "janus"
-
-
 def run_fault_scenario(label: str, kind: str, spec_kwargs: Dict,
                        bmos: Optional[Sequence[str]],
                        config: CampaignConfig) -> Dict:
     """Inject one fault class; classify and account for the outcome."""
-    mode = _scenario_mode(kind)
     params = config.params()
     name = config.workloads[0]
-    digests, horizon = reference_trajectory(name, mode, params,
+    digests, horizon = reference_trajectory(name, SCENARIO_MODE, params,
                                             config.seed, bmos=bmos)
     plan = FaultPlan(seed=config.seed,
                      specs=[FaultSpec(kind=kind, **spec_kwargs)])
     # wq_* faults strike entries sitting in the ADR domain at power
     # loss; crash at an acceptance so one provably is.
     accept = 9 if kind.startswith("wq_") else None
-    record = run_crash_point(name, mode, params, config.seed,
+    record = run_crash_point(name, SCENARIO_MODE, params, config.seed,
                              crash_at=0.6 * horizon, plan=plan,
                              bmos=bmos, crash_on_accept=accept)
     record["label"] = label
@@ -352,9 +386,8 @@ def run_fault_scenario(label: str, kind: str, spec_kwargs: Dict,
         expected = digests.get(record["committed"])
         record["digest_ok"] = record["digest"] == expected
 
-    injected = record.get("injected", [])
     scrub_info = record["scrub"]
-    evidence = {
+    account(record, {
         "rejected": record["result"].startswith("rejected:"),
         "media_corrected": record.get("media_corrected", 0) > 0,
         "torn_log_lines": record.get("torn_log_lines", 0) > 0,
@@ -363,17 +396,7 @@ def run_fault_scenario(label: str, kind: str, spec_kwargs: Dict,
         "scrub_detected": (scrub_info["mac_failures"]
                            + scrub_info["merkle_failures"]
                            + scrub_info["dedup_failures"]) > 0,
-    }
-    record["evidence"] = evidence
-    # Accounting: an injected fault must either leave the recovered
-    # state consistent (absorbed by design: ECC fix, IRB recompute,
-    # rollback) or leave explicit evidence.  A divergent digest with
-    # no evidence is a silent failure.
-    silent = (record["result"] == "recovered"
-              and not record.get("digest_ok", False)
-              and not any(evidence.values()))
-    record["accounted"] = not injected or not silent
-    record["silent"] = bool(injected) and silent
+    })
     return record
 
 
@@ -424,12 +447,10 @@ def run_campaign(config: Optional[CampaignConfig] = None,
 
     # Phase 1 — reference trajectories (one per workload x mode).
     # These anchor every downstream check, so a failure here is fatal.
-    shard_kwargs = {} if config.shards == 1 \
-        else {"shards": config.shards}
     references = executor.map_values([
         SweepTask(key=(name, mode), fn=_REFERENCE_FN,
                   kwargs=dict(name=name, mode=mode, params=params,
-                              seed=config.seed, **shard_kwargs))
+                              seed=config.seed, shards=config.shards))
         for name, mode in pairs], strict=True)
 
     # Phase 2 — every crash point of every sweep, one task each.
@@ -444,7 +465,7 @@ def run_campaign(config: Optional[CampaignConfig] = None,
                 key=(name, mode, i), fn=_CRASH_POINT_FN,
                 kwargs=dict(name=name, mode=mode, params=params,
                             seed=config.seed, crash_at=crash_at,
-                            **shard_kwargs)))
+                            shards=config.shards)))
     point_results = {r.key: r for r in executor.map(point_tasks)}
 
     # Phase 3 — fault-class scenarios.
@@ -547,14 +568,8 @@ def run_campaign(config: Optional[CampaignConfig] = None,
                               "digest with no detection evidence",
                 })
 
-    report["summary"] = summarise(report)
-    for violation in violations:
-        runlog.event("harness.crashtest", "violation", level="error",
-                     **violation)
-    runlog.event("harness.crashtest", "campaign.done",
-                 crash_points=report["summary"]["crash_points"],
-                 violations=len(violations))
-    return report
+    return close_out(report, summarise(report), "harness.crashtest",
+                     "crash_points")
 
 
 def summarise(report: Dict) -> Dict:
@@ -585,24 +600,29 @@ def summarise(report: Dict) -> Dict:
     }
 
 
-# -- report I/O --------------------------------------------------------------
-def render_json(report: Dict) -> str:
-    """Canonical serialisation — byte-identical for identical runs."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+# -- report close-out (shared with the soak campaign) ------------------------
+def close_out(report: Dict, summary: Dict, component: str,
+              count: str) -> Dict:
+    """Seal a campaign report: attach ``summary``, then log every
+    violation and ``campaign.done`` with the summary's ``count``."""
+    report["summary"] = summary
+    violations = report["violations"]
+    for violation in violations:
+        runlog.event(component, "violation", level="error", **violation)
+    runlog.event(component, "campaign.done", **{count: summary[count]},
+                 violations=len(violations))
+    return report
 
 
-def crashtest_path(directory: str = DEFAULT_DIR) -> str:
-    from datetime import date
-    return os.path.join(directory,
-                        f"CRASHTEST_{date.today().isoformat()}.json")
-
-
-def write_report(report: Dict, path: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(render_json(report))
+def violation_lines(report: Dict, all_clear: str) -> List[str]:
+    """The closing block of a campaign's text summary: each violation
+    as one JSON line, or the ``all_clear`` invariant statement."""
+    violations = report["violations"]
+    if not violations:
+        return ["  invariants: " + all_clear]
+    return [f"  VIOLATIONS: {len(violations)}"] + [
+        "    " + json.dumps(violation, sort_keys=True)
+        for violation in violations]
 
 
 def render_summary(report: Dict) -> str:
@@ -619,11 +639,6 @@ def render_summary(report: Dict) -> str:
         status = "ok" if scenario.get("accounted") else "SILENT"
         lines.append(f"    {scenario['label']:28s} "
                      f"{scenario['result']:32s} {status}")
-    if report["violations"]:
-        lines.append(f"  VIOLATIONS: {len(report['violations'])}")
-        for violation in report["violations"]:
-            lines.append("    " + json.dumps(violation, sort_keys=True))
-    else:
-        lines.append("  invariants: all crash points recovered onto a "
-                     "committed boundary; no silent faults")
+    lines += violation_lines(report, "all crash points recovered onto "
+                             "a committed boundary; no silent faults")
     return "\n".join(lines)

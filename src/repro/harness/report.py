@@ -4,12 +4,24 @@ plus the path helpers every harness writer goes through.
 Output paths (``results/figures/...``, trace/stats JSON, charts) are
 created with ``parents=True`` — a missing ``results/`` directory is
 not an error, so the harness works from any working directory, not
-just a repo checkout."""
+just a repo checkout.
 
+The crashtest, soak and fuzz reports, profile reports, bench
+trajectories and the ``repro run --digest`` artifact are all written
+by :func:`write_json`, in the one canonical form of
+:func:`render_json`.
+"""
+
+import json
+import os
+from datetime import date
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro.common.errors import ReproError
+
+#: Where the campaign commands write their dated reports by default.
+RESULTS_DIR = "results"
 
 
 class ReportOverwriteError(ReproError):
@@ -64,6 +76,28 @@ def write_report_text(text: str, path: Union[str, Path],
                 f"{existing_first[:40]!r} != {new_first[:40]!r}); "
                 f"pass --force to overwrite")
     return write_text(text, path)
+
+
+def render_json(payload) -> str:
+    """Canonical serialisation: sorted keys, two-space indent, one
+    trailing newline — identical payloads give identical bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(payload, path: Union[str, Path]) -> str:
+    """Write :func:`render_json` of ``payload`` to ``path``, creating
+    any missing parent directories; returns the path."""
+    return write_text(render_json(payload), path)
+
+
+def dated_path(directory: str, stem: str) -> str:
+    """``directory/<stem>_<today>`` with ``stem``'s extension kept:
+    ``dated_path("results", "SOAK.json")`` is
+    ``results/SOAK_<ISO date>.json``.  The date lives only in the
+    name, never in the body, so report bytes stay reproducible."""
+    root, ext = os.path.splitext(stem)
+    return os.path.join(directory,
+                        f"{root}_{date.today().isoformat()}{ext}")
 
 
 class Table:

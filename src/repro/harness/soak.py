@@ -33,10 +33,12 @@ Each cell is a sealed, seeded computation, so the campaign shards
 cells across worker processes through :mod:`repro.harness.parallel`
 and assembles the report in submission order — the JSON document is
 byte-identical at any ``--jobs``.
+
+The crash step and the report close-out are
+:mod:`repro.harness.crash_campaign`'s; this module keeps the
+lifecycle: restore, per-cycle fault plans, wear, carry.
 """
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -56,14 +58,22 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
-from repro.harness.crash_campaign import _build
+from repro.harness.crash_campaign import (
+    account,
+    build,
+    close_out,
+    config_dict,
+    recovery_fields,
+    run_to_accept,
+    trajectory,
+    violation_lines,
+)
 from repro.harness.parallel import ParallelExecutor, SweepTask
 from repro.obs import log as runlog
 from repro.validate.oracles import OracleMismatch, check_recovery_idempotent
 from repro.workloads import WORKLOADS, WorkloadParams
 
 SCHEMA = "repro-soak-v1"
-DEFAULT_DIR = "results"
 _CELL_FN = "repro.harness.soak:run_cell"
 #: Metadata stores plus ECC — accumulated media damage must be
 #: correctable evidence, never silent corruption.
@@ -110,22 +120,7 @@ class SoakConfig:
             n_items=self.n_items, value_size=self.value_size,
             n_transactions=self.cycles * self.txns_per_cycle)
 
-    def to_dict(self) -> Dict:
-        out = {
-            "workloads": list(self.workloads),
-            "modes": list(self.modes),
-            "cycles": self.cycles,
-            "txns_per_cycle": self.txns_per_cycle,
-            "seed": self.seed,
-            "n_items": self.n_items,
-            "value_size": self.value_size,
-            "idempotence_oracle": self.idempotence_oracle,
-        }
-        # Serialised only when sharded: unsharded soak reports stay
-        # byte-identical to pre-sharding campaigns.
-        if self.shards != 1:
-            out["shards"] = self.shards
-        return out
+    to_dict = config_dict
 
 
 def quick_config(seed: int = 7) -> SoakConfig:
@@ -141,15 +136,15 @@ def _restore(name: str, mode: str, config: SoakConfig,
              injector: Optional[FaultInjector] = None):
     """A fresh system, optionally resumed on the carried image.
 
-    ``_build`` + ``setup()`` deterministically reproduce a *prefix* of
+    ``build`` + ``setup()`` deterministically reproduce a *prefix* of
     the carried allocations (nothing ever frees); ``reserve`` re-carves
     the transaction-time tail at its exact addresses; ``seed`` replays
     every carried line through the BMO pipeline so metadata (counters,
     MACs, dedup, ECC codes) is consistent with the restored bytes.
     """
-    system, workload = _build(name, mode, config.params(), config.seed,
-                              injector=injector, bmos=SOAK_BMOS,
-                              shards=config.shards)
+    system, workload = build(name, mode, config.params(), config.seed,
+                             injector=injector, bmos=SOAK_BMOS,
+                             shards=config.shards)
     if carry is not None:
         live = {a.addr for a in system.heap.live_allocations()}
         for addr, size, label in carry["allocs"]:
@@ -170,26 +165,6 @@ def _drive(workload, txns: int):
         workload._preobjs = {}
         yield from workload.transaction()
         workload.completed_transactions += 1
-
-
-def _twin_trajectory(name: str, mode: str, config: SoakConfig,
-                     carry: Optional[Dict], cycle: int):
-    """Fault-free twin from the same carried image: the reference
-    digest after every committed transaction, plus the horizon."""
-    system, workload = _restore(name, mode, config, carry, cycle)
-    digests: Dict[int, str] = {
-        0: workload.logical_digest(system.volatile.read)}
-
-    def driver():
-        for _ in range(config.txns_per_cycle):
-            workload._preobjs = {}
-            yield from workload.transaction()
-            workload.completed_transactions += 1
-            k = system.cores[0].current_txn_id
-            digests[k] = workload.logical_digest(system.volatile.read)
-
-    horizon = system.run_programs([driver()])
-    return digests, horizon
 
 
 def _cycle_plan(kind: str, cycle: int, seed: int, after_n: int,
@@ -285,8 +260,11 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
 
     runlog.bind(cycle=cycle)
     try:
-        digests, horizon = _twin_trajectory(name, mode, config, carry,
-                                            cycle)
+        # The fault-free twin, from the same carried image: the
+        # reference digest after every commit, plus the horizon.
+        twin, twin_workload = _restore(name, mode, config, carry, cycle)
+        digests, horizon = trajectory(twin, twin_workload,
+                                      config.txns_per_cycle)
         plan = _cycle_plan(kind, cycle, config.seed, after_n, bit)
         injector = FaultInjector(plan)
         if carry is not None:
@@ -304,28 +282,8 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
             system.run_programs(
                 [_drive(workload, config.txns_per_cycle)])
         elif kind in ("wq_tear", "wq_drop"):
-            # Crash the instant the Nth acceptance completes — the
-            # only moment an entry provably sits undrained in ADR.
-            stop = system.sim.event("soak-accept-crash")
-            originals = [q.accept for q in system.write_queues]
-            seen = {"accepts": 0}
-
-            def _wrap(original):
-                def wrapped(entry):
-                    yield from original(entry)
-                    seen["accepts"] += 1
-                    if seen["accepts"] == accept_n \
-                            and not stop.triggered:
-                        stop.succeed()
-                return wrapped
-
-            for queue, original in zip(system.write_queues, originals):
-                queue.accept = _wrap(original)
-            system.sim.process(
-                _drive(workload, config.txns_per_cycle), name="stream")
-            system.sim.run(stop_event=stop)
-            for queue, original in zip(system.write_queues, originals):
-                queue.accept = original
+            run_to_accept(system, _drive(workload, config.txns_per_cycle),
+                          accept_n)
         else:
             system.sim.process(
                 _drive(workload, config.txns_per_cycle), name="stream")
@@ -382,13 +340,7 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
                 record["oracle_failed"] = str(mismatch)
 
         if state is not None:
-            committed = state.committed_txns
-            record["committed"] = len(committed)
-            record["prefix_ok"] = \
-                committed == list(range(1, len(committed) + 1))
-            record["rolled_back"] = len(state.rolled_back)
-            record["media_corrected"] = len(state.media_corrected)
-            record["torn_log_lines"] = len(set(state.torn_log_lines))
+            record.update(recovery_fields(state))
             record["read_retries"] = state.read_retries
             record["backoff_ns"] = state.backoff_ns
             record["escalations"] = state.escalations
@@ -433,7 +385,7 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
         record["degraded_backoff_ns"] = \
             int(faults.get("retry_backoff_ns", 0))
 
-        evidence = {
+        account(record, {
             "rejected": record["result"].startswith("rejected:"),
             "media_corrected": record.get("media_corrected", 0) > 0,
             "torn_log_lines": record.get("torn_log_lines", 0) > 0,
@@ -445,13 +397,7 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
             "scrub_corrected": record["scrub"]["corrected_lines"] > 0,
             "scrub_poisoned": record["scrub"]["poisoned_lines"] > 0,
             "scrub_detected": record["scrub"]["mac_failures"] > 0,
-        }
-        record["evidence"] = evidence
-        silent = (record["result"] == "recovered"
-                  and not record.get("digest_ok", False)
-                  and not any(evidence.values()))
-        record["accounted"] = not record["injected"] or not silent
-        record["silent"] = bool(record["injected"]) and silent
+        })
 
         if state is not None:
             # Harvest the next cycle's carry from the recovered image.
@@ -605,13 +551,7 @@ def run_soak(config: Optional[SoakConfig] = None,
                                        "detail": record.get("error",
                                                             "")})
 
-    report["summary"] = summarise(report)
-    for violation in violations:
-        runlog.event("soak", "violation", level="error", **violation)
-    runlog.event("soak", "campaign.done",
-                 cycles=report["summary"]["cycles"],
-                 violations=len(violations))
-    return report
+    return close_out(report, summarise(report), "soak", "cycles")
 
 
 def summarise(report: Dict) -> Dict:
@@ -657,26 +597,6 @@ def summarise(report: Dict) -> Dict:
     }
 
 
-# -- report I/O ---------------------------------------------------------------
-def render_json(report: Dict) -> str:
-    """Canonical serialisation — byte-identical for identical runs."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def soak_path(directory: str = DEFAULT_DIR) -> str:
-    from datetime import date
-    return os.path.join(directory,
-                        f"SOAK_{date.today().isoformat()}.json")
-
-
-def write_report(report: Dict, path: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(render_json(report))
-
-
 def render_summary(report: Dict) -> str:
     summary = report["summary"]
     lines = [
@@ -704,12 +624,7 @@ def render_summary(report: Dict) -> str:
                 f"{cell['digests_ok']} digests ok, "
                 f"stuck={cell['final_stuck_lines']} "
                 f"quarantined={cell['final_quarantined']}")
-    if report["violations"]:
-        lines.append(f"  VIOLATIONS: {len(report['violations'])}")
-        for violation in report["violations"]:
-            lines.append("    " + json.dumps(violation, sort_keys=True))
-    else:
-        lines.append("  invariants: every cycle recovered onto a "
-                     "committed boundary or rejected explicitly; "
-                     "no silent data loss")
+    lines += violation_lines(report, "every cycle recovered onto a "
+                             "committed boundary or rejected "
+                             "explicitly; no silent data loss")
     return "\n".join(lines)

@@ -292,14 +292,3 @@ def render_hotspots(report: Dict, profiler: Optional[SimProfiler] = None,
                          f" {wall_ns / max(1, row['count']):>9,.0f}")
             lines.append(line)
     return "\n".join(lines)
-
-
-def write_report(report: Dict, path: str) -> str:
-    """Write the deterministic report JSON (sorted keys)."""
-    import json
-
-    from repro.harness.report import ensure_parent
-    with open(ensure_parent(path), "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

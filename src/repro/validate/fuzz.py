@@ -27,13 +27,12 @@ Pipeline:
 
 import json
 from dataclasses import dataclass, field
-from datetime import date
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRng
 from repro.harness.parallel import ParallelExecutor, SweepTask
-from repro.harness.report import ensure_parent
+from repro.harness.report import RESULTS_DIR, dated_path, write_json
 from repro.obs import log as runlog
 from repro.validate.invariants import InvariantViolation
 from repro.validate.oracles import (
@@ -46,7 +45,6 @@ from repro.validate.oracles import (
 
 SCHEMA_REPRO = "repro-fuzz-repro-v1"
 SCHEMA_REPORT = "repro-fuzz-report-v1"
-DEFAULT_DIR = "results"
 #: Workload kernels mixed into the default case diet (small, fast,
 #: structurally diverse).
 DEFAULT_WORKLOADS = ("array_swap", "queue", "hash_table")
@@ -287,10 +285,6 @@ def reduce_case(case: FuzzCase, failure: Dict,
 # ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
-def fuzz_dir(base: str = DEFAULT_DIR) -> str:
-    return str(Path(base) / f"FUZZ_{date.today().isoformat()}")
-
-
 def run_fuzz(cases: int = 60, seed: int = 0, max_ops: int = 16,
              jobs: Optional[int] = None,
              workloads: Sequence[str] = DEFAULT_WORKLOADS,
@@ -368,13 +362,14 @@ def run_fuzz(cases: int = 60, seed: int = 0, max_ops: int = 16,
         "repros": repros,
     }
     if write:
-        directory = out_dir if out_dir is not None else fuzz_dir()
+        directory = out_dir if out_dir is not None \
+            else dated_path(RESULTS_DIR, "FUZZ")
         report["dir"] = directory
         for index, entry in enumerate(repros):
-            path = Path(directory) / f"repro_{index:03d}.json"
-            _write_json(path, {"schema": SCHEMA_REPRO, **entry})
-        _write_json(Path(directory) / "fuzz_report.json",
-                    {k: v for k, v in report.items() if k != "dir"})
+            write_json({"schema": SCHEMA_REPRO, **entry},
+                       Path(directory) / f"repro_{index:03d}.json")
+        write_json({k: v for k, v in report.items() if k != "dir"},
+                   Path(directory) / "fuzz_report.json")
     return report
 
 
@@ -383,12 +378,6 @@ def _case_mix(case_list: List[FuzzCase]) -> Dict[str, int]:
     for case in case_list:
         mix[case.kind] = mix.get(case.kind, 0) + 1
     return mix
-
-
-def _write_json(path: Path, payload: Dict) -> None:
-    with open(ensure_parent(path), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def replay(path: str) -> Optional[Dict]:

@@ -44,15 +44,16 @@ every design point.
 import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.config import default_config
+from repro.common.config import SchedulingConfig, default_config
 from repro.common.errors import RecoveryCrash, ReproError
 from repro.consistency import recover
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core import NvmSystem
+from repro.harness.crash_campaign import build, reference_trajectory
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
 from repro.janus.irb_linear import LinearScanIrb
 from repro.sim import Simulator
-from repro.workloads import WorkloadParams, make_workload
+from repro.workloads import WorkloadParams
 
 LINE = 64
 #: Data values the op vocabulary indexes into — small on purpose, so
@@ -259,13 +260,9 @@ def run_workload_digest(mode: str, workload: str, seed: int = 7,
                         check: bool = True, shards: int = 1) -> str:
     """Run a workload kernel to completion, crash, recover, and return
     the logical digest of the recovered structure."""
-    system = NvmSystem(default_config(mode=mode, seed=seed,
-                                      check_invariants=check,
-                                      shards=shards))
-    params = WorkloadParams(n_items=items, n_transactions=txns)
-    variant = "manual" if mode == "janus" else "baseline"
-    instance = make_workload(workload, system, system.cores[0], params,
-                             variant=variant)
+    system, instance = build(
+        workload, mode, WorkloadParams(n_items=items, n_transactions=txns),
+        seed, check_invariants=check, shards=shards)
     system.run_programs([instance.run()])
     if system.checker is not None:
         system.checker.check_all(full=True)
@@ -326,18 +323,14 @@ def run_staleness_crash(workload: str, seed: int = 7, txns: int = 12,
     reference digest at that commit count, and the policy watermark
     from the crash snapshot.
     """
-    from repro.harness.crash_campaign import reference_trajectory
-
     params = WorkloadParams(n_items=items, n_transactions=txns)
     digests, horizon = reference_trajectory(workload, "serialized",
                                             params, seed)
-    config = default_config(mode="async-epoch", seed=seed,
-                            check_invariants=check, shards=shards)
-    config.scheduling.staleness_epochs = staleness_epochs
-    config.scheduling.epoch_writes = epoch_writes
-    system = NvmSystem(config)
-    instance = make_workload(workload, system, system.cores[0],
-                             params, variant="baseline")
+    system, instance = build(
+        workload, "async-epoch", params, seed, check_invariants=check,
+        shards=shards,
+        scheduling=SchedulingConfig(staleness_epochs=staleness_epochs,
+                                    epoch_writes=epoch_writes))
     system.sim.process(instance.run(), name="stream")
     system.sim.run(until=horizon * crash_fraction)
     if system.checker is not None:

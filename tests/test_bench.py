@@ -7,8 +7,9 @@ import pytest
 from repro.harness import bench
 from repro.harness.bench import (
     BENCH_SCHEMA, bench_irb_micro, bench_path, bench_workload, calibrate,
-    compare, find_baseline, load_report, write_report,
+    compare, find_baseline, load_report,
 )
+from repro.harness.report import write_json
 
 
 def tiny_report(date="2026-01-01", wall_s=0.1, events=100,
@@ -65,7 +66,7 @@ def test_calibrate_returns_positive_score():
 
 def test_write_and_load_report_roundtrip(tmp_path):
     report = tiny_report()
-    path = write_report(report, str(tmp_path / "BENCH_2026-01-01.json"))
+    path = write_json(report, str(tmp_path / "BENCH_2026-01-01.json"))
     assert load_report(path) == report
 
 
@@ -78,8 +79,8 @@ def test_load_report_rejects_wrong_schema(tmp_path):
 
 def test_find_baseline_picks_latest_and_honours_exclude(tmp_path):
     for date in ("2026-01-01", "2026-02-01", "2026-03-01"):
-        write_report(tiny_report(date=date),
-                     str(tmp_path / f"BENCH_{date}.json"))
+        write_json(tiny_report(date=date),
+                   str(tmp_path / f"BENCH_{date}.json"))
     latest = find_baseline(str(tmp_path))
     assert latest.endswith("BENCH_2026-03-01.json")
     # Excluding the newest (the report being written) falls back.

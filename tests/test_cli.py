@@ -138,9 +138,35 @@ def test_crashtest_subset_no_write(capsys):
     assert "report ->" not in out
 
 
-def test_crashtest_rejects_unknown_workload(capsys):
-    code = main(["crashtest", "--workloads", "nope", "--no-write"])
-    assert code == 2
+def exit_status(argv):
+    """``main``'s return code, or argparse's exit code when a flag's
+    type check stops the parse."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["crashtest", "--workloads", "nope"], "unknown workloads: ['nope']"),
+    (["crashtest", "--modes", "bogus"], "unknown modes: ['bogus']"),
+    (["soak", "--modes", "bogus"], "unknown modes: ['bogus']"),
+    (["crashtest", "--shards", "3"], "invalid sharding config"),
+    (["soak", "--shards", "3"], "invalid sharding config"),
+    (["fuzz", "--shards", "3"], "invalid sharding config"),
+    (["run", "queue", "--shards", "3"], "invalid sharding config"),
+    (["figure", "shards", "--scale", "0.05", "--shards", "1,3"],
+     "invalid sharding config"),
+], ids=["crashtest-workloads", "crashtest-modes", "soak-modes",
+        "crashtest-shards", "soak-shards", "fuzz-shards", "run-shards",
+        "figure-shards"])
+def test_bad_flags_exit_2_before_running(capsys, argv, message):
+    campaign = ["--quick", "--no-write"] \
+        if argv[0] in ("crashtest", "soak", "fuzz") else []
+    assert exit_status(argv + campaign) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_workload_rejected():

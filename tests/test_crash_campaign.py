@@ -19,6 +19,7 @@ import pytest
 
 from repro.consistency import recover
 from repro.harness import crash_campaign as cc
+from repro.harness.report import render_json, write_json
 from repro.workloads import WORKLOADS, WorkloadParams
 
 SEED = 7
@@ -49,7 +50,7 @@ class TestCampaignConfig:
 class TestCampaignInvariants:
     def test_report_is_byte_identical_across_runs(self, small_reports):
         first, second = small_reports
-        assert cc.render_json(first) == cc.render_json(second)
+        assert render_json(first) == render_json(second)
 
     def test_no_violations_in_fault_free_sweep(self, small_reports):
         report, _ = small_reports
@@ -92,7 +93,7 @@ class TestCampaignInvariants:
         report, _ = small_reports
         # Dates live in the report *filename* only; the body must be
         # reproducible byte-for-byte.
-        assert "20" + "26" not in cc.render_json(report).split(
+        assert "20" + "26" not in render_json(report).split(
             '"schema"')[0]
         assert report["schema"] == cc.SCHEMA
 
@@ -100,7 +101,7 @@ class TestCampaignInvariants:
         import json
         report, _ = small_reports
         path = tmp_path / "CRASHTEST_test.json"
-        cc.write_report(report, str(path))
+        write_json(report, str(path))
         assert json.loads(path.read_text()) == report
 
 
@@ -124,6 +125,27 @@ class TestMidBmoCrash:
         assert committed == list(range(1, len(committed) + 1))
         assert workload.logical_digest(state.read) \
             == digests[len(committed)]
+
+
+class TestRunToAccept:
+    """The ``wq_*`` crash instant on the sharded machine: the stop is
+    the Nth write-queue acceptance counted across every shard's
+    queue, and every queue gets its own ``accept`` back."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_stops_at_nth_acceptance_system_wide(self, shards):
+        system, workload = cc.build("queue", "janus", SMALL.params(),
+                                    SEED, shards=shards)
+        originals = [queue.accept for queue in system.write_queues]
+        cc.run_to_accept(system, workload.run(), 5)
+        accepted = {name: value for name, value
+                    in system.metrics.as_flat_dict().items()
+                    if name.startswith("wq")
+                    and name.endswith(".accepted")}
+        assert len(accepted) == shards
+        assert sum(accepted.values()) == 5
+        assert [queue.accept for queue in system.write_queues] \
+            == originals
 
 
 class TestShardedCampaign:
@@ -151,9 +173,9 @@ class TestShardedCampaign:
                     assert point["digest_ok"]
 
     def test_sharded_report_byte_identical_at_any_jobs(self):
-        inline = cc.render_json(
+        inline = render_json(
             cc.run_campaign(self.sharded_config(), jobs=1))
-        fanned = cc.render_json(
+        fanned = render_json(
             cc.run_campaign(self.sharded_config(), jobs=2))
         assert inline == fanned
 

@@ -3,10 +3,12 @@
 is written — ``repro figure --out``, ``repro run --trace/--stats``,
 and chart saving all route through these helpers)."""
 
+import os
+from datetime import date
 from pathlib import Path
 
 from repro.harness.plot import save_chart
-from repro.harness.report import ensure_parent, write_text
+from repro.harness.report import dated_path, ensure_parent, write_text
 
 
 class TestEnsureParent:
@@ -41,3 +43,14 @@ class TestWriteText:
         target = tmp_path / "charts" / "fig11.txt"
         returned = save_chart("bars", target)
         assert Path(returned).read_text() == "bars\n"
+
+
+class TestDatedPath:
+    def test_date_goes_before_the_extension(self):
+        # Report files (CRASHTEST_<date>.json) and the fuzz repro
+        # directory (FUZZ_<date>) share one naming rule.
+        today = date.today().isoformat()
+        assert dated_path("results", "SOAK.json") \
+            == os.path.join("results", f"SOAK_{today}.json")
+        assert dated_path("results", "FUZZ") \
+            == os.path.join("results", f"FUZZ_{today}")

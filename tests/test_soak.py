@@ -8,10 +8,10 @@ across repeated runs (no wall-clock, no unseeded randomness).
 
 import json
 
+from repro.harness.report import render_json
 from repro.harness.soak import (
     ROTATION,
     SoakConfig,
-    render_json,
     render_summary,
     run_soak,
     summarise,
