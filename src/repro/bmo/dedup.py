@@ -86,13 +86,6 @@ class DedupTable:
             return None  # fingerprint collision (possible with CRC-32)
         return entry
 
-    def fingerprint_of(self, addr: int) -> Optional[bytes]:
-        return self.remap.get(addr)
-
-    def entry_for_addr(self, addr: int) -> Optional[DedupEntry]:
-        fp = self.remap.get(addr)
-        return self.entries.get(fp) if fp is not None else None
-
     def snapshot(self) -> dict:
         return {
             "entries": {

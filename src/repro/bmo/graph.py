@@ -216,10 +216,6 @@ class Schedule:
     def makespan(self) -> float:
         return max((end for _n, _s, end in self.slots), default=0.0)
 
-    @property
-    def total_work(self) -> float:
-        return sum(end - start for _n, start, end in self.slots)
-
     def start_of(self, name: str) -> float:
         for slot_name, start, _end in self.slots:
             if slot_name == name:

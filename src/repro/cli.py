@@ -20,10 +20,6 @@ Commands
     Show the instrumentation plan (and the §6 window estimate).
 ``misuse <workload>``
     Run the workload under Janus and print the misuse report.
-``bench [--quick] [--compare PATH|auto|none] [--threshold F]``
-    Wall-clock perf benchmark of the tier-1 workloads plus the IRB
-    microbenchmark; writes ``benchmarks/perf/BENCH_<date>.json`` and
-    fails (exit 1) on a throughput regression versus the baseline.
 ``scrub <workload> [--crash-at T] [--faults K,K,...] [--seed S]``
     Run a workload, pull the plug, recover, and print the recovery
     summary plus the :class:`ScrubReport` — optionally with seeded
@@ -64,10 +60,9 @@ at any job count) and — like ``scrub``, ``crashtest``, and ``fuzz``
 — ``--log PATH`` (or ``$REPRO_LOG``) for a structured JSONL run log
 (:mod:`repro.obs.log`).
 
-The sweep commands (``figure``, ``crashtest``, ``bench``, ``fuzz``)
-accept
-``--jobs N`` to shard their independent simulation points across
-worker processes (:mod:`repro.harness.parallel`); output is
+The sweep commands (``figure``, ``crashtest``, ``soak``, ``fuzz``)
+accept ``--jobs N`` to shard their independent simulation points
+across worker processes (:mod:`repro.harness.parallel`); output is
 byte-identical at any job count.  ``$REPRO_JOBS`` sets the default.
 """
 
@@ -333,37 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_workload_args(misuse, modes=False)
     misuse.add_argument("--variant", default="manual",
                         choices=("manual", "auto"))
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock perf benchmark + regression gate")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller runs (CI-sized)")
-    bench.add_argument("--dir", default=None, metavar="DIR",
-                       help="trajectory directory "
-                            "(default benchmarks/perf)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="report path (default "
-                            "DIR/BENCH_<date>.json)")
-    bench.add_argument("--compare", default="auto", metavar="PATH",
-                       help="baseline report to gate against: a path, "
-                            "'auto' (latest BENCH_*.json in DIR), or "
-                            "'none'")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="fail when transaction throughput "
-                            "(inverse host time per transaction) falls "
-                            "by more than this fraction (default 0.25)")
-    bench.add_argument("--min-irb-speedup", type=float, default=2.0,
-                       help="fail when the indexed IRB microbench "
-                            "speedup over the linear baseline drops "
-                            "below this (default 2.0)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="do not write the report JSON")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the per-workload "
-                            "benches (default 1: concurrent benches "
-                            "contend for cores, so the regression "
-                            "gate and committed baselines are always "
-                            "jobs=1)")
 
     scrub = sub.add_parser(
         "scrub", help="crash, recover, and scrub one workload")
@@ -715,52 +679,6 @@ def cmd_misuse(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness import bench
-
-    directory = args.dir if args.dir is not None else bench.DEFAULT_DIR
-    out = args.out if args.out is not None \
-        else bench.bench_path(directory)
-    report = bench.run_bench(
-        quick=args.quick, jobs=args.jobs,
-        progress=_progress_for(args, "bench"))
-
-    baseline = None
-    if args.compare == "auto":
-        # Exclude ``out`` only when this run will overwrite it: with
-        # --no-write a committed baseline that happens to share
-        # today's date must still be eligible.
-        baseline_path = bench.find_baseline(
-            directory, exclude=None if args.no_write else out)
-    elif args.compare == "none":
-        baseline_path = None
-    else:
-        baseline_path = args.compare
-    if baseline_path is not None:
-        baseline = bench.load_report(baseline_path)
-
-    print(bench.render(report, baseline=baseline))
-    if not args.no_write:
-        write_json(report, out)
-        print(f"report -> {out}")
-
-    failures = []
-    speedup = report["irb_micro"]["speedup"]
-    if speedup < args.min_irb_speedup:
-        failures.append(
-            f"irb_micro: indexed speedup {speedup:.2f}x below the "
-            f"{args.min_irb_speedup:.1f}x floor")
-    if baseline is not None:
-        failures.extend(
-            bench.compare(baseline, report, threshold=args.threshold))
-        if not failures:
-            print(f"gate: ok vs {baseline_path} "
-                  f"(threshold {args.threshold:.0%})")
-    for failure in failures:
-        print(f"REGRESSION: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def cmd_scrub(args) -> int:
     from repro.common.errors import ReproError
     from repro.consistency import recover, scrub as run_scrub
@@ -919,7 +837,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "plan": cmd_plan,
     "misuse": cmd_misuse,
-    "bench": cmd_bench,
     "scrub": cmd_scrub,
     "crashtest": cmd_crashtest,
     "soak": cmd_soak,

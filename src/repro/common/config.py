@@ -79,10 +79,6 @@ class CacheConfig:
     writeback_ns: float = 15.0
     #: Counter cache (for counter-mode encryption reads).
     counter_cache_bytes: int = 512 * KIB
-    counter_cache_hit_ns: float = 2.0
-    #: Merkle-tree cache (integrity verification).
-    merkle_cache_bytes: int = 512 * KIB
-    merkle_cache_hit_ns: float = 2.0
 
     def validate(self) -> None:
         if self.l1_size_bytes <= 0 or self.l2_size_bytes <= 0:
@@ -96,7 +92,8 @@ class MemoryConfig:
     """NVM device timing (4 GB PCM @533 MHz in the paper)."""
 
     capacity_bytes: int = 4 * 1024 * MIB
-    #: Service time the channel is busy for one 64 B read.
+    #: Latency of one 64 B line read from NVM, charged on a cache
+    #: miss (reads do not occupy a channel).
     read_service_ns: float = 60.0
     #: Service time the channel is busy for one 64 B write (tWR-dominated).
     write_service_ns: float = 150.0
@@ -158,16 +155,12 @@ class DedupConfig:
     target_ratio: float = 0.5
     #: Fingerprint algorithm: ``"md5"`` or ``"crc32"``.
     algorithm: str = "md5"
-    #: Number of fingerprint-table entries.
-    table_entries: int = 1 << 16
 
     def validate(self) -> None:
         if not 0.0 <= self.target_ratio <= 1.0:
             raise ConfigError("dedup ratio must be in [0, 1]")
         if self.algorithm not in ("md5", "crc32"):
             raise ConfigError(f"unknown dedup algorithm {self.algorithm!r}")
-        if self.table_entries <= 0:
-            raise ConfigError("dedup table must have entries")
 
 
 @dataclass
@@ -206,7 +199,6 @@ class IntegrityConfig:
 class JanusConfig:
     """Janus pre-execution hardware resources (Table 3)."""
 
-    enabled: bool = True
     request_queue_entries: int = 16
     operation_queue_entries: int = 64
     irb_entries: int = 64
@@ -268,19 +260,14 @@ class SchedulingConfig:
 class CoreConfig:
     """Simulated core parameters."""
 
-    freq_ghz: float = 4.0
     #: Fixed per-instruction cost charged for bookkeeping compute
-    #: between memory operations.
+    #: between memory operations (one cycle of the 4 GHz core).
     instruction_ns: float = 0.25
     #: Per-line cost for the tail of a multi-line sequential access:
     #: hardware prefetching and memory-level parallelism overlap the
     #: misses of a streaming access, so only the first line pays the
     #: full hierarchy latency.
     stream_line_ns: float = 2.0
-
-    def validate(self) -> None:
-        if self.freq_ghz <= 0:
-            raise ConfigError("core frequency must be positive")
 
 
 @dataclass
@@ -357,7 +344,6 @@ class SystemConfig:
         if not 0.0 < self.bmo_unit_pipeline_fraction <= 1.0:
             raise ConfigError(
                 "bmo_unit_pipeline_fraction must be in (0, 1]")
-        self.core.validate()
         self.cache.validate()
         self.memory.validate()
         self.bmo_latencies.validate()
@@ -402,17 +388,6 @@ class SystemConfig:
     def replace(self, **kwargs) -> "SystemConfig":
         """Return a deep-ish copy with top-level fields replaced."""
         return dataclasses.replace(self, **kwargs)
-
-    def describe(self) -> Dict[str, str]:
-        """Human-readable key facts (printed by bench headers)."""
-        return {
-            "cores": str(self.cores),
-            "mode": self.mode,
-            "bmos": "+".join(self.bmos),
-            "dedup": f"{self.dedup.algorithm}@{self.dedup.target_ratio}",
-            "janus_units": str(self.janus.scaled("bmo_units")),
-            "irb_entries": str(self.janus.scaled("irb_entries")),
-        }
 
 
 def default_config(**overrides) -> SystemConfig:

@@ -14,7 +14,7 @@ The full contract is documented in ``docs/sharding.md``.
 
 import itertools
 import weakref
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.bmo.dedup import DedupTable
 from repro.bmo.executor import BmoExecutor
@@ -28,7 +28,7 @@ from repro.janus.api import JanusInterface
 from repro.janus.engine import JanusEngine
 from repro.mem.cache import CacheModel
 from repro.mem.heap import NvmHeap
-from repro.mem.memory import FunctionalMemory, VolatileView
+from repro.mem.memory import FunctionalMemory
 from repro.mem.nvm_device import NvmDevice
 from repro.mem.shard import ShardRouter
 from repro.mem.write_queue import WriteEntry, WriteQueue
@@ -426,7 +426,7 @@ class NvmSystem:
         self.tracer = tracer if tracer is not None else Tracer()
         capacity = config.memory.capacity_bytes
         self.nvm = FunctionalMemory(capacity)
-        self.volatile = VolatileView(capacity)
+        self.volatile = FunctionalMemory(capacity)
         #: Shard address map (identity at ``shards=1``).
         self.router = ShardRouter.from_config(config)
         # Per-shard devices and write queues.  ``memory.channels`` is
@@ -666,10 +666,5 @@ class NvmSystem:
             self.txn_coordinator)
         if scheduling is not None:
             snapshot["metadata"]["scheduling"] = scheduling
-        self.volatile = VolatileView(self.cfg.memory.capacity_bytes)
+        self.volatile = FunctionalMemory(self.cfg.memory.capacity_bytes)
         return snapshot
-
-    def describe(self) -> Dict[str, str]:
-        info = self.cfg.describe()
-        info["serial_bmo_ns"] = f"{self.pipeline.serial_latency():.0f}"
-        return info

@@ -11,8 +11,8 @@ evidence, not flaky noise.
 * :class:`~repro.faults.plan.FaultSpec` / ``FaultPlan`` describe
   *what* to inject and *when* (on the Nth eligible event);
 * :class:`~repro.faults.injector.FaultInjector` is the hook layer the
-  machine calls from the device, write queue, Janus engine, and crash
-  path;
+  machine calls from the write queue, Janus engine, resilient-read
+  path, and crash path;
 * :class:`~repro.faults.degraded.DegradedModeManager` is the
   graceful-degradation policy: bounded retry with deterministic
   sim-time exponential backoff (:class:`~repro.faults.degraded.

@@ -1,12 +1,11 @@
 """The fault-injection hook layer.
 
 One :class:`FaultInjector` attaches to one
-:class:`~repro.core.machine.NvmSystem` and is called from four sites:
+:class:`~repro.core.machine.NvmSystem` and is called from these sites:
 
-* ``on_device_read(addr)`` — NVM device read timing path (event
-  counting for transient-read faults; the corruption itself is
-  applied by :meth:`filter_read` on the resilient-read data path,
-  since the timing model carries no data);
+* ``filter_read(addr, data)`` — the resilient-read data path
+  (degraded-mode reads and the recovery reader): the Nth filtered
+  read returns a transiently corrupted copy;
 * ``on_device_write(entry)`` — after a write-queue drain (or ADR
   flush) lands bytes in functional NVM: one-shot bit flips and
   stuck-at cells mutate the stored line *after* the write, exactly
@@ -74,8 +73,6 @@ class FaultInjector:
         self.injected: List[Dict] = []
         #: line addr -> [(bit, stuck value)] for stuck-at cells.
         self._stuck: Dict[int, List[Tuple[int, int]]] = {}
-        #: line addr -> bits armed for one transient read corruption.
-        self._transient_armed: Dict[int, Tuple[int, ...]] = {}
         self.stats = None
         self.tracer = None
 
@@ -86,10 +83,8 @@ class FaultInjector:
         self.stats = system.metrics.scope("faults")
         self.tracer = system.tracer
         self._c_injected = self.stats.counter("injected")
-        # Every shard's device / queue / engine reports here (one list
-        # each on the unsharded machine).
-        for device in system.devices:
-            device.injector = self
+        # Every shard's queue / engine reports here (one list each on
+        # the unsharded machine).
         for write_queue in system.write_queues:
             write_queue.injector = self
         for engine in system.janus_engines:
@@ -162,39 +157,21 @@ class FaultInjector:
                                    value=value)
             nvm.write_line(entry.addr, line)
 
-    # -- media: device reads -------------------------------------------------
-    def on_device_read(self, addr: int) -> None:
-        """Timing-path read: counts events and arms transient faults."""
-        count = self._bump("device_read")
-        for spec in self.plan.by_kind("media_read_transient"):
-            if spec.after_n == count \
-                    and self._eligible(spec, addr=addr):
-                self._transient_armed[addr] = spec.bits
-
+    # -- media: resilient reads ---------------------------------------------
     def filter_read(self, addr: int, data: bytes) -> bytes:
         """Resilient-read data path: corrupt one returned copy.
 
         Transient faults are one-shot — the stored line is clean, so
-        the :class:`DegradedModeManager`'s retry succeeds.  Fires
-        either because :meth:`on_device_read` armed this address or
-        on the Nth filtered read.
+        the :class:`DegradedModeManager`'s retry succeeds.  A
+        ``media_read_transient`` spec fires on the Nth filtered read.
         """
         count = self._bump("filtered_read")
-        fired = None
-        bits = self._transient_armed.pop(addr, None)
-        if bits is not None:
-            specs = self.plan.by_kind("media_read_transient")
-            fired = specs[0] if specs else None
-        else:
-            for spec in self.plan.by_kind("media_read_transient"):
-                if spec.after_n == count \
-                        and self._eligible(spec, addr=addr):
-                    fired, bits = spec, spec.bits
-                    break
-        if fired is None or bits is None:
-            return data
-        self._fire(fired, addr=addr, bits=list(bits))
-        return _apply_bits(data, bits)
+        for spec in self.plan.by_kind("media_read_transient"):
+            if spec.after_n == count \
+                    and self._eligible(spec, addr=addr):
+                self._fire(spec, addr=addr, bits=list(spec.bits))
+                return _apply_bits(data, spec.bits)
+        return data
 
     # -- IRB ---------------------------------------------------------------
     def on_irb_complete(self, entry) -> None:

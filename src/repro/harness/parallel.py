@@ -1,7 +1,7 @@
 """Parallel sweep executor: shard independent simulation points.
 
-Every figure sweep, the crash-point campaign, and the bench harness
-run *sealed* simulation points: a point is fully determined by its
+Every figure sweep and the crash, soak and fuzz campaigns run
+*sealed* simulation points: a point is fully determined by its
 arguments (workload, mode, seed, config), shares no state with its
 neighbours, and produces a picklable result.  This module is the one
 backend that runs such point sets — inline in this process, or
@@ -368,18 +368,6 @@ class ParallelExecutor:
                         f"WorkerDied: exit code {proc.exitcode} "
                         "before sending a result")
         return [r for r in results if r is not None]
-
-
-def sweep(tasks: Sequence[SweepTask], jobs: Optional[int] = None,
-          timeout_s: Optional[float] = None,
-          retries: int = DEFAULT_RETRIES,
-          metrics: Optional[MetricsRegistry] = None,
-          progress: Optional[Callable[[int, int, int], None]] = None
-          ) -> List[TaskResult]:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    return ParallelExecutor(jobs=jobs, timeout_s=timeout_s,
-                            retries=retries, metrics=metrics,
-                            progress=progress).map(tasks)
 
 
 def progress_line(label: str, stream=None) -> Callable[[int, int, int],

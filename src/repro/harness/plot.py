@@ -7,7 +7,7 @@ workload, one bar per series — so a terminal run reads like the
 figure.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def bar_chart(title: str,
@@ -67,12 +67,6 @@ def fig11_chart(data: Dict[str, Dict[str, float]]) -> str:
               for workload, series in data.items()}
     return bar_chart(
         "Fig. 11 (bars): instrumentation variants", groups)
-
-
-def series_chart(title: str, series: Dict[str, Dict],
-                 unit: str = "x") -> str:
-    """Generic one-level chart: {label: value}."""
-    return bar_chart(title, {"": series}, unit=unit)
 
 
 def save_chart(text: str, path) -> str:

@@ -6,10 +6,9 @@ created with ``parents=True`` — a missing ``results/`` directory is
 not an error, so the harness works from any working directory, not
 just a repo checkout.
 
-The crashtest, soak and fuzz reports, profile reports, bench
-trajectories and the ``repro run --digest`` artifact are all written
-by :func:`write_json`, in the one canonical form of
-:func:`render_json`.
+The crashtest, soak and fuzz reports, profile reports and the
+``repro run --digest`` artifact are all written by
+:func:`write_json`, in the one canonical form of :func:`render_json`.
 """
 
 import json

@@ -26,8 +26,6 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import Histogram
-
 
 @dataclass
 class WriteRecord:
@@ -111,12 +109,6 @@ class WriteTracer:
             "persist": sum(r.persist_ns for r in self.records) / n,
             "total": sum(r.total_ns for r in self.records) / n,
         }
-
-    def bmo_histogram(self) -> Histogram:
-        hist = Histogram("bmo_ns")
-        for record in self.records:
-            hist.observe(record.bmo_ns)
-        return hist
 
     def zero_bmo_fraction(self) -> float:
         """Writes whose BMO time was (near-)zero — the fully

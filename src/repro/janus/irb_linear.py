@@ -3,14 +3,18 @@
 This is the O(n)-per-operation buffer the indexed
 :class:`repro.janus.irb.IntermediateResultBuffer` replaced, kept with
 *identical observable semantics* (including the documented
-"address match wins, most-recently-created breaks ties" rule) for two
-purposes:
+"address match wins, most-recently-created breaks ties" rule) for
+three purposes:
 
 * the equivalence property test (``tests/test_irb_equivalence.py``)
   drives both implementations with the same randomized operation
   sequence and asserts identical behavior;
-* the ``repro bench`` IRB microbenchmark measures the indexed
-  implementation's speedup over this baseline at high occupancy.
+* ``repro fuzz``'s IRB lockstep
+  (:class:`repro.validate.oracles.IrbLockstep`) runs it beside the
+  indexed buffer on every fuzzed trace;
+* the speed-floor test (``tests/test_irb_speed.py``) checks that the
+  indexed implementation stays at least 2x faster than this baseline
+  at high occupancy.
 
 It is **not** used on any simulation path.
 """

@@ -217,9 +217,6 @@ class PreExecOperationQueue:
     def dropped(self) -> int:
         return self._store.dropped
 
-    def push(self, op: PreExecOperation) -> bool:
-        return self._store.put(op)
-
     def get(self):
         return self._store.get()
 

@@ -3,11 +3,13 @@
 Two parallel views of memory exist, mirroring a real encrypted NVM
 system:
 
-* the **volatile view** (:class:`VolatileView`) — the plaintext bytes
-  the program reads and writes through the cache hierarchy;
-* the **persistent NVM** (:class:`FunctionalMemory`) — the bytes that
+* the **volatile view** (``NvmSystem.volatile``) — the plaintext
+  bytes the program reads and writes through the cache hierarchy;
+* the **persistent NVM** (``NvmSystem.nvm``) — the bytes that
   actually live on the device, which with encryption enabled are
   ciphertext, written only by the memory controller after the BMOs.
+
+Both are :class:`FunctionalMemory` stores.
 
 Crash tests drop the volatile view and reconstruct program state from
 the persistent side through the BMO metadata, which is what makes the
@@ -16,7 +18,7 @@ crash-consistency guarantees testable rather than assumed.
 
 from repro.mem.cache import CacheModel
 from repro.mem.heap import NvmHeap
-from repro.mem.memory import FunctionalMemory, VolatileView
+from repro.mem.memory import FunctionalMemory
 from repro.mem.nvm_device import NvmDevice
 from repro.mem.shard import ShardRouter
 from repro.mem.write_queue import WriteQueue
@@ -27,6 +29,5 @@ __all__ = [
     "NvmDevice",
     "NvmHeap",
     "ShardRouter",
-    "VolatileView",
     "WriteQueue",
 ]

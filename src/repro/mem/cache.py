@@ -1,7 +1,7 @@
 """Two-level set-associative cache latency model.
 
 The caches here decide *how long* a core-side load/store takes; the
-data itself lives in the :class:`repro.mem.memory.VolatileView`.  This
+data itself lives in the volatile view (``NvmSystem.volatile``).  This
 split keeps the functional state simple while still giving
 lookup-heavy workloads (hash table, RB-tree) realistic traversal
 costs — which matters because their short pre-execution window is one

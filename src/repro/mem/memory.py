@@ -74,12 +74,3 @@ class FunctionalMemory:
     def __len__(self) -> int:
         """Number of distinct lines ever written."""
         return len(self._lines)
-
-
-class VolatileView(FunctionalMemory):
-    """The plaintext view the program manipulates (caches + registers).
-
-    Functionally identical to :class:`FunctionalMemory`; kept as a
-    distinct type so call sites make clear which domain they touch.
-    A crash discards this object.
-    """

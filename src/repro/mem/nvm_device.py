@@ -1,22 +1,25 @@
 """NVM device timing: channels as queuing servers.
 
-A channel is busy for ``read_service_ns`` / ``write_service_ns`` per
-64 B access (PCM-class timings; Table 3 uses a 533 MHz PCM with long
-tWR).  With several cores issuing traffic the channel queue grows and
-memory latency inflates — the contention that makes Janus's relative
+A channel is busy for ``write_service_ns`` per 64 B line write
+(PCM-class timings; Table 3 uses a 533 MHz PCM with long tWR).  With
+several cores issuing traffic the channel queue grows and write-queue
+drains slow down — the contention that makes Janus's relative
 benefit shrink at 8 cores (paper §5.2.1, trend 1).
+
+Only writes reach a channel: the write queue drains through
+:meth:`NvmDevice.write_access`.  Core loads are timed by
+``Core._access_latency``, which charges ``read_service_ns`` on a
+cache miss (plus the controller's decrypt penalty) without occupying
+a channel.
 
 In the sharded machine (``SystemConfig.shards > 1``) each memory
 controller owns one ``NvmDevice`` fronting its own channel group —
 ``MemoryConfig.channels`` is per controller, as in real DDR-T/NVDIMM
 topologies, so shard count multiplies total channel parallelism
 (``shards=1`` keeps the classic single device, bit for bit).
-Per-channel bandwidth and queueing accounting
-(:meth:`channel_statistics`) lives in plain attributes, not the
-metrics registry, so enabling it costs no snapshot bytes.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.config import MemoryConfig
 from repro.obs.metrics import MetricsScope
@@ -54,72 +57,23 @@ class NvmDevice:
                      if shard_id else f"nvm-ch{i}")
             for i in range(n_channels)
         ]
-        self.reads = 0
         self.writes = 0
         #: line address -> number of device writes (cell wear).
         self.write_counts: Dict[int, int] = {}
-        # Per-channel queueing/bandwidth accounting (plain Python, so
-        # the metrics snapshot stays identical whether or not anyone
-        # reads it): accesses completed, time spent waiting for the
-        # channel, and busy (service) time per channel.
-        self._ch_accesses: List[int] = [0] * n_channels
-        self._ch_wait_ns: List[float] = [0.0] * n_channels
-        self._ch_busy_ns: List[float] = [0.0] * n_channels
         self.stats = stats if stats is not None else MetricsScope("nvm")
-        #: Optional ``repro.faults.FaultInjector`` (set by ``attach``).
-        #: Read-side media faults are armed here on the timing path;
-        #: write-side corruption applies where the functional bytes
-        #: land (the write-queue drain / ADR flush).
-        self.injector = None
-
-    def _count(self, name: str) -> None:
-        self.stats.counter(name).add()
 
     def _channel_index(self, addr: int) -> int:
         if self._local_addr is not None:
             addr = self._local_addr(addr)
         return (addr // 64) % len(self._channels)
 
-    def _channel_for(self, addr: int) -> Resource:
-        return self._channels[self._channel_index(addr)]
-
-    def _access(self, addr: int, service_ns: float):
-        """Process: acquire the line's channel, serve, and account.
-
-        Event-for-event identical to ``Resource.use`` — the wait/busy
-        bookkeeping happens between existing yields, never adding one.
-        """
-        index = self._channel_index(addr)
-        channel = self._channels[index]
-        arrival = self.sim.now
-        grant = channel.acquire()
-        try:
-            yield grant
-        except BaseException:
-            channel.cancel(grant)
-            raise
-        self._ch_accesses[index] += 1
-        self._ch_wait_ns[index] += self.sim.now - arrival
-        self._ch_busy_ns[index] += service_ns
-        try:
-            yield self.sim.delay(service_ns)
-        finally:
-            channel.release()
-
-    def read_access(self, addr: int):
-        """Process: occupy the channel for one line read."""
-        self.reads += 1
-        self._count("reads")
-        if self.injector is not None:
-            self.injector.on_device_read(addr)
-        yield from self._access(addr, self.cfg.read_service_ns)
-
     def write_access(self, addr: int):
-        """Process: occupy the channel for one line write."""
+        """Process: occupy the line's channel for one line write."""
         self.writes += 1
-        self._count("writes")
+        self.stats.counter("writes").add()
         self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
-        yield from self._access(addr, self.cfg.write_service_ns)
+        channel = self._channels[self._channel_index(addr)]
+        yield from channel.use(self.cfg.write_service_ns)
 
     def wear_statistics(self) -> Dict[str, float]:
         """Summary of the per-line wear distribution."""
@@ -136,32 +90,3 @@ class NvmDevice:
             # factor wear-leveling is meant to pull down.
             "imbalance": worst / mean if mean else 0.0,
         }
-
-    def channel_statistics(self) -> List[Dict[str, float]]:
-        """Per-channel queueing/bandwidth summary, in channel order.
-
-        ``accesses`` / ``busy_ns`` measure delivered bandwidth (64 B
-        per access over busy time); ``mean_wait_ns`` and the live
-        ``queue_length`` expose queueing pressure per channel.
-        """
-        out = []
-        for index, channel in enumerate(self._channels):
-            accesses = self._ch_accesses[index]
-            out.append({
-                "channel": index,
-                "accesses": accesses,
-                "busy_ns": self._ch_busy_ns[index],
-                "wait_ns": self._ch_wait_ns[index],
-                "mean_wait_ns": self._ch_wait_ns[index] / accesses
-                if accesses else 0.0,
-                "utilisation": channel.utilisation(),
-                "queue_length": channel.queue_length,
-            })
-        return out
-
-    def utilisation(self) -> float:
-        """Mean utilisation across channels."""
-        if not self._channels:
-            return 0.0
-        return sum(c.utilisation() for c in self._channels) \
-            / len(self._channels)

@@ -137,10 +137,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @property
-    def keeps_samples(self) -> bool:
-        return self._samples is not None
-
     def percentile(self, p: float) -> Optional[float]:
         """Linear-interpolated percentile over the retained reservoir.
 
@@ -295,9 +291,6 @@ class MetricsRegistry:
         scope.registry = weakref.proxy(self)
         self._scopes[name] = scope
         return scope
-
-    def scopes(self) -> Dict[str, MetricsScope]:
-        return dict(self._scopes)
 
     # -- flat views -----------------------------------------------------
     def as_flat_dict(self) -> Dict[str, float]:

@@ -315,8 +315,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0
         #: Callbacks dispatched so far (one per resumed process step,
-        #: event dispatch, or fired timeout) — the denominator of the
-        #: bench harness's events/sec throughput metric.
+        #: event dispatch, or fired timeout).
         self.events: int = 0
         #: Optional :class:`repro.obs.profile.SimProfiler`.  Attach by
         #: assignment before :meth:`run`; it times every callback.

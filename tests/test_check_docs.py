@@ -37,7 +37,7 @@ class TestRealRepoDocs:
                 "architecture.md"} <= files
 
     def test_cli_subcommands_read_from_argparse(self):
-        assert {"run", "figure", "crashtest", "bench"} <= SUBCOMMANDS
+        assert {"run", "figure", "crashtest"} <= SUBCOMMANDS
 
 
 class TestNegativeFixtures:

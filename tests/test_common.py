@@ -93,11 +93,6 @@ class TestConfig:
         other = cfg.replace(cores=4)
         assert other.cores == 4 and cfg.cores == 1
 
-    def test_describe_mentions_mode_and_bmos(self):
-        info = default_config().describe()
-        assert info["mode"] == "janus"
-        assert "dedup" in info["bmos"]
-
 
 class TestShardingValidation:
     """Construction-time sharding checks (mirrors FaultPlanError:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
-from repro.mem import FunctionalMemory, VolatileView
+from repro.mem import FunctionalMemory
 
 
 def make_mem(capacity=4096):
@@ -84,7 +84,7 @@ def test_capacity_must_be_line_multiple():
 
 def test_volatile_view_is_independent_store():
     nvm = make_mem()
-    view = VolatileView(4096)
+    view = make_mem()
     view.write(0, b"plain")
     assert nvm.read(0, 5) == bytes(5)
 

@@ -1,0 +1,144 @@
+"""``benchmarks/perf/record.py``: the trajectory recorder and perf gate.
+
+The recorder is a standalone script (standard library only), so it is
+loaded by path.  These tests pin its pure parts: the parser for one
+perfbench run, the baseline picker, and the gate's rules.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "perf_record", REPO_ROOT / "benchmarks" / "perf" / "record.py")
+record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(record)
+
+SPEC = {
+    "workloads": [{"name": "w"}],
+    "end_to_end": [
+        {"name": "ops_per_s", "unit": "op/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "op_ms_p50", "unit": "ms", "better": "lower",
+         "bound": 0.25},
+    ],
+}
+
+CANNED_STDOUT = """\
+ops_per_s                                         588.258 op/s
+op_ms_p50                                          1.7424 ms
+op_ms_tail.percentile                                  50 %
+host_slowdown                                    0.917499 x reference
+failed_frac                                             0 ratio
+{"correct": true, "attempted": 588, "failed": 0, "metrics": \
+{"ops_per_s": {"value": 588.25, "unit": "op/s"}, \
+"op_ms_p50": {"value": 1.74, "unit": "ms"}}}
+"""
+
+
+def run_result(ops_per_s=100.0, op_ms_p50=10.0, correct=True, failed=0):
+    return {"correct": correct, "attempted": 50, "failed": failed,
+            "host_slowdown": 1.0,
+            "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "op/s"},
+                        "op_ms_p50": {"value": op_ms_p50, "unit": "ms"}}}
+
+
+def baseline(**kwargs):
+    return {"schema": record.SCHEMA,
+            "workloads": {"w": {"trace0": run_result(**kwargs)}}}
+
+
+def failures(current):
+    checks = record.gate(SPEC, baseline(), {"w": current})
+    return [line for ok, line in checks if not ok]
+
+
+class TestParseOutput:
+    def test_reads_json_last_line_and_host_slowdown(self):
+        result = record.parse_output(CANNED_STDOUT)
+        assert result["correct"] is True
+        assert (result["attempted"], result["failed"]) == (588, 0)
+        assert result["metrics"]["ops_per_s"]["value"] == 588.25
+        assert result["host_slowdown"] == pytest.approx(0.917499)
+
+    def test_traced_run_has_no_host_slowdown(self):
+        traced = "\n".join(line for line in CANNED_STDOUT.splitlines()
+                           if not line.startswith("host_slowdown"))
+        assert record.parse_output(traced)["host_slowdown"] is None
+
+
+class TestGateRule:
+    def test_higher_is_better_bound(self):
+        # ops_per_s 100 at baseline, bound 25%.
+        assert failures(run_result(ops_per_s=76.0)) == []
+        assert failures(run_result(ops_per_s=1000.0)) == []
+        [line] = failures(run_result(ops_per_s=74.0))
+        assert "ops_per_s" in line and "+26.0% worse" in line
+
+    def test_lower_is_better_bound(self):
+        # op_ms_p50 10 ms at baseline, bound 25%.
+        assert failures(run_result(op_ms_p50=12.4)) == []
+        assert failures(run_result(op_ms_p50=1.0)) == []
+        [line] = failures(run_result(op_ms_p50=12.6))
+        assert "op_ms_p50" in line and "+26.0% worse" in line
+
+    def test_incorrect_run_fails(self):
+        [line] = failures(run_result(correct=False))
+        assert line == "w: correct False"
+
+    def test_more_failed_ops_than_baseline_fails(self):
+        [line] = failures(run_result(failed=1))
+        assert line.startswith("w: failed 1 of 50 ops")
+
+    def test_every_check_prints_a_line(self):
+        checks = record.gate(SPEC, baseline(), {"w": run_result()})
+        # correct, failed ops, one per end-to-end metric
+        assert len(checks) == 2 + len(SPEC["end_to_end"])
+        assert all(ok for ok, _ in checks)
+
+    def test_workload_missing_from_baseline_fails(self):
+        spec = dict(SPEC, workloads=[{"name": "w"}, {"name": "new"}])
+        checks = record.gate(spec, baseline(),
+                             {"w": run_result(), "new": run_result()})
+        assert (False, "new: not in the baseline") in checks
+
+
+class TestBaselinePicker:
+    def test_newest_v2_file_wins_and_v1_files_are_skipped(self, tmp_path):
+        files = {"BENCH_2026-01-01.json": record.SCHEMA,
+                 "BENCH_2026-02-01.json": record.SCHEMA,
+                 "BENCH_2026-03-01.json": "repro-bench-v1"}
+        for name, schema in files.items():
+            (tmp_path / name).write_text(json.dumps({"schema": schema}))
+        path, report = record.newest_baseline(str(tmp_path))
+        assert Path(path).name == "BENCH_2026-02-01.json"
+        assert report["schema"] == record.SCHEMA
+
+    def test_only_v1_files_means_no_baseline(self, tmp_path):
+        (tmp_path / "BENCH_2026-01-01.json").write_text(
+            json.dumps({"schema": "repro-bench-v1"}))
+        assert record.newest_baseline(str(tmp_path)) == (None, None)
+
+    def test_committed_trajectory_has_a_complete_v2_baseline(self):
+        """The gate's baseline covers every benchmark workload with a
+        correct run at both trace settings."""
+        spec = record.load_spec()
+        path, report = record.newest_baseline()
+        assert path is not None
+        meta = report["meta"]
+        assert meta["seed"] == record.SEED
+        assert meta["run_seconds"] == spec["run_seconds"]
+        assert meta["git_head"] and meta["python"]
+        for workload in spec["workloads"]:
+            runs = report["workloads"][workload["name"]]
+            assert set(runs) == {"trace0", "trace1"}
+            for result in runs.values():
+                assert result["correct"] and result["failed"] == 0
+            assert runs["trace0"]["host_slowdown"] > 0
+            assert {m["name"] for m in spec["end_to_end"]} \
+                <= set(runs["trace0"]["metrics"])
+            assert {m["name"] for m in spec["per_layer"]} \
+                <= set(runs["trace1"]["metrics"])
