@@ -7,8 +7,8 @@ Commands
     List the reproducible tables/figures.
 ``figure <name> [--scale S]``
     Regenerate one table/figure and print it (e.g. ``figure fig9``).
-``run <workload> [--mode M] [--variant V] [--cores N] [--txns T]
-     [--trace T.json] [--stats S.json]``
+``run <workload> [point flags] [--shards N] [--trace T.json]
+     [--stats S.json]``
     Simulate one design point and print timing + stats.  ``--trace``
     writes a Chrome trace-event (Perfetto) timeline of the run;
     ``--stats`` writes a full metrics snapshot.
@@ -20,10 +20,11 @@ Commands
     Show the instrumentation plan (and the §6 window estimate).
 ``misuse <workload>``
     Run the workload under Janus and print the misuse report.
-``scrub <workload> [--crash-at T] [--faults K,K,...] [--seed S]``
-    Run a workload, pull the plug, recover, and print the recovery
-    summary plus the :class:`ScrubReport` — optionally with seeded
-    faults injected (see ``repro.faults.FAULT_KINDS``).
+``scrub <workload> [point flags] [--crash-at T] [--faults K,K,...]
+       [--seed S]``
+    Run a workload on every core, pull the plug, recover, and print
+    the recovery summary plus the :class:`ScrubReport` — optionally
+    with seeded faults injected (see ``repro.faults.FAULT_KINDS``).
 ``crashtest [--quick] [--points N] [--workloads W,W] [--modes M,M]``
     The crash-point campaign: sweep seeded crash points per workload
     and mode, recover + scrub each, run the fault-class scenarios,
@@ -43,7 +44,7 @@ Commands
     kernels, all run under the invariant checkers and differential
     oracles.  Failures are delta-debugged to minimal repros in
     ``results/FUZZ_<date>/``; ``--replay`` re-runs one repro file.
-``profile <workload> [--mode M] [--quick] [--out P.json]
+``profile <workload> [point flags] [--quick] [--out P.json]
         [--folded P.folded] [--top N]``
     Deterministic simulation profiler (:mod:`repro.obs.profile`):
     runs one design point with dispatch + span instrumentation and
@@ -54,11 +55,16 @@ Commands
     Plot one metric from a ``--timeseries`` JSONL file as an ASCII
     chart; with no ``--metric``, list the sampled metrics.
 
-``run`` and ``profile`` accept ``--timeseries N`` (snapshot all
-metrics every N sim-ns into ``--timeseries-out``, byte-deterministic
-at any job count) and — like ``scrub``, ``crashtest``, and ``fuzz``
-— ``--log PATH`` (or ``$REPRO_LOG``) for a structured JSONL run log
-(:mod:`repro.obs.log`).
+The point flags of ``run``, ``profile`` and ``scrub`` are one group
+(``--txns --items --value-size --mode --variant --cores
+--staleness-epochs --epoch-writes``), turned into the arguments of
+:func:`repro.harness.crash_campaign.build`, the one builder of a
+design point; ``compare`` and ``misuse`` take its workload and size
+flags.  ``run`` and ``profile`` accept ``--timeseries N`` (snapshot
+all metrics every N sim-ns into ``--timeseries-out``, byte-identical
+across repeat runs) and — like ``scrub``, ``crashtest``, and
+``fuzz`` — ``--log PATH`` (or ``$REPRO_LOG``) for a structured JSONL
+run log (:mod:`repro.obs.log`).
 
 The sweep commands (``figure``, ``crashtest``, ``soak``, ``fuzz``)
 accept ``--jobs N`` to shard their independent simulation points
@@ -71,8 +77,8 @@ import json
 import os
 import sys
 
-from repro.common.config import ShardingError, SystemConfig, \
-    default_config
+from repro.common.config import SchedulingConfig, ShardingError, \
+    SystemConfig, default_config
 from repro.harness import experiments
 from repro.harness.report import RESULTS_DIR, ReportOverwriteError, \
     Table, dated_path, ensure_parent, write_json, write_report_text
@@ -191,6 +197,58 @@ def _add_timeseries_args(parser) -> None:
              "(default timeseries.jsonl; plot with `repro chart`)")
 
 
+def _add_workload_args(parser) -> None:
+    """The workload and its size: every command that runs one."""
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--txns", type=int, default=24)
+    parser.add_argument("--items", type=int, default=32)
+    parser.add_argument("--value-size", type=int, default=64)
+
+
+def _add_point_args(parser) -> None:
+    """The design-point flags ``run``, ``profile`` and ``scrub``
+    share; :func:`_point_kwargs` turns them into builder arguments."""
+    _add_workload_args(parser)
+    parser.add_argument("--mode", default="janus",
+                        choices=SystemConfig.MODES,
+                        help="write-path scheduling mode; the per-mode "
+                             "durability contract is "
+                             "docs/scheduling-modes.md")
+    parser.add_argument("--variant", default=None,
+                        choices=("baseline", "manual", "auto"))
+    parser.add_argument("--cores", type=int, default=1)
+    parser.add_argument("--staleness-epochs", type=int, default=None,
+                        metavar="N",
+                        help="async-epoch only: max closed epochs "
+                             "awaiting flush before writebacks stall "
+                             "(default 2)")
+    parser.add_argument("--epoch-writes", type=int, default=None,
+                        metavar="N",
+                        help="async-epoch only: buffered writes per "
+                             "epoch (default 32)")
+
+
+def _params(args) -> WorkloadParams:
+    return WorkloadParams(n_items=args.items,
+                          value_size=args.value_size,
+                          n_transactions=args.txns)
+
+
+def _point_kwargs(args) -> dict:
+    """The :func:`_add_point_args` flags as keyword arguments of
+    :func:`repro.harness.crash_campaign.build` (and ``run_point``)."""
+    kwargs = dict(mode=args.mode, variant=args.variant,
+                  cores=args.cores, params=_params(args))
+    if args.staleness_epochs is not None or args.epoch_writes is not None:
+        sched = SchedulingConfig()
+        if args.staleness_epochs is not None:
+            sched.staleness_epochs = args.staleness_epochs
+        if args.epoch_writes is not None:
+            sched.epoch_writes = args.epoch_writes
+        kwargs["scheduling"] = sched
+    return kwargs
+
+
 def _progress_for(args, label):
     """A live progress callback when the sweep will actually fan out;
     ``None`` otherwise (inline runs stay silent on stderr)."""
@@ -229,32 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "rejected for other figures")
     _add_jobs_arg(figure)
 
-    def add_workload_args(p, modes=True):
-        p.add_argument("workload", choices=sorted(WORKLOADS))
-        p.add_argument("--txns", type=int, default=24)
-        p.add_argument("--items", type=int, default=32)
-        p.add_argument("--value-size", type=int, default=64)
-        if modes:
-            p.add_argument("--mode", default="janus",
-                           choices=SystemConfig.MODES,
-                           help="write-path scheduling mode; the "
-                                "per-mode durability contract is "
-                                "docs/scheduling-modes.md")
-            p.add_argument("--variant", default=None,
-                           choices=("baseline", "manual", "auto"))
-            p.add_argument("--cores", type=int, default=1)
-            p.add_argument("--staleness-epochs", type=int,
-                           default=None, metavar="N",
-                           help="async-epoch only: max closed epochs "
-                                "awaiting flush before writebacks "
-                                "stall (default 2)")
-            p.add_argument("--epoch-writes", type=int, default=None,
-                           metavar="N",
-                           help="async-epoch only: buffered writes "
-                                "per epoch (default 32)")
-
     run = sub.add_parser("run", help="simulate one design point")
-    add_workload_args(run)
+    _add_point_args(run)
     _add_shards_arg(run)
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="write a Perfetto-loadable Chrome trace-event"
@@ -274,16 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prom", metavar="PATH", default=None,
                      help="write the final metrics snapshot in "
                           "Prometheus text exposition format")
-    run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="accepted for interface uniformity with the "
-                          "sweep commands; a single design point "
-                          "always runs inline")
     _add_timeseries_args(run)
     _add_log_arg(run)
 
     profile = sub.add_parser(
         "profile", help="deterministic simulation profiler")
-    add_workload_args(profile)
+    _add_point_args(profile)
     profile.add_argument("--quick", action="store_true",
                          help="CI-sized run (caps --txns at 8)")
     profile.add_argument("--out", metavar="PATH", default=None,
@@ -294,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "flamegraph.pl format)")
     profile.add_argument("--top", type=int, default=12, metavar="N",
                          help="rows per hotspot table (default 12)")
-    profile.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="accepted for interface uniformity; a "
-                              "profiled point always runs inline")
     _add_timeseries_args(profile)
     _add_log_arg(profile)
 
@@ -317,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare",
                              help="all four design points")
-    add_workload_args(compare, modes=False)
+    _add_workload_args(compare)
 
     plan = sub.add_parser("plan", help="show instrumentation plan")
     plan.add_argument("workload", choices=sorted(WORKLOADS))
@@ -325,13 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("manual", "auto"))
 
     misuse = sub.add_parser("misuse", help="misuse report for a run")
-    add_workload_args(misuse, modes=False)
+    _add_workload_args(misuse)
     misuse.add_argument("--variant", default="manual",
                         choices=("manual", "auto"))
 
     scrub = sub.add_parser(
         "scrub", help="crash, recover, and scrub one workload")
-    add_workload_args(scrub)
+    _add_point_args(scrub)
     scrub.add_argument("--crash-at", type=float, default=None,
                        metavar="NS",
                        help="power-failure time in ns (default: 60%% "
@@ -390,26 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args) -> WorkloadParams:
-    return WorkloadParams(n_items=args.items,
-                          value_size=args.value_size,
-                          n_transactions=args.txns)
-
-
-def _scheduling_overrides(args) -> dict:
-    """Config overrides for the relaxed-mode dials, when given."""
-    if getattr(args, "staleness_epochs", None) is None \
-            and getattr(args, "epoch_writes", None) is None:
-        return {}
-    from repro.common.config import SchedulingConfig
-    sched = SchedulingConfig()
-    if args.staleness_epochs is not None:
-        sched.staleness_epochs = args.staleness_epochs
-    if args.epoch_writes is not None:
-        sched.epoch_writes = args.epoch_writes
-    return {"scheduling": sched}
-
-
 def cmd_figures(_args) -> int:
     for name in sorted(FIGURES):
         print(name)
@@ -454,27 +461,30 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _sampler(args):
+    """The ``--timeseries`` sampler of a point command, or ``None``."""
+    if not args.timeseries:
+        return None
+    from repro.obs import TimeSeriesSampler
+    return TimeSeriesSampler(
+        args.timeseries,
+        meta={"workload": args.workload, "mode": args.mode,
+              "cores": args.cores, "txns": args.txns})
+
+
 def cmd_run(args) -> int:
     tracer = None
     if args.trace or args.timeseries:
         from repro.obs import Tracer
         tracer = Tracer(enabled=True)
-    sampler = None
-    if args.timeseries:
-        from repro.obs import TimeSeriesSampler
-        sampler = TimeSeriesSampler(
-            args.timeseries,
-            meta={"workload": args.workload, "mode": args.mode,
-                  "cores": args.cores, "txns": args.txns})
+    sampler = _sampler(args)
     try:
-        result = run_point(args.workload, mode=args.mode,
-                           variant=args.variant, cores=args.cores,
-                           params=_params(args), tracer=tracer,
+        result = run_point(args.workload, tracer=tracer,
                            sampler=sampler,
                            check_invariants=args.check,
                            shards=args.shards,
                            with_digest=args.digest is not None,
-                           **_scheduling_overrides(args))
+                           **_point_kwargs(args))
     except Exception as error:
         from repro.validate import InvariantViolation
         if not isinstance(error, InvariantViolation):
@@ -531,7 +541,6 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     from repro.obs import (
         SimProfiler,
-        TimeSeriesSampler,
         Tracer,
         profile_report,
         render_hotspots,
@@ -541,16 +550,9 @@ def cmd_profile(args) -> int:
         args.txns = min(args.txns, 8)
     tracer = Tracer(enabled=True)
     profiler = SimProfiler()
-    sampler = None
-    if args.timeseries:
-        sampler = TimeSeriesSampler(
-            args.timeseries,
-            meta={"workload": args.workload, "mode": args.mode,
-                  "cores": args.cores, "txns": args.txns})
-    result = run_point(args.workload, mode=args.mode,
-                       variant=args.variant, cores=args.cores,
-                       params=_params(args), tracer=tracer,
-                       profiler=profiler, sampler=sampler)
+    sampler = _sampler(args)
+    result = run_point(args.workload, tracer=tracer, profiler=profiler,
+                       sampler=sampler, **_point_kwargs(args))
     report = profile_report(profiler, tracer, meta={
         "workload": result.workload, "mode": result.mode,
         "variant": result.variant, "cores": result.cores,
@@ -667,27 +669,25 @@ def cmd_plan(args) -> int:
 
 
 def cmd_misuse(args) -> int:
-    from repro.core import NvmSystem
+    from repro.harness.crash_campaign import build
     from repro.janus.misuse import diagnose
-    from repro.workloads import make_workload
 
-    system = NvmSystem(default_config(mode="janus"))
-    workload = make_workload(args.workload, system, system.cores[0],
-                             _params(args), variant=args.variant)
-    system.run_programs([workload.run()])
+    system, workloads = build(args.workload, "janus", _params(args),
+                              variant=args.variant)
+    system.run_programs([w.run() for w in workloads])
     print(diagnose(system).render())
     return 0
 
 
 def cmd_scrub(args) -> int:
     from repro.common.errors import ReproError
-    from repro.consistency import recover, scrub as run_scrub
+    from repro.consistency import scrub as run_scrub
     from repro.faults import (
         DegradedModeManager,
         FaultInjector,
         FaultPlan,
     )
-    from repro.harness.crash_campaign import build
+    from repro.harness.crash_campaign import build, recover_image
 
     injector = None
     if args.faults:
@@ -695,20 +695,18 @@ def cmd_scrub(args) -> int:
                       if k.strip())
         injector = FaultInjector(FaultPlan.seeded(args.seed, kinds))
 
-    params = _params(args)
+    point = _point_kwargs(args)
     crash_at = args.crash_at
     if crash_at is None:
         # Calibrate: a fault-free twin run fixes the time horizon.
-        calib, twin = build(args.workload, args.mode, params, args.seed,
-                            variant=args.variant,
-                            **_scheduling_overrides(args))
-        horizon = calib.run_programs([twin.run()])
+        calib, twins = build(args.workload, seed=args.seed, **point)
+        horizon = calib.run_programs([w.run() for w in twins])
         crash_at = max(1.0, 0.6 * horizon)
 
-    system, workload = build(args.workload, args.mode, params, args.seed,
-                             injector=injector, variant=args.variant,
-                             **_scheduling_overrides(args))
-    system.sim.process(workload.run(), name="stream")
+    system, workloads = build(args.workload, seed=args.seed,
+                              injector=injector, **point)
+    for workload in workloads:
+        system.sim.process(workload.run(), name="stream")
     system.sim.run(until=crash_at)
     snapshot = system.crash()
     print(f"{args.workload} mode={args.mode}: power failure at "
@@ -717,9 +715,7 @@ def cmd_scrub(args) -> int:
         for record in injector.injected:
             print(f"  injected: {record}")
     try:
-        state = recover(snapshot,
-                        [(workload.log.base, workload.log.capacity)],
-                        verify_macs=True)
+        state = recover_image(snapshot, workloads)
         print(f"  recovery: {len(state.committed_txns)} committed, "
               f"{len(state.rolled_back)} rolled back, "
               f"{len(state.media_corrected)} media-corrected, "

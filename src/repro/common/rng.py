@@ -33,11 +33,6 @@ class DeterministicRng:
         digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
-    def randbytes(self, n: int, stream: str = "bytes") -> bytes:
-        """Draw ``n`` random bytes from the named stream (stateless)."""
-        rnd = self.stream(stream)
-        return bytes(rnd.getrandbits(8) for _ in range(n))
-
     def fork(self, name: str) -> "DeterministicRng":
         """Derive a child hierarchy, e.g. one per simulated core."""
         digest = hashlib.sha256(f"{self._seed}/{name}".encode()).digest()

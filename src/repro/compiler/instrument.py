@@ -13,13 +13,11 @@ pass its performance on Queue and RB-Tree.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import InstrumentationError
 from repro.compiler.ir import (
     AddrGen,
     Cond,
     Fence,
     Hook,
-    LogBackup,
     Loop,
     Stmt,
     Store,

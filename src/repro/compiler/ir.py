@@ -26,7 +26,7 @@ carry.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import InstrumentationError
 
@@ -152,34 +152,3 @@ def iter_stmts(body: Sequence[Stmt]):
         elif isinstance(stmt, Cond):
             yield from iter_stmts(stmt.then)
             yield from iter_stmts(stmt.otherwise)
-
-
-def blocking_writebacks(body: Sequence[Stmt]):
-    """Step 1 of the pass: writebacks followed by a fence.
-
-    Returns ``[(writeback, context)]`` where context describes the
-    innermost enclosing construct: ``"top"``, ``"loop"``, or
-    ``"cond"``.
-    """
-    found = []
-
-    def walk(stmts: Sequence[Stmt], context: str):
-        pending: List[Writeback] = []
-        for stmt in stmts:
-            if isinstance(stmt, Writeback):
-                pending.append(stmt)
-            elif isinstance(stmt, Fence):
-                for wb in pending:
-                    found.append((wb, context))
-                pending = []
-            elif isinstance(stmt, Loop):
-                walk(stmt.body, "loop")
-            elif isinstance(stmt, Cond):
-                walk(stmt.then, "cond")
-                walk(stmt.otherwise, "cond")
-        # Writebacks with no following fence in this scope are not
-        # blocking here (the fence may be outside; conservative skip
-        # unless at top level where the caller fences eventually).
-
-    walk(body, "top")
-    return found

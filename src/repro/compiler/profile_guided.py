@@ -20,7 +20,7 @@ the static pass must cede, and in practice it converges on the
 hand-written manual plans (asserted by tests).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.compiler.instrument import Directive, InstrumentationPlan

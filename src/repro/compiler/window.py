@@ -13,7 +13,7 @@ cannot cover their work are flagged, matching the runtime
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bmo.base import ExternalInput
 from repro.compiler.instrument import InstrumentationPlan

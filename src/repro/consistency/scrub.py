@@ -17,7 +17,7 @@ and assert the scrubber localises the damage.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.common.errors import UncorrectableMediaError
 from repro.crypto.primitives import mac_of

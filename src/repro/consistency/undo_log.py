@@ -22,7 +22,7 @@ record are rolled back oldest-record-last.
 
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import RecoveryError, SimulationError
 from repro.common.units import CACHE_LINE_BYTES, align_up

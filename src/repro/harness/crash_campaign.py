@@ -38,17 +38,23 @@ and assembles the report in sweep order — the bytes are identical at
 any job count.
 
 The crash step (:func:`build`, :func:`trajectory`,
-:func:`run_to_accept`, :func:`recovery_fields`, :func:`account`) and
-the report close-out live here once: the soak campaign, the
-differential oracles and ``repro scrub`` call the same functions, and
-every report is written by :func:`repro.harness.report.write_json`.
+:func:`run_to_accept`, :func:`recover_image`, :func:`recovery_fields`,
+:func:`account`) and the report close-out live here once: the soak
+campaign, the differential oracles and ``repro scrub`` call the same
+functions, and every report is written by
+:func:`repro.harness.report.write_json`.  :func:`build` is also the
+one builder of a design point behind ``run_point`` and the point
+commands.  It stays in this module because ``perfbench/cells.py``
+times the crash step by wrapping this module's ``recover``,
+``scrub``, ``make_workload`` and ``NvmSystem`` globals, so the crash
+step must keep calling them through those names.
 """
 
 import json
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import default_config
+from repro.common.config import SystemConfig, default_config
 from repro.common.errors import ReproError
 from repro.common.rng import DeterministicRng
 from repro.consistency import recover, scrub
@@ -121,26 +127,42 @@ def quick_config(seed: int = 7) -> CampaignConfig:
 
 
 # -- the crash step ----------------------------------------------------------
-def build(name: str, mode: str, params: WorkloadParams, seed: int,
-          injector: Optional[FaultInjector] = None,
-          variant: Optional[str] = None,
-          bmos: Optional[Sequence[str]] = None, **config_overrides):
-    """A fresh system and ``name``'s workload on its first core.
+def build(name: str, mode: str, params: Optional[WorkloadParams] = None,
+          seed: Optional[int] = None, *, variant: Optional[str] = None,
+          cores: int = 1, config: Optional[SystemConfig] = None,
+          tracer=None, injector: Optional[FaultInjector] = None,
+          bmos: Optional[Sequence[str]] = None, **overrides):
+    """One design point: a fresh system in ``mode`` and one ``name``
+    workload per core.  Returns ``(system, workloads)``.
 
-    ``variant`` defaults to the paper's: hand instrumentation under
-    janus, none elsewhere.  ``config_overrides`` go to
-    :func:`default_config` (``shards``, ``scheduling``, ...).
+    ``variant`` defaults to the paper's: hand instrumentation (§4.4)
+    under janus, none elsewhere.  ``config`` is the base configuration
+    (paper defaults when omitted); ``seed``, ``bmos`` and
+    ``overrides`` (``shards``, ``scheduling``, ``check_invariants``,
+    ...) replace its top-level fields.
     """
-    if bmos is not None:
-        config_overrides["bmos"] = tuple(bmos)
     if variant is None:
         variant = "manual" if mode == "janus" else "baseline"
-    system = NvmSystem(default_config(mode=mode, seed=seed,
-                                      **config_overrides),
-                       injector=injector)
-    workload = make_workload(name, system, system.cores[0], params,
-                             variant=variant)
-    return system, workload
+    if seed is not None:
+        overrides["seed"] = seed
+    if bmos is not None:
+        overrides["bmos"] = tuple(bmos)
+    base = config if config is not None else default_config()
+    system = NvmSystem(base.replace(mode=mode, cores=cores, **overrides),
+                       tracer=tracer, injector=injector)
+    params = params or WorkloadParams()
+    return system, [make_workload(name, system, core, params,
+                                  variant=variant)
+                    for core in system.cores]
+
+
+def recover_image(snapshot: Dict, workloads, **kwargs):
+    """MAC-verified recovery of a crash ``snapshot``, rolling back
+    every workload's undo log.  ``kwargs`` go to :func:`recover`
+    (``injector``, ``policy``, ``quarantine``)."""
+    return recover(snapshot, [(w.log.base, w.log.capacity)
+                              for w in workloads],
+                   verify_macs=True, **kwargs)
 
 
 def trajectory(system, workload, txns: int):
@@ -155,9 +177,7 @@ def trajectory(system, workload, txns: int):
 
     def driver():
         for _ in range(txns):
-            workload._preobjs = {}
-            yield from workload.transaction()
-            workload.completed_transactions += 1
+            yield from workload.run(1)
             k = system.cores[0].current_txn_id
             digests[k] = workload.logical_digest(system.volatile.read)
 
@@ -176,8 +196,8 @@ def reference_trajectory(name: str, mode: str, params: WorkloadParams,
     streams, so for a fixed seed the trajectory is identical across
     modes — the campaign asserts exactly that.
     """
-    system, workload = build(name, mode, params, seed, bmos=bmos,
-                             shards=shards)
+    system, [workload] = build(name, mode, params, seed, bmos=bmos,
+                               shards=shards)
     return trajectory(system, workload, params.n_transactions)
 
 
@@ -254,9 +274,9 @@ def run_crash_point(name: str, mode: str, params: WorkloadParams,
     acceptance completes (:func:`run_to_accept`).
     """
     injector = FaultInjector(plan) if plan is not None else None
-    system, workload = build(name, mode, params, seed,
-                             injector=injector, bmos=bmos,
-                             shards=shards)
+    system, [workload] = build(name, mode, params, seed,
+                               injector=injector, bmos=bmos,
+                               shards=shards)
     if crash_on_accept is None:
         system.sim.process(workload.run(), name="stream")
         system.sim.run(until=crash_at)
@@ -267,9 +287,7 @@ def run_crash_point(name: str, mode: str, params: WorkloadParams,
 
     record: Dict = {"crash_at": crash_at, "mode": mode}
     try:
-        state = recover(snapshot,
-                        [(workload.log.base, workload.log.capacity)],
-                        verify_macs=True)
+        state = recover_image(snapshot, [workload])
         record.update(recovery_fields(state))
         record["digest"] = workload.logical_digest(state.read)
         record["result"] = "recovered"
@@ -309,7 +327,7 @@ def crash_mid_bmo(name: str, mode: str = "janus",
     """
     params = params or WorkloadParams(n_items=8, value_size=64,
                                       n_transactions=10)
-    system, workload = build(name, mode, params, seed)
+    system, [workload] = build(name, mode, params, seed)
     original = system.pipeline.commit
     stop = system.sim.event("mid-bmo-crash")
     state = {"commits": 0}

@@ -24,8 +24,6 @@ from repro.harness.parallel import ParallelExecutor, SweepTask
 from repro.harness.report import Table, arithmetic_mean
 from repro.harness.runner import (
     ExperimentResult,
-    fully_pre_executed_fraction,
-    run_point,
     speedup_over,
 )
 from repro.janus.overhead import hardware_overhead_report
@@ -284,10 +282,8 @@ def modes_comparison(scale: float = 1.0,
     specs: List[PointSpec] = []
     for name in workloads:
         for mode in modes:
-            variant = "manual" if mode == "janus" else None
             specs.append(((name, mode), dict(
-                workload=name, mode=mode, variant=variant,
-                params=params)))
+                workload=name, mode=mode, params=params)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     header = ["workload"]
     header += [f"{m} ns/txn" for m in modes]
@@ -367,10 +363,9 @@ def shards_sweep(scale: float = 1.0,
     specs: List[PointSpec] = []
     for name in workloads:
         for mode in modes:
-            variant = "manual" if mode == "janus" else None
             for n_shards in shards:
                 specs.append(((name, mode, n_shards), dict(
-                    workload=name, mode=mode, variant=variant,
+                    workload=name, mode=mode,
                     cores=cores, params=params, shards=n_shards,
                     check_invariants=True)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)

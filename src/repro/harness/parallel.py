@@ -20,18 +20,15 @@ output is **byte-identical regardless of the worker count**:
 * results are merged **in task-submission order**, never completion
   order, so ``results/CRASHTEST_*.json`` and the figure tables stay
   byte-identical to a serial run;
-* worker-side accounting travels back as a metrics snapshot and is
-  folded into the parent's :class:`~repro.obs.MetricsRegistry` with
-  :meth:`~repro.obs.MetricsRegistry.fold` (scope ``parallel``:
-  ``tasks_done`` / ``tasks_failed`` / ``retries`` / ``timeouts`` /
-  per-worker-slot labeled counters, plus a task wall-time
-  histogram).
+* retries, timeouts and final failures are events in the run log
+  (:mod:`repro.obs.log`: ``task_retry`` / ``task_timeout`` /
+  ``task_failed``), and each :class:`TaskResult` carries its attempts.
 
 Worker count resolution (:func:`resolve_jobs`): an explicit ``jobs``
 argument wins, then the ``REPRO_JOBS`` environment variable, then
 ``os.cpu_count()``.  ``jobs=1`` (or an unavailable ``multiprocessing``)
-never spawns a process — the sweep runs inline, including the retry
-accounting, so the two paths differ only in wall-clock.
+never spawns a process — the sweep runs inline, including the
+retries, so the two paths differ only in wall-clock.
 """
 
 import os
@@ -42,7 +39,6 @@ from importlib import import_module
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import log as runlog
-from repro.obs.metrics import MetricsRegistry
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 ENV_JOBS = "REPRO_JOBS"
@@ -123,47 +119,29 @@ class TaskResult:
     traceback: str = ""
     #: Attempts consumed (1 = first try succeeded).
     attempts: int = 1
-    #: Task wall-clock seconds (last attempt).
-    wall_s: float = 0.0
-    #: Worker-side metrics snapshot (folded by the executor).
-    metrics: Optional[Dict] = None
 
 
-def run_task(task: SweepTask, worker: int = 0) -> TaskResult:
-    """Pure worker entry point: resolve, run, classify, account.
+def run_task(task: SweepTask) -> TaskResult:
+    """Pure worker entry point: resolve, run, classify.
 
     Runs in the worker process (or inline).  Never raises: failures
     come back as ``ok=False`` with the error and traceback rendered to
     strings (exception objects themselves may not be picklable).
-    Worker-side accounting is carried as a metrics snapshot under the
-    ``parallel.worker`` scope for cross-process fold-in.
     """
-    registry = MetricsRegistry()
-    scope = registry.scope("parallel.worker")
-    start = time.perf_counter()
     try:
         value = resolve_callable(task.fn)(*task.args, **task.kwargs)
-        wall = time.perf_counter() - start
-        scope.counter("tasks_done",
-                      labels={"worker": str(worker)}).add()
-        scope.histogram("task_wall_s").observe(wall)
-        return TaskResult(key=task.key, ok=True, value=value,
-                          wall_s=wall, metrics=registry.snapshot())
+        return TaskResult(key=task.key, ok=True, value=value)
     except BaseException as error:  # noqa: BLE001 — report, don't sink
-        wall = time.perf_counter() - start
-        scope.counter("tasks_failed",
-                      labels={"worker": str(worker)}).add()
         return TaskResult(
             key=task.key, ok=False,
             error=f"{type(error).__name__}: {error}",
-            traceback=traceback.format_exc(), wall_s=wall,
-            metrics=registry.snapshot())
+            traceback=traceback.format_exc())
 
 
-def _worker_main(conn, task: SweepTask, worker: int) -> None:
+def _worker_main(conn, task: SweepTask) -> None:
     """Child process body: run one task, ship the result, exit."""
     try:
-        result = run_task(task, worker=worker)
+        result = run_task(task)
         try:
             conn.send(result)
         except Exception:
@@ -190,30 +168,15 @@ class ParallelExecutor:
     def __init__(self, jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = DEFAULT_RETRIES,
-                 metrics: Optional[MetricsRegistry] = None,
                  progress: Optional[Callable[[int, int, int], None]]
                  = None):
         self.jobs = resolve_jobs(jobs)
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry()
         self.progress = progress
-        scope = self.metrics.scope("parallel")
-        self._c_done = scope.counter("tasks_done")
-        self._c_failed = scope.counter("tasks_failed")
-        self._c_retries = scope.counter("retries")
-        self._c_timeouts = scope.counter("timeouts")
-        self._c_spawned = scope.counter("workers_spawned")
-        self._h_wall = scope.histogram("task_wall_s")
 
     # -- bookkeeping shared by both paths --------------------------------
     def _record(self, result: TaskResult) -> None:
-        (self._c_done if result.ok else self._c_failed).add()
-        self._h_wall.observe(result.wall_s)
-        if result.metrics is not None:
-            self.metrics.fold(result.metrics)
-            result.metrics = None  # folded; don't ship twice
         if not result.ok:
             runlog.event("harness.parallel", "task_failed",
                          level="error", key=list(result.key),
@@ -257,7 +220,6 @@ class ParallelExecutor:
             result = run_task(task)
             attempts = 1
             while not result.ok and attempts <= self.retries:
-                self._c_retries.add()
                 runlog.event("harness.parallel", "task_retry",
                              level="warn", key=list(task.key),
                              attempt=attempts, error=result.error)
@@ -276,30 +238,24 @@ class ParallelExecutor:
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         pending = list(range(len(tasks)))  # popped front-first
         attempts = [0] * len(tasks)
-        running: Dict[int, Tuple] = {}  # index -> (proc, conn, t0, slot)
-        free_slots = list(range(self.jobs - 1, -1, -1))
+        running: Dict[int, Tuple] = {}  # index -> (proc, conn, t0)
         done = failed = 0
 
         def launch(index: int) -> None:
-            slot = free_slots.pop()
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, tasks[index], slot),
-                daemon=True)
+            proc = ctx.Process(target=_worker_main,
+                               args=(child_conn, tasks[index]),
+                               daemon=True)
             proc.start()
             child_conn.close()
             attempts[index] += 1
-            self._c_spawned.add()
-            running[index] = (proc, parent_conn, time.perf_counter(),
-                              slot)
+            running[index] = (proc, parent_conn, time.perf_counter())
 
         def finish(index: int, result: TaskResult) -> None:
             nonlocal done, failed
-            proc, conn, _t0, slot = running.pop(index)
+            proc, conn, _t0 = running.pop(index)
             conn.close()
             proc.join()
-            free_slots.append(slot)
             result.attempts = attempts[index]
             results[index] = result
             self._record(result)
@@ -309,11 +265,9 @@ class ParallelExecutor:
 
         def retry_or_fail(index: int, error: str, tb: str = "") -> None:
             if attempts[index] <= self.retries:
-                proc, conn, _t0, slot = running.pop(index)
+                proc, conn, _t0 = running.pop(index)
                 conn.close()
                 proc.join()
-                free_slots.append(slot)
-                self._c_retries.add()
                 runlog.event("harness.parallel", "task_retry",
                              level="warn",
                              key=list(tasks[index].key),
@@ -325,13 +279,13 @@ class ParallelExecutor:
                     traceback=tb))
 
         while pending or running:
-            while pending and free_slots:
+            while pending and len(running) < self.jobs:
                 launch(pending.pop(0))
             time.sleep(0 if any(
-                conn.poll() for _p, conn, _t, _s in running.values())
+                conn.poll() for _p, conn, _t in running.values())
                 else _POLL_S)
             for index in list(running):
-                proc, conn, t0, _slot = running[index]
+                proc, conn, t0 = running[index]
                 if conn.poll():
                     try:
                         result = conn.recv()
@@ -350,7 +304,6 @@ class ParallelExecutor:
                     continue
                 if self.timeout_s is not None \
                         and time.perf_counter() - t0 > self.timeout_s:
-                    self._c_timeouts.add()
                     runlog.event("harness.parallel", "task_timeout",
                                  level="warn",
                                  key=list(tasks[index].key),

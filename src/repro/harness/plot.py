@@ -67,11 +67,3 @@ def fig11_chart(data: Dict[str, Dict[str, float]]) -> str:
               for workload, series in data.items()}
     return bar_chart(
         "Fig. 11 (bars): instrumentation variants", groups)
-
-
-def save_chart(text: str, path) -> str:
-    """Write a rendered chart to ``path``, creating missing parent
-    directories (``repro figure --chart --out`` must not require a
-    pre-existing ``results/`` tree)."""
-    from repro.harness.report import write_text
-    return write_text(text, path)

@@ -147,14 +147,5 @@ def format_series(name: str, points: Dict, unit: str = "x") -> str:
     return f"{name}: " + "  ".join(parts)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0

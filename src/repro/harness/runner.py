@@ -1,13 +1,14 @@
 """Run one (workload, mode, variant, cores) design point."""
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.config import SystemConfig, default_config
-from repro.core import NvmSystem
+from repro.common.config import SystemConfig
+from repro.harness.crash_campaign import build, recover_image
 from repro.obs import log as runlog
 from repro.obs.tracer import Tracer
-from repro.workloads import WorkloadParams, make_workload
+from repro.workloads import WorkloadParams
 
 
 @dataclass
@@ -48,31 +49,24 @@ def run_point(workload: str,
               **config_overrides) -> ExperimentResult:
     """Simulate one design point and return its result.
 
-    ``variant`` defaults to ``baseline`` for non-Janus modes and
-    ``manual`` for Janus mode (the paper's main configuration).
-    Pass an enabled :class:`Tracer` to capture the run's span
-    timeline (export with :func:`repro.obs.export_chrome_trace`), a
+    The point is built by :func:`repro.harness.crash_campaign.build`,
+    which also picks the paper's default ``variant``.  Pass an enabled
+    :class:`Tracer` to capture the run's span timeline (export with
+    :func:`repro.obs.export_chrome_trace`), a
     :class:`repro.obs.profile.SimProfiler` to attribute dispatch
     cost, and/or a :class:`repro.obs.timeseries.TimeSeriesSampler`
     to record a metric time series (the sampler is bound to the
     system's registry here).  Both are hooks on the simulator's one
     dispatch loop; with neither, it does no observability work.
     """
-    if variant is None:
-        variant = "manual" if mode == "janus" else "baseline"
-    cfg = config if config is not None else default_config()
-    cfg = cfg.replace(mode=mode, cores=cores, **config_overrides)
-    cfg.validate()
-    system = NvmSystem(cfg, tracer=tracer)
+    system, workloads = build(workload, mode, params, variant=variant,
+                              cores=cores, config=config,
+                              tracer=tracer, **config_overrides)
+    variant = workloads[0].variant
     if profiler is not None:
         system.sim.profile = profiler
     if sampler is not None:
         system.sim.sampler = sampler.bind(system.metrics, tracer=tracer)
-    params = params or WorkloadParams()
-    workloads = [
-        make_workload(workload, system, core, params, variant=variant)
-        for core in system.cores
-    ]
     runlog.event("harness.runner", "run_point.start",
                  workload=workload, mode=mode, variant=variant,
                  cores=cores)
@@ -101,12 +95,7 @@ def run_point(workload: str,
         # the persisted image, and hash every core's recovered
         # logical structure.  Runs after the measurement and the
         # metrics snapshot, so it never perturbs either.
-        import hashlib
-
-        from repro.consistency.recovery import recover
-        crash_snapshot = system.crash()
-        regions = [(w.log.base, w.log.capacity) for w in workloads]
-        state = recover(crash_snapshot, regions, verify_macs=True)
+        state = recover_image(system.crash(), workloads)
         hasher = hashlib.sha256()
         for instance in workloads:
             hasher.update(instance.logical_digest(state.read)

@@ -50,7 +50,7 @@ from repro.common.errors import (
     UncorrectableMediaError,
 )
 from repro.common.rng import DeterministicRng
-from repro.consistency import recover, scrub
+from repro.consistency import scrub
 from repro.faults import (
     DegradedModeManager,
     FaultInjector,
@@ -63,6 +63,7 @@ from repro.harness.crash_campaign import (
     build,
     close_out,
     config_dict,
+    recover_image,
     recovery_fields,
     run_to_accept,
     trajectory,
@@ -142,9 +143,9 @@ def _restore(name: str, mode: str, config: SoakConfig,
     every carried line through the BMO pipeline so metadata (counters,
     MACs, dedup, ECC codes) is consistent with the restored bytes.
     """
-    system, workload = build(name, mode, config.params(), config.seed,
-                             injector=injector, bmos=SOAK_BMOS,
-                             shards=config.shards)
+    system, [workload] = build(name, mode, config.params(), config.seed,
+                               injector=injector, bmos=SOAK_BMOS,
+                               shards=config.shards)
     if carry is not None:
         live = {a.addr for a in system.heap.live_allocations()}
         for addr, size, label in carry["allocs"]:
@@ -157,14 +158,6 @@ def _restore(name: str, mode: str, config: SoakConfig,
     # fault-free twin and the faulted run drawing identical streams.
     workload.refork_streams(f"cycle{cycle}")
     return system, workload
-
-
-def _drive(workload, txns: int):
-    """Generator: one cycle's transaction slice (no digest taps)."""
-    for _ in range(txns):
-        workload._preobjs = {}
-        yield from workload.transaction()
-        workload.completed_transactions += 1
 
 
 def _cycle_plan(kind: str, cycle: int, seed: int, after_n: int,
@@ -278,15 +271,13 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
         runlog.event("soak", "cycle.start", level="info",
                      workload=name, mode=mode, fault=kind)
 
+        program = workload.run(config.txns_per_cycle)
         if kind == "clean":
-            system.run_programs(
-                [_drive(workload, config.txns_per_cycle)])
+            system.run_programs([program])
         elif kind in ("wq_tear", "wq_drop"):
-            run_to_accept(system, _drive(workload, config.txns_per_cycle),
-                          accept_n)
+            run_to_accept(system, program, accept_n)
         else:
-            system.sim.process(
-                _drive(workload, config.txns_per_cycle), name="stream")
+            system.sim.process(program, name="stream")
             system.sim.run(until=crash_frac * horizon)
         record["crash_at"] = system.sim.now
         snapshot = system.crash()
@@ -299,14 +290,13 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
         # lives: stuck cells re-damage on write, and a line whose data
         # was truly lost simply drops out of the carried image.
         quarantine: Set[int] = set()
-        regions = [(workload.log.base, workload.log.capacity)]
         state = None
         record["mid_recovery_crash"] = False
         try:
             try:
-                state = recover(snapshot, regions, verify_macs=True,
-                                injector=injector, policy=policy,
-                                quarantine=quarantine)
+                state = recover_image(snapshot, [workload],
+                                      injector=injector, policy=policy,
+                                      quarantine=quarantine)
             except RecoveryCrash as crashed:
                 # The seeded second power failure: recovery must be
                 # re-runnable from the (mutated) snapshot + quarantine.
@@ -316,8 +306,9 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
                 runlog.event("soak", "recovery.crashed", level="warn",
                              workload=name, mode=mode,
                              step=crashed.step, stage=crashed.stage)
-                state = recover(snapshot, regions, verify_macs=True,
-                                policy=policy, quarantine=quarantine)
+                state = recover_image(snapshot, [workload],
+                                      policy=policy,
+                                      quarantine=quarantine)
             record["result"] = "recovered"
         except ReproError as error:
             record["result"] = f"rejected:{type(error).__name__}"
@@ -335,7 +326,8 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
             # the oracle's reference pass.
             try:
                 record["oracle_points"] = check_recovery_idempotent(
-                    snapshot, regions, verify_macs=True, policy=policy)
+                    snapshot, [(workload.log.base, workload.log.capacity)],
+                    verify_macs=True, policy=policy)
             except OracleMismatch as mismatch:
                 record["oracle_failed"] = str(mismatch)
 

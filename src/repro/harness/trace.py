@@ -61,9 +61,9 @@ class WriteTracer:
 
     Usage::
 
-        system = NvmSystem(cfg)
+        system, workloads = build("queue", "janus")
         tracer = WriteTracer.attach(system)
-        system.run_programs([...])
+        system.run_programs([w.run() for w in workloads])
         print(tracer.summary())
     """
 

@@ -14,7 +14,7 @@
   stale sub-operations, and returns a commit-ready context.
 """
 
-from repro.bmo.base import BmoContext, ExternalInput
+from repro.bmo.base import ExternalInput
 from repro.bmo.executor import BmoExecutor
 from repro.bmo.pipeline import BmoPipeline
 from repro.common.config import JanusConfig

@@ -15,7 +15,7 @@ correctness-neutral, it only costs performance.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.units import CACHE_LINE_BYTES, align_down, line_span

@@ -12,7 +12,7 @@ objects.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import AllocationError
 from repro.common.units import CACHE_LINE_BYTES, align_up
@@ -111,13 +111,6 @@ class NvmHeap:
             else:
                 merged.append((start, extent))
         self._free = merged
-
-    def owner_of(self, addr: int) -> Optional[Allocation]:
-        """The live allocation containing ``addr``, if any."""
-        for alloc in self._live.values():
-            if alloc.addr <= addr < alloc.addr + alloc.size:
-                return alloc
-        return None
 
     def free_bytes(self) -> int:
         return sum(extent for _addr, extent in self._free)

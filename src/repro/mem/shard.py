@@ -17,7 +17,7 @@ With ``shards == 1`` every address is shard 0 and the local map is the
 identity — the pre-sharding machine, bit for bit.
 """
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.units import CACHE_LINE_BYTES
@@ -59,18 +59,3 @@ class ShardRouter:
         local_stripe, offset = divmod(local_addr, self.interleave_bytes)
         return (local_stripe * self.shards + shard) \
             * self.interleave_bytes + offset
-
-    def lines_per_shard(self, capacity_bytes: int) -> Iterable[int]:
-        """Cache lines owned by each shard over ``[0, capacity)``.
-
-        With a capacity that is a whole number of full stripes (the
-        config validator guarantees it), every shard owns exactly
-        ``capacity / shards`` bytes — the balance-within-one-line
-        property the tests assert for arbitrary spans.
-        """
-        lines = [0] * self.shards
-        total_lines = capacity_bytes // CACHE_LINE_BYTES
-        lines_per_stripe = self.interleave_bytes // CACHE_LINE_BYTES
-        for stripe in range(total_lines // lines_per_stripe):
-            lines[stripe % self.shards] += lines_per_stripe
-        return lines

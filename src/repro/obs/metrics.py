@@ -4,8 +4,8 @@ One hierarchy for every statistic the simulator produces.  Components
 register a :class:`MetricsScope` (``registry.scope("irb")``) and create
 labeled counters/histograms inside it; the registry can then take a
 point-in-time :meth:`MetricsRegistry.snapshot`, diff two snapshots
-with :meth:`MetricsRegistry.delta`, and export everything as JSON or
-CSV.  A component built without a registry gets a free-standing
+with :meth:`MetricsRegistry.delta`, and export everything as CSV.  A
+component built without a registry gets a free-standing
 ``MetricsScope(name)`` with the same ``.counters`` / ``.histograms``
 dicts and ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
 
@@ -23,31 +23,13 @@ cached handle; see ``docs/performance.md``.
 
 import csv
 import io
-import json
 import math
-import weakref
 from typing import Dict, List, Optional
 
 from repro.common.rng import DeterministicRng
 
 #: Default number of samples a histogram retains for percentiles.
 DEFAULT_RESERVOIR_SIZE = 1024
-
-
-def _split_metric(name: str) -> "tuple":
-    """``scope.path.metric{labels}`` -> (``scope.path``, ``metric{labels}``).
-
-    The metric (short) name is everything after the last dot *before*
-    any label suffix; scope paths may themselves contain dots
-    (``parallel.worker``), metric names by convention do not.
-    """
-    brace = name.find("{")
-    base, suffix = (name, "") if brace < 0 \
-        else (name[:brace], name[brace:])
-    scope, sep, key = base.rpartition(".")
-    if not sep:
-        return "", base + suffix
-    return scope, key + suffix
 
 
 def _labels_suffix(labels: Optional[Dict[str, str]]) -> str:
@@ -89,7 +71,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "reservoir_size", "_samples", "_rng", "_local_count")
+                 "reservoir_size", "_samples", "_rng")
 
     def __init__(self, name: str, keep_samples: bool = True,
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
@@ -103,15 +85,9 @@ class Histogram:
         self.reservoir_size = reservoir_size
         self._samples: Optional[List[float]] = [] if keep_samples else None
         self._rng = None  # created lazily on first reservoir eviction
-        #: Samples observed *locally* (excludes folded-in summary
-        #: counts, which carry no samples).  Algorithm R's admission
-        #: probability must be k/local-seen: using the inflated
-        #: ``count`` would under-admit real samples after a fold.
-        self._local_count = 0
 
     def observe(self, value: float) -> None:
         self.count += 1
-        self._local_count += 1
         self.total += value
         # Inline compares: two builtin min/max calls per observation
         # showed up in write-path dispatch profiles.
@@ -124,12 +100,12 @@ class Histogram:
         if len(self._samples) < self.reservoir_size:
             self._samples.append(value)
             return
-        # Reservoir full: keep each of the locally-seen samples with
-        # equal probability k/local_count (Algorithm R).
+        # Reservoir full: keep each of the samples seen with equal
+        # probability k/count (Algorithm R).
         if self._rng is None:
             self._rng = DeterministicRng(0).stream(
                 f"histogram:{self.name}")
-        slot = self._rng.randrange(self._local_count)
+        slot = self._rng.randrange(self.count)
         if slot < self.reservoir_size:
             self._samples[slot] = value
 
@@ -157,43 +133,15 @@ class Histogram:
         frac = rank - lo
         return data[lo] * (1 - frac) + data[hi] * frac
 
-    def merge_summary(self, summary: Dict[str, float]) -> None:
-        """Fold another histogram's :meth:`summary` into this one.
-
-        Used for cross-process metric fold-in: a worker ships its
-        snapshot back and the parent merges count/total/min/max.  The
-        *reservoir* cannot be merged from a summary — percentiles on a
-        folded histogram reflect only locally-observed samples.
-
-        Tolerant of sparse worker summaries: an empty one (count 0)
-        is a no-op, and a summary missing min/max (a worker that
-        never filled them in) falls back to its mean rather than
-        leaving ``inf`` bounds behind.
-        """
-        count = summary.get("count", 0)
-        if not count:
-            return
-        mean = summary.get("mean", 0.0)
-        self.count += count
-        # Prefer the exact running sum when the summary carries one;
-        # mean * count loses the low bits of a long-run total.
-        self.total += summary.get("sum", mean * count)
-        low = summary.get("min", mean)
-        high = summary.get("max", mean)
-        self.min = min(self.min, mean if math.isinf(low) else low)
-        self.max = max(self.max, mean if math.isinf(high) else high)
-
     @property
     def percentiles_approximate(self) -> bool:
         """True when the reservoir no longer holds *every* observed
-        sample — it dropped local samples (Algorithm R eviction) or
-        absorbed sample-less summary fold-ins — so percentiles are
-        reservoir estimates, not exact order statistics.
+        sample (Algorithm R evicted some), so percentiles are reservoir
+        estimates, not exact order statistics.
         """
         if self._samples is None:
             return False
-        return (self._local_count > len(self._samples)
-                or self.count != self._local_count)
+        return self.count > len(self._samples)
 
     def summary(self) -> Dict[str, float]:
         """Exact running aggregates plus (possibly sampled) percentiles.
@@ -211,9 +159,9 @@ class Histogram:
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
         }
-        # Percentiles only when the reservoir holds real samples: a
-        # histogram populated purely by summary fold-ins would
-        # otherwise report p50/p95/p99 = 0.0 — reading as a latency.
+        # Percentiles only when the reservoir holds samples: an empty
+        # histogram would otherwise report p50 = 0.0, reading as a
+        # latency.
         if self._samples:
             out["p50"] = self.percentile(50)
             out["p95"] = self.percentile(95)
@@ -228,18 +176,12 @@ class MetricsScope:
 
     Exposes ``counters`` and ``histograms`` dicts keyed by short
     (label-free) name.  Labeled variants of a metric live alongside
-    the unlabeled one, keyed by ``name{k=v}``.  With ``registry=None``
-    the scope stands alone (a component built outside a system).
+    the unlabeled one, keyed by ``name{k=v}``.  A scope built on its
+    own stands alone (a component built outside a system).
     """
 
-    def __init__(self, name: str = "stats",
-                 registry: Optional["MetricsRegistry"] = None):
+    def __init__(self, name: str = "stats"):
         self.name = name
-        #: The owning registry, held weakly: the registry owns its
-        #: scopes, so a strong back-reference would make every registry
-        #: a reference cycle that outlives its system.
-        self.registry = None if registry is None \
-            else weakref.proxy(registry)
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
 
@@ -283,14 +225,8 @@ class MetricsRegistry:
     def scope(self, name: str) -> MetricsScope:
         """Return (creating if needed) the scope at dotted path ``name``."""
         if name not in self._scopes:
-            self._scopes[name] = MetricsScope(name, registry=self)
+            self._scopes[name] = MetricsScope(name)
         return self._scopes[name]
-
-    def adopt(self, name: str, scope: MetricsScope) -> MetricsScope:
-        """Register an externally-created, free-standing scope."""
-        scope.registry = weakref.proxy(self)
-        self._scopes[name] = scope
-        return scope
 
     # -- flat views -----------------------------------------------------
     def as_flat_dict(self) -> Dict[str, float]:
@@ -317,31 +253,6 @@ class MetricsRegistry:
         if meta:
             snap["meta"] = dict(meta)
         return snap
-
-    def fold(self, snapshot: Dict) -> None:
-        """Merge a :meth:`snapshot` (typically from another process)
-        into this registry's live metrics.
-
-        Counters add; histograms merge their count/total/min/max via
-        :meth:`Histogram.merge_summary`.  Snapshot keys are
-        ``<scope>.<metric>`` — the split assumes dot-free metric
-        names (the repo-wide convention), with any ``{label=...}``
-        suffix kept out of the split.  This is the cross-process
-        fold-in used by :mod:`repro.harness.parallel`: workers account
-        locally, ship one snapshot, and the parent folds it in.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            scope_name, key = _split_metric(name)
-            scope = self.scope(scope_name)
-            if key not in scope.counters:
-                scope.counters[key] = Counter(key)
-            scope.counters[key].add(value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            scope_name, key = _split_metric(name)
-            scope = self.scope(scope_name)
-            if key not in scope.histograms:
-                scope.histograms[key] = Histogram(name)
-            scope.histograms[key].merge_summary(summary)
 
     @staticmethod
     def delta(before: Dict, after: Dict) -> Dict:
@@ -376,15 +287,6 @@ class MetricsRegistry:
                 "counters": counters, "histograms": histograms}
 
     # -- exports --------------------------------------------------------
-    def to_json(self, path: Optional[str] = None,
-                meta: Optional[Dict] = None) -> str:
-        text = json.dumps(self.snapshot(meta=meta), indent=2,
-                          sort_keys=True)
-        if path is not None:
-            with open(path, "w") as handle:
-                handle.write(text)
-        return text
-
     def to_csv(self, path: Optional[str] = None) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -49,7 +49,8 @@ from repro.common.errors import RecoveryCrash, ReproError
 from repro.consistency import recover
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core import NvmSystem
-from repro.harness.crash_campaign import build, reference_trajectory
+from repro.harness.crash_campaign import build, recover_image, \
+    reference_trajectory
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
 from repro.janus.irb_linear import LinearScanIrb
 from repro.sim import Simulator
@@ -260,16 +261,13 @@ def run_workload_digest(mode: str, workload: str, seed: int = 7,
                         check: bool = True, shards: int = 1) -> str:
     """Run a workload kernel to completion, crash, recover, and return
     the logical digest of the recovered structure."""
-    system, instance = build(
+    system, [instance] = build(
         workload, mode, WorkloadParams(n_items=items, n_transactions=txns),
         seed, check_invariants=check, shards=shards)
     system.run_programs([instance.run()])
     if system.checker is not None:
         system.checker.check_all(full=True)
-    snapshot = system.crash()
-    state = recover(snapshot,
-                    [(instance.log.base, instance.log.capacity)],
-                    verify_macs=True)
+    state = recover_image(system.crash(), [instance])
     return instance.logical_digest(state.read)
 
 
@@ -326,7 +324,7 @@ def run_staleness_crash(workload: str, seed: int = 7, txns: int = 12,
     params = WorkloadParams(n_items=items, n_transactions=txns)
     digests, horizon = reference_trajectory(workload, "serialized",
                                             params, seed)
-    system, instance = build(
+    system, [instance] = build(
         workload, "async-epoch", params, seed, check_invariants=check,
         shards=shards,
         scheduling=SchedulingConfig(staleness_epochs=staleness_epochs,
@@ -337,9 +335,7 @@ def run_staleness_crash(workload: str, seed: int = 7, txns: int = 12,
         system.checker.check_all(full=True)
     snapshot = system.crash()
     scheduling = snapshot["metadata"].get("scheduling", {})
-    state = recover(snapshot,
-                    [(instance.log.base, instance.log.capacity)],
-                    verify_macs=True)
+    state = recover_image(snapshot, [instance])
     k = len(state.committed_txns)
     return {
         "workload": workload,

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import RecoveryError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES, align_up, line_span
 from repro.compiler import AutoInstrumenter, InstrumentationPlan
 from repro.compiler.ir import (
@@ -89,12 +89,15 @@ class TransactionalWorkload:
     scalable = True
 
     def __init__(self, system, core, params: WorkloadParams,
-                 plan: Optional[InstrumentationPlan] = None):
+                 plan: Optional[InstrumentationPlan] = None,
+                 variant: str = "baseline"):
         self.system = system
         self.core = core
         self.params = params.validate()
         self.plan = plan if plan is not None \
             else InstrumentationPlan.empty(self.name)
+        #: The instrumentation variant ``plan`` was made for.
+        self.variant = variant
         self.log = UndoLog(core, capacity_bytes=max(
             1 << 20, 8 * params.n_transactions
             * (params.value_size + 2 * CACHE_LINE_BYTES)))
@@ -130,9 +133,11 @@ class TransactionalWorkload:
         return AutoInstrumenter().instrument(cls.template())
 
     # -- driving -------------------------------------------------------------
-    def run(self):
-        """Generator: execute ``n_transactions`` transactions."""
-        for _ in range(self.params.n_transactions):
+    def run(self, txns: Optional[int] = None):
+        """Generator: execute ``txns`` transactions (default
+        ``n_transactions``)."""
+        for _ in range(self.params.n_transactions if txns is None
+                       else txns):
             self._preobjs = {}
             yield from self.transaction()
             self.completed_transactions += 1

@@ -18,7 +18,7 @@ from repro.compiler import (
     Writeback,
 )
 from repro.compiler.instrument import Directive
-from repro.compiler.ir import LogBackup, Value
+from repro.compiler.ir import LogBackup
 from repro.common.units import CACHE_LINE_BYTES
 from repro.workloads.base import TransactionalWorkload, commit_template_tail
 

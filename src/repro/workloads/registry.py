@@ -62,6 +62,7 @@ def make_workload(name: str, system, core,
     cls = WORKLOADS[name]
     params = params or WorkloadParams()
     workload = cls(system, core, params,
-                   plan=plan_for(cls, variant, params=params))
+                   plan=plan_for(cls, variant, params=params),
+                   variant=variant)
     workload.setup()
     return workload

@@ -37,7 +37,10 @@ class TestRealRepoDocs:
                 "architecture.md"} <= files
 
     def test_cli_subcommands_read_from_argparse(self):
-        assert {"run", "figure", "crashtest"} <= SUBCOMMANDS
+        assert {"run", "figure", "crashtest"} <= set(SUBCOMMANDS)
+        assert "--shards" in SUBCOMMANDS["run"]
+        assert "--jobs" in SUBCOMMANDS["crashtest"]
+        assert "--jobs" not in SUBCOMMANDS["run"]
 
 
 class TestNegativeFixtures:
@@ -88,6 +91,38 @@ class TestNegativeFixtures:
         assert check_docs.check_subcommands(doc, tmp_path,
                                             SUBCOMMANDS) == []
 
+    def test_unknown_flag_fails(self, tmp_path):
+        # The workload is positional: `--workload` is no option.
+        doc = _write(tmp_path, "README.md",
+                     "`repro run --workload hash_table --shards 4`\n")
+        problems = check_docs.check_flags(doc, tmp_path, SUBCOMMANDS)
+        assert len(problems) == 1
+        assert "`repro run` has no option --workload" in problems[0]
+
+    def test_fenced_flags_join_continuations_and_drop_comments(
+            self, tmp_path):
+        doc = _write(tmp_path, "README.md",
+                     "```bash\n"
+                     "python -m repro run queue --mode janus \\\n"
+                     "    --bogus 1   # --also-bogus\n"
+                     "```\n")
+        problems = check_docs.check_flags(doc, tmp_path, SUBCOMMANDS)
+        assert len(problems) == 1
+        assert "no option --bogus" in problems[0]
+
+    def test_flags_belong_to_their_own_command(self, tmp_path):
+        doc = _write(tmp_path, "README.md",
+                     "`repro run queue --check && repro crashtest "
+                     "--quick --jobs 2`\n"
+                     "`repro profile queue --top 5 | head --lines 3`\n")
+        assert check_docs.check_flags(doc, tmp_path, SUBCOMMANDS) == []
+        doc = _write(tmp_path, "README.md",
+                     "`repro crashtest --quick; repro run queue "
+                     "--jobs 2`\n")
+        problems = check_docs.check_flags(doc, tmp_path, SUBCOMMANDS)
+        assert len(problems) == 1
+        assert "`repro run` has no option --jobs" in problems[0]
+
     def test_main_exit_codes(self, tmp_path, capsys):
         _write(tmp_path, "README.md", "[bad](missing.md)\n")
         assert check_docs.main([str(tmp_path)]) == 1
@@ -101,8 +136,8 @@ class TestCheckDocsAggregation:
     def test_all_defect_kinds_reported_together(self, tmp_path):
         _write(tmp_path, "README.md",
                "[gone](nope.md)\n`src/repro/ghost.py`\n"
-               "`repro frobnicate`\n")
+               "`repro frobnicate`\n`repro run queue --nope`\n")
         problems = check_docs.check_docs(
             files=check_docs.default_doc_files(tmp_path),
             root=tmp_path, subcommands=SUBCOMMANDS)
-        assert len(problems) == 3
+        assert len(problems) == 4

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -157,9 +159,12 @@ def exit_status(argv):
     (["run", "queue", "--shards", "3"], "invalid sharding config"),
     (["figure", "shards", "--scale", "0.05", "--shards", "1,3"],
      "invalid sharding config"),
+    (["run", "queue", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["profile", "queue", "--jobs", "2"],
+     "unrecognized arguments: --jobs"),
 ], ids=["crashtest-workloads", "crashtest-modes", "soak-modes",
         "crashtest-shards", "soak-shards", "fuzz-shards", "run-shards",
-        "figure-shards"])
+        "figure-shards", "run-jobs", "profile-jobs"])
 def test_bad_flags_exit_2_before_running(capsys, argv, message):
     campaign = ["--quick", "--no-write"] \
         if argv[0] in ("crashtest", "soak", "fuzz") else []
@@ -198,29 +203,59 @@ def test_profile_emits_ranked_hotspots_and_artifacts(capsys, tmp_path):
         assert ";" in stack and int(weight) > 0
 
 
-def test_profile_report_byte_identical_across_jobs(capsys, tmp_path):
+def test_profile_report_byte_identical_across_runs(capsys, tmp_path):
     outs = []
-    for jobs, name in (("1", "a"), ("2", "b")):
+    for name in ("a", "b"):
         path = tmp_path / f"{name}.json"
         code, _out = run_cli(capsys, "profile", "queue", "--mode",
-                             "janus", "--quick", "--jobs", jobs,
-                             "--out", str(path))
+                             "janus", "--quick", "--out", str(path))
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
 
-def test_timeseries_byte_identical_across_jobs(capsys, tmp_path):
+def test_timeseries_byte_identical_across_runs(capsys, tmp_path):
     outs = []
-    for jobs, name in (("1", "a"), ("2", "b")):
+    for name in ("a", "b"):
         path = tmp_path / f"{name}.jsonl"
         code, _out = run_cli(capsys, "run", "queue", "--mode", "janus",
-                             "--txns", "4", "--jobs", jobs,
-                             "--timeseries", "500",
+                             "--txns", "4", "--timeseries", "500",
                              "--timeseries-out", str(path))
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def sim_ns(out):
+    """The simulated ns a ``run`` or ``profile`` report prints."""
+    match = re.search(r"(?:elapsed |\()([\d,]+) (?:ns|sim-ns)", out)
+    return int(match.group(1).replace(",", ""))
+
+
+def test_profile_applies_the_staleness_dials_like_run(capsys):
+    dials = ("--mode", "async-epoch", "--staleness-epochs", "1",
+             "--epoch-writes", "4")
+    code, profiled = run_cli(capsys, "profile", "queue", "--quick",
+                             *dials)
+    assert code == 0
+    code, ran = run_cli(capsys, "run", "queue", "--txns", "8", *dials)
+    assert code == 0
+    code, undialled = run_cli(capsys, "run", "queue", "--txns", "8",
+                              "--mode", "async-epoch")
+    assert code == 0
+    assert sim_ns(profiled) == sim_ns(ran)
+    assert sim_ns(ran) != sim_ns(undialled)
+
+
+def test_scrub_recovers_every_cores_undo_log(capsys):
+    def committed(cores):
+        code, out = run_cli(capsys, "scrub", "queue", "--mode", "janus",
+                            "--txns", "6", "--cores", cores)
+        assert code == 0
+        return int(re.search(r"recovery: (\d+) committed", out)
+                   .group(1))
+
+    assert committed("2") > committed("1")
 
 
 def test_chart_lists_and_plots(capsys, tmp_path):

@@ -22,7 +22,6 @@ from repro.harness.report import (
     Table,
     arithmetic_mean,
     format_series,
-    geometric_mean,
 )
 from repro.obs.metrics import Counter, Histogram
 
@@ -169,10 +168,6 @@ class TestRng:
         child = rng.fork("core0")
         assert child.stream("x").random() != rng.stream("x").random()
 
-    def test_randbytes_deterministic(self):
-        rng = DeterministicRng(1)
-        assert rng.randbytes(16) == DeterministicRng(1).randbytes(16)
-
 
 class TestStats:
     def test_counter(self):
@@ -210,9 +205,7 @@ class TestReport:
 
     def test_means(self):
         assert arithmetic_mean([1, 2, 3]) == pytest.approx(2.0)
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-        assert geometric_mean([]) == 0.0
 
     def test_format_series(self):
         text = format_series("s", {"a": 1.5, "b": 2.0})

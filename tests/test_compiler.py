@@ -15,7 +15,7 @@ from repro.compiler import (
     Template,
     Writeback,
 )
-from repro.compiler.ir import LogBackup, Value, blocking_writebacks
+from repro.compiler.ir import LogBackup, Value
 
 
 def make_plan(template):
@@ -40,12 +40,6 @@ def simple_update_template():
 
 
 class TestBlockingWritebackDetection:
-    def test_writeback_before_fence_is_blocking(self):
-        template = simple_update_template()
-        found = blocking_writebacks(template.body)
-        assert len(found) == 1
-        assert found[0][0].obj == "item"
-
     def test_writeback_without_fence_not_blocking(self):
         body = [Writeback("a", obj="x")]
         template = Template("t", args=("a",), body=body)

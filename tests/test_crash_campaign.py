@@ -134,8 +134,8 @@ class TestRunToAccept:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_stops_at_nth_acceptance_system_wide(self, shards):
-        system, workload = cc.build("queue", "janus", SMALL.params(),
-                                    SEED, shards=shards)
+        system, [workload] = cc.build("queue", "janus", SMALL.params(),
+                                      SEED, shards=shards)
         originals = [queue.accept for queue in system.write_queues]
         cc.run_to_accept(system, workload.run(), 5)
         accepted = {name: value for name, value

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Set
 import pytest
 
 import repro.core.machine
-import repro.harness.runner
+import repro.harness.crash_campaign
 from repro.bmo import build_pipeline
 from repro.bmo.base import BmoContext
 from repro.bmo.executor import BmoExecutor
@@ -329,7 +329,8 @@ def _run_cells(monkeypatch, workload, executor_cls):
             super().__init__(*args, **kwargs)
             systems.append(self)
 
-    monkeypatch.setattr(repro.harness.runner, "NvmSystem", Capture)
+    monkeypatch.setattr(repro.harness.crash_campaign, "NvmSystem",
+                        Capture)
     cells = {}
     for mode in DAG_MODES:
         for cores, shards in ((1, 1), (2, 2)):

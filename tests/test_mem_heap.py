@@ -76,15 +76,6 @@ def test_bad_requests_rejected():
         NvmHeap(base=0, size=0)
 
 
-def test_owner_of_lookup():
-    heap = NvmHeap(base=0, size=4096)
-    addr = heap.alloc(100, label="node")
-    alloc = heap.owner_of(addr + 50)
-    assert alloc is not None and alloc.label == "node"
-    assert heap.owner_of(addr + 100) is None or \
-        heap.owner_of(addr + 100).addr != addr
-
-
 @settings(max_examples=30)
 @given(ops=st.lists(st.integers(1, 200), min_size=1, max_size=30))
 def test_accounting_matches_alloc_history(ops):

@@ -1,4 +1,4 @@
-"""The parallel sweep executor: determinism, retries, fold-in.
+"""The parallel sweep executor: determinism, retries, failures.
 
 The executor's contract is that sharding a sweep across worker
 processes changes *nothing* but wall-clock:
@@ -8,8 +8,7 @@ processes changes *nothing* but wall-clock:
 2. a raising or wedged worker is retried up to the bounded budget and
    then recorded as a failed :class:`TaskResult` — the sweep itself
    never sinks;
-3. ``jobs=1`` never spawns a process (inline path, same code route);
-4. worker-side metrics fold into the parent registry.
+3. ``jobs=1`` never spawns a process (inline path, same code route).
 
 Worker functions used by the process path live at module scope so a
 forked child can resolve them by dotted path via ``sys.modules``.
@@ -31,7 +30,7 @@ from repro.harness.parallel import (
     resolve_jobs,
     run_task,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import log as runlog
 
 _HERE = __name__  # dotted module path for worker-resolvable fns
 
@@ -77,6 +76,15 @@ def _slow_once(marker_path, sleep_s, value):
 def _tasks(n, fn="_double"):
     return [SweepTask(key=("t", i), fn=f"{_HERE}:{fn}", args=(i,))
             for i in range(n)]
+
+
+@pytest.fixture
+def run_log():
+    """An in-memory run log; ``run_log(event)`` lists the records of
+    that event the executor emitted."""
+    log = runlog.configure()
+    yield lambda event: [r for r in log.records() if r["event"] == event]
+    runlog.close()
 
 
 # -- resolution -----------------------------------------------------------
@@ -138,10 +146,8 @@ class TestByteIdenticalMerge:
 # -- failure handling: retry, then record without sinking -----------------
 class TestFailureHandling:
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_raising_task_retried_then_recorded(self, jobs):
-        registry = MetricsRegistry()
-        executor = ParallelExecutor(jobs=jobs, retries=1,
-                                    metrics=registry)
+    def test_raising_task_retried_then_recorded(self, jobs, run_log):
+        executor = ParallelExecutor(jobs=jobs, retries=1)
         tasks = _tasks(3) + [SweepTask(key=("bad",),
                                        fn=f"{_HERE}:_boom", args=(9,))]
         results = executor.map(tasks)
@@ -154,10 +160,8 @@ class TestFailureHandling:
         for i in range(3):  # the sweep itself did not sink
             assert by_key[("t", i)].ok
             assert by_key[("t", i)].value == 2 * i
-        counters = registry.snapshot()["counters"]
-        assert counters["parallel.retries"] == 1
-        assert counters["parallel.tasks_failed"] == 1
-        assert counters["parallel.tasks_done"] == 3
+        assert [r["key"] for r in run_log("task_retry")] == [["bad"]]
+        assert [r["key"] for r in run_log("task_failed")] == [["bad"]]
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_flaky_task_recovers_on_retry(self, jobs, tmp_path):
@@ -170,10 +174,8 @@ class TestFailureHandling:
         assert flaky.ok and flaky.value == "ok"
         assert flaky.attempts == 2
 
-    def test_timed_out_worker_terminated_and_recorded(self):
-        registry = MetricsRegistry()
-        executor = ParallelExecutor(jobs=2, timeout_s=0.25, retries=1,
-                                    metrics=registry)
+    def test_timed_out_worker_terminated_and_recorded(self, run_log):
+        executor = ParallelExecutor(jobs=2, timeout_s=0.25, retries=1)
         tasks = [SweepTask(key=("slow",), fn=f"{_HERE}:_sleepy",
                            args=(30.0, None))] + _tasks(2)
         start = time.perf_counter()
@@ -183,22 +185,20 @@ class TestFailureHandling:
         assert not slow.ok
         assert slow.error.startswith("TaskTimeout")
         assert slow.attempts == 2
-        counters = registry.snapshot()["counters"]
-        assert counters["parallel.timeouts"] == 2  # both attempts
+        assert len(run_log("task_timeout")) == 2  # both attempts
         for r in results:
             if r.key != ("slow",):
                 assert r.ok
 
     def test_timeout_once_then_retry_matches_inline_output(self,
-                                                           tmp_path):
+                                                           tmp_path,
+                                                           run_log):
         """Retry/timeout interplay: a task whose first attempt times
         out and is killed, but whose retry succeeds, must yield the
         same merged results as the inline (jobs=1) run — the timeout
         machinery may cost wall-clock, never output."""
         marker = tmp_path / "slow-once.marker"
-        registry = MetricsRegistry()
-        executor = ParallelExecutor(jobs=2, timeout_s=1.0, retries=1,
-                                    metrics=registry)
+        executor = ParallelExecutor(jobs=2, timeout_s=1.0, retries=1)
         tasks = _tasks(3) + [SweepTask(key=("slow",),
                                        fn=f"{_HERE}:_slow_once",
                                        args=(str(marker), 30.0, "v"))]
@@ -206,10 +206,9 @@ class TestFailureHandling:
         slow = {r.key: r for r in results}[("slow",)]
         assert slow.ok and slow.value == "v"
         assert slow.attempts == 2  # first attempt was killed
-        counters = registry.snapshot()["counters"]
-        assert counters["parallel.timeouts"] == 1
-        assert counters["parallel.retries"] == 1
-        assert counters["parallel.tasks_failed"] == 0
+        assert len(run_log("task_timeout")) == 1
+        assert len(run_log("task_retry")) == 1
+        assert run_log("task_failed") == []
 
         # Inline reference: pre-seed the marker so the single inline
         # call takes the fast path (jobs=1 ignores timeout_s).
@@ -258,21 +257,7 @@ class TestInlinePath:
         assert ParallelExecutor(jobs=4).map([]) == []
 
 
-# -- metrics fold-in ------------------------------------------------------
-class TestMetricsFold:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_worker_accounting_folds_into_parent(self, jobs):
-        registry = MetricsRegistry()
-        ParallelExecutor(jobs=jobs, metrics=registry).map(_tasks(5))
-        snap = registry.snapshot()
-        assert snap["counters"]["parallel.tasks_done"] == 5
-        worker_done = sum(
-            value for name, value in snap["counters"].items()
-            if name.startswith("parallel.worker.tasks_done"))
-        assert worker_done == 5
-        wall = snap["histograms"]["parallel.task_wall_s"]
-        assert wall["count"] == 5
-
+class TestRunTask:
     def test_run_task_never_raises(self):
         result = run_task(SweepTask(key=("x",), fn=f"{_HERE}:_boom",
                                     args=(1,)))

@@ -24,9 +24,9 @@ PARAMS = WorkloadParams(n_items=8, value_size=64, n_transactions=12)
 
 def crash_snapshot(name, mode, frac=0.6, bmos=None):
     """Run a workload partway, pull the plug, return the snapshot."""
-    calib, twin = build(name, mode, PARAMS, SEED, bmos=bmos)
+    calib, [twin] = build(name, mode, PARAMS, SEED, bmos=bmos)
     horizon = calib.run_programs([twin.run()])
-    system, workload = build(name, mode, PARAMS, SEED, bmos=bmos)
+    system, [workload] = build(name, mode, PARAMS, SEED, bmos=bmos)
     system.sim.process(workload.run(), name="stream")
     system.sim.run(until=max(1.0, frac * horizon))
     return system.crash(), [(workload.log.base, workload.log.capacity)]

@@ -1,13 +1,11 @@
 """Regression: figure/trace output paths must not require an existing
 ``results/`` tree (``mkdir(parents=True)`` everywhere a harness file
-is written — ``repro figure --out``, ``repro run --trace/--stats``,
-and chart saving all route through these helpers)."""
+is written — ``repro figure --out`` and ``repro run --trace/--stats``
+route through these helpers)."""
 
 import os
 from datetime import date
-from pathlib import Path
 
-from repro.harness.plot import save_chart
 from repro.harness.report import dated_path, ensure_parent, write_text
 
 
@@ -38,11 +36,6 @@ class TestWriteText:
         target = tmp_path / "n" / "report.txt"
         write_text("line\n", target)
         assert target.read_text() == "line\n"
-
-    def test_save_chart_delegates(self, tmp_path):
-        target = tmp_path / "charts" / "fig11.txt"
-        returned = save_chart("bars", target)
-        assert Path(returned).read_text() == "bars\n"
 
 
 class TestDatedPath:

@@ -134,20 +134,26 @@ class TestAsyncEpoch:
 
 
 class TestCliDials:
+    @staticmethod
+    def point_args(staleness_epochs, epoch_writes):
+        return argparse.Namespace(
+            mode="async-epoch", variant=None, cores=1, txns=4, items=8,
+            value_size=64, staleness_epochs=staleness_epochs,
+            epoch_writes=epoch_writes)
+
     def test_scheduling_overrides_thread_into_config(self):
-        from repro.cli import _scheduling_overrides
-        args = argparse.Namespace(staleness_epochs=4, epoch_writes=16)
-        overrides = _scheduling_overrides(args)
-        sched = overrides["scheduling"]
+        from repro.cli import _point_kwargs
+        from repro.harness.crash_campaign import build
+        kwargs = _point_kwargs(self.point_args(4, 16))
+        sched = kwargs["scheduling"]
         assert (sched.staleness_epochs, sched.epoch_writes) == (4, 16)
-        cfg = default_config(mode="async-epoch", **overrides)
-        assert cfg.scheduling.staleness_epochs == 4
+        system, _workloads = build("queue", **kwargs)
+        assert system.cfg.scheduling.staleness_epochs == 4
 
     def test_no_dials_means_no_overrides(self):
-        from repro.cli import _scheduling_overrides
-        args = argparse.Namespace(staleness_epochs=None,
-                                  epoch_writes=None)
-        assert _scheduling_overrides(args) == {}
+        from repro.cli import _point_kwargs
+        assert "scheduling" not in _point_kwargs(
+            self.point_args(None, None))
 
     def test_dials_shrink_staleness_window(self):
         out = run_staleness_crash("queue", txns=10, items=8,

@@ -119,17 +119,6 @@ class TestBalance:
             counts[router.shard_of(addr)] += 1
         assert max(counts) - min(counts) <= 1
 
-    @given(shard_counts, granularities)
-    def test_lines_per_shard_matches_enumeration(self, shards, gran):
-        router = ShardRouter(shards=shards, interleave_bytes=gran)
-        capacity = gran * shards * 8
-        expected = list(router.lines_per_shard(capacity))
-        counts = [0] * shards
-        for addr in range(0, capacity, CACHE_LINE_BYTES):
-            counts[router.shard_of(addr)] += 1
-        assert counts == expected
-        assert len(set(expected)) == 1
-
 
 def test_from_config_uses_validated_fields():
     cfg = default_config(shards=4,

@@ -12,7 +12,10 @@ every ``docs/*.md``:
    placeholders and are skipped);
 3. **CLI subcommands** — every ``repro <subcommand>`` named inside
    back-ticked code (inline or fenced) must be a real subcommand of
-   the argparse tree in :mod:`repro.cli`.
+   the argparse tree in :mod:`repro.cli`;
+4. **CLI flags** — every ``--flag`` after ``repro <subcommand>`` in
+   such code (``\\`` continuations joined, ``#`` comments dropped)
+   must be an option of that subcommand's parser.
 
 Pure standard library; exits 0 when clean, 1 with one line per
 problem otherwise.  The check functions take explicit paths so the
@@ -23,7 +26,7 @@ broken ones — the negative test in ``tests/test_check_docs.py``).
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +43,10 @@ _SRC_PATH_RE = re.compile(r"(src/repro/[\w./\-*<>]*)")
 _SUBCOMMAND_RE = re.compile(r"(?:^|[^.\w])repro\s+([a-z][a-z0-9_-]*)")
 #: Fenced code blocks (``` ... ```).
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+#: ``--flag`` tokens; a flag's ``=value`` is not part of the token.
+_FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+#: Shell separators that end one command on a line.
+_SHELL_SEP_RE = re.compile(r"[|;&]")
 
 
 def default_doc_files(root: Path = REPO_ROOT) -> List[Path]:
@@ -49,8 +56,9 @@ def default_doc_files(root: Path = REPO_ROOT) -> List[Path]:
     return [d for d in docs if d.exists()]
 
 
-def cli_subcommands() -> Set[str]:
-    """The real subcommand set, read from the argparse tree."""
+def cli_subcommands() -> Dict[str, Set[str]]:
+    """Each real subcommand and its option strings, read from the
+    argparse tree."""
     import argparse
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -59,7 +67,9 @@ def cli_subcommands() -> Set[str]:
     parser = cli._build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
+            return {name: {option for sub_action in sub._actions
+                           for option in sub_action.option_strings}
+                    for name, sub in action.choices.items()}
     raise RuntimeError("repro.cli parser has no subcommands")
 
 
@@ -113,7 +123,7 @@ def check_src_paths(doc: Path, root: Path) -> List[str]:
 
 
 def check_subcommands(doc: Path, root: Path,
-                      subcommands: Set[str]) -> List[str]:
+                      subcommands: Dict[str, Set[str]]) -> List[str]:
     """``repro <sub>`` inside code spans must be real subcommands."""
     problems = []
     for span in _code_spans(doc.read_text()):
@@ -127,9 +137,39 @@ def check_subcommands(doc: Path, root: Path,
     return problems
 
 
+def _commands(span: str) -> Iterable[Tuple[str, str]]:
+    """``(subcommand, argument text)`` for every ``repro <sub>``
+    command in a code span."""
+    text = span.replace("\\\n", " ")
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        matches = list(_SUBCOMMAND_RE.finditer(line))
+        for match, following in zip(matches, matches[1:] + [None]):
+            args = line[match.end():following.start() if following
+                        else len(line)]
+            yield match.group(1), _SHELL_SEP_RE.split(args, 1)[0]
+
+
+def check_flags(doc: Path, root: Path,
+                subcommands: Dict[str, Set[str]]) -> List[str]:
+    """``--flag`` after ``repro <sub>`` must be an option of ``sub``."""
+    problems = []
+    for span in _code_spans(doc.read_text()):
+        for name, args in _commands(span):
+            if name not in subcommands:
+                continue  # check_subcommands reports it
+            for flag in _FLAG_RE.findall(args):
+                if flag not in subcommands[name]:
+                    problems.append(
+                        f"{doc.relative_to(root)}: `repro {name}` has "
+                        f"no option {flag}")
+    return problems
+
+
 def check_docs(files: Optional[List[Path]] = None,
                root: Path = REPO_ROOT,
-               subcommands: Optional[Set[str]] = None) -> List[str]:
+               subcommands: Optional[Dict[str, Set[str]]] = None
+               ) -> List[str]:
     """All checks over ``files``; returns a flat problem list."""
     files = files if files is not None else default_doc_files(root)
     subcommands = subcommands if subcommands is not None \
@@ -139,6 +179,7 @@ def check_docs(files: Optional[List[Path]] = None,
         problems.extend(check_links(doc, root))
         problems.extend(check_src_paths(doc, root))
         problems.extend(check_subcommands(doc, root, subcommands))
+        problems.extend(check_flags(doc, root, subcommands))
     return problems
 
 
