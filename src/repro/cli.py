@@ -5,8 +5,11 @@ Commands
 
 ``figures``
     List the reproducible tables/figures.
-``figure <name> [--scale S]``
-    Regenerate one table/figure and print it (e.g. ``figure fig9``).
+``figure <name> [<name> ...] [--scale S] [--out PATH]``
+    Regenerate tables/figures and print them, joined by one blank
+    line (e.g. ``figure fig9``).  The committed
+    ``results/experiments_full.txt`` is exactly this command's output
+    over its sections (the command is in EXPERIMENTS.md).
 ``run <workload> [point flags] [--shards N] [--trace T.json]
      [--stats S.json]``
     Simulate one design point and print timing + stats.  ``--trace``
@@ -79,48 +82,11 @@ import sys
 
 from repro.common.config import SchedulingConfig, ShardingError, \
     SystemConfig, default_config
-from repro.harness import experiments
+from repro.harness.experiments import FIGURES
 from repro.harness.report import RESULTS_DIR, ReportOverwriteError, \
     Table, dated_path, ensure_parent, write_json, write_report_text
 from repro.harness.runner import run_point, speedup_over
 from repro.workloads import WORKLOADS, WorkloadParams
-
-def _static(fn):
-    """Adapt a no-sweep figure driver to the (scale, jobs, progress)
-    calling convention — it has no point set to shard."""
-    return lambda scale, jobs, progress: fn()
-
-
-FIGURES = {
-    "table1": _static(experiments.table1_bmo_catalog),
-    "fig3": _static(experiments.fig3_timeline),
-    "fig6": _static(experiments.fig6_dependency_graph),
-    "fig9": lambda scale, jobs, progress: experiments.fig9_multicore(
-        scale=scale, jobs=jobs, progress=progress),
-    "fig10": lambda scale, jobs, progress:
-        experiments.fig10_ideal_comparison(
-            scale=scale, jobs=jobs, progress=progress),
-    "fig11": lambda scale, jobs, progress: experiments.fig11_compiler(
-        scale=scale, jobs=jobs, progress=progress),
-    "fig12": lambda scale, jobs, progress: experiments.fig12_dedup(
-        scale=scale, jobs=jobs, progress=progress),
-    "fig13": lambda scale, jobs, progress:
-        experiments.fig13_transaction_size(
-            scale=scale, jobs=jobs, progress=progress),
-    "fig14": lambda scale, jobs, progress:
-        experiments.fig14_resources(
-            scale=scale, jobs=jobs, progress=progress),
-    "modes": lambda scale, jobs, progress:
-        experiments.modes_comparison(
-            scale=scale, jobs=jobs, progress=progress),
-    "shards": lambda scale, jobs, progress:
-        experiments.shards_sweep(
-            scale=scale, jobs=jobs, progress=progress),
-    "overhead": _static(experiments.overhead_analysis),
-    "composition": lambda scale, jobs, progress:
-        experiments.bmo_composition(
-            scale=scale, jobs=jobs, progress=progress),
-}
 
 
 def _add_jobs_arg(parser) -> None:
@@ -266,13 +232,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("figures", help="list reproducible figures")
 
-    figure = sub.add_parser("figure", help="regenerate one figure")
-    figure.add_argument("name", choices=sorted(FIGURES))
+    figure = sub.add_parser(
+        "figure", help="regenerate figures, joined by one blank line")
+    figure.add_argument("names", nargs="+", metavar="name",
+                        choices=sorted(FIGURES),
+                        help="one or more of: "
+                             + ", ".join(sorted(FIGURES)))
     figure.add_argument("--scale", type=float, default=0.5)
     figure.add_argument("--chart", action="store_true",
                         help="also render as bars (fig9/fig11)")
     figure.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the rendered figure to PATH "
+                        help="also write the rendered figures to PATH "
                              "(parent directories are created; an "
                              "existing file is only overwritten when "
                              "it is a previous render of the same "
@@ -424,35 +394,32 @@ def cmd_figures(_args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.shards is not None and args.name != "shards":
-        print("--shards only applies to `repro figure shards`",
-              file=sys.stderr)
-        return 2
-    if args.name == "shards" and args.shards is not None:
-        result = experiments.shards_sweep(
-            scale=args.scale, shards=args.shards, jobs=args.jobs,
-            progress=_progress_for(args, "figure shards"))
-    else:
-        result = FIGURES[args.name](
-            args.scale, args.jobs,
-            _progress_for(args, f"figure {args.name}"))
-    rendered = [result.rendered]
-    print(result.rendered)
-    if getattr(args, "chart", False):
+    options = {}
+    if args.shards is not None:
+        if set(args.names) != {"shards"}:
+            print("--shards only applies to `repro figure shards`",
+                  file=sys.stderr)
+            return 2
+        options["shards"] = args.shards
+    charts = {}
+    if args.chart:
         from repro.harness.plot import fig9_chart, fig11_chart
-        chart = None
-        if args.name == "fig9":
-            chart = fig9_chart(result.data)
-        elif args.name == "fig11":
-            chart = fig11_chart(result.data)
-        if chart is not None:
+        charts = {"fig9": fig9_chart, "fig11": fig11_chart}
+    blocks = []
+    for name in args.names:
+        result = FIGURES[name](
+            scale=args.scale, jobs=args.jobs,
+            progress=_progress_for(args, f"figure {name}"), **options)
+        block = result.rendered
+        if name in charts:
+            block += "\n\n" + charts[name](result.data)
+        if blocks:
             print()
-            print(chart)
-            rendered.append("")
-            rendered.append(chart)
+        print(block)
+        blocks.append(block)
     if args.out:
         try:
-            write_report_text("\n".join(rendered), args.out,
+            write_report_text("\n\n".join(blocks), args.out,
                               force=args.force)
         except ReportOverwriteError as error:
             print(f"refusing: {error}", file=sys.stderr)
@@ -641,13 +608,11 @@ def cmd_compare(args) -> int:
                   ["design", "ns/txn", "speedup vs serialized"])
     table.add_row("serialized", serialized.ns_per_transaction, 1.0)
     for mode, variant in (("parallel", None), ("coalesced", None),
-                          ("async-epoch", None), ("janus", "manual"),
+                          ("async-epoch", None), ("janus", None),
                           ("janus", "auto"), ("ideal", None)):
         result = run_point(args.workload, mode=mode, variant=variant,
                            params=params)
-        label = mode if variant in (None, "manual") else f"{mode}-auto"
-        if mode == "janus" and variant == "manual":
-            label = "janus-manual"
+        label = f"janus-{result.variant}" if mode == "janus" else mode
         table.add_row(label, result.ns_per_transaction,
                       speedup_over(serialized, result))
     print(table.render())

@@ -1,7 +1,7 @@
 """System configuration mirroring Table 3 of the paper.
 
 The configuration is a tree of frozen-ish dataclasses.  ``SystemConfig``
-is the root object handed to :class:`repro.core.system.NvmSystem`; the
+is the root object handed to :class:`repro.core.machine.NvmSystem`; the
 sub-configs are consumed by the corresponding subsystems.  All latency
 fields are nanoseconds.
 

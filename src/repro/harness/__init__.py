@@ -3,8 +3,10 @@ regenerate every table and figure of the paper's evaluation.
 
 The per-figure drivers in :mod:`repro.harness.experiments` return
 structured results *and* render the same rows/series the paper
-reports; the files under ``benchmarks/`` are thin pytest-benchmark
-wrappers around them.
+reports.  ``repro figure`` is the one way to run them: its
+:data:`~repro.harness.experiments.FIGURES` registry maps each figure
+name to its driver, and one command regenerates the committed
+``results/experiments_full.txt`` byte for byte (EXPERIMENTS.md).
 """
 
 from repro.harness.parallel import (
@@ -13,7 +15,7 @@ from repro.harness.parallel import (
     TaskResult,
     resolve_jobs,
 )
-from repro.harness.report import Table, format_series
+from repro.harness.report import Table
 from repro.harness.runner import ExperimentResult, run_point, speedup_over
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "SweepTask",
     "Table",
     "TaskResult",
-    "format_series",
     "resolve_jobs",
     "run_point",
     "speedup_over",

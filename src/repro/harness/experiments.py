@@ -1,10 +1,13 @@
-"""Per-figure experiment drivers.
+"""Per-figure experiment drivers and the registry of figure names.
 
-Every public function regenerates one table or figure from the paper's
+Every public driver regenerates one table or figure from the paper's
 evaluation and returns a :class:`FigureResult` whose ``rendered`` text
-carries the same rows/series the paper reports.  The ``scale``
-parameter trades fidelity for runtime (benchmarks use small scales;
-the examples use larger ones).
+carries the same rows/series the paper reports.  :data:`FIGURES` maps
+each name ``repro figure`` accepts to its driver; the command renders
+a list of names joined by one blank line, which is how
+``results/experiments_full.txt`` is regenerated (see EXPERIMENTS.md).
+The ``scale`` parameter trades fidelity for runtime (the committed
+file uses 1.0; tests use smaller scales).
 
 Every parameter sweep (fig9-fig14, the composition ablation) first
 builds an *ordered* list of design-point specs, executes them through
@@ -182,12 +185,10 @@ def fig9_multicore(scale: float = 1.0,
     specs: List[PointSpec] = []
     for name in workloads:
         for cores in core_counts:
-            for mode, variant in (("serialized", None),
-                                  ("parallel", None),
-                                  ("janus", "manual")):
+            for mode in ("serialized", "parallel", "janus"):
                 specs.append(((name, cores, mode), dict(
-                    workload=name, mode=mode, variant=variant,
-                    cores=cores, params=params)))
+                    workload=name, mode=mode, cores=cores,
+                    params=params)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "Fig. 9: speedup over the serialized design",
@@ -224,11 +225,9 @@ def fig10_ideal_comparison(scale: float = 1.0,
     params = _params(scale)
     specs: List[PointSpec] = []
     for name in workloads:
-        for mode, variant in (("serialized", None),
-                              ("janus", "manual"), ("ideal", None)):
+        for mode in ("serialized", "janus", "ideal"):
             specs.append(((name, mode), dict(
-                workload=name, mode=mode, variant=variant,
-                params=params)))
+                workload=name, mode=mode, params=params)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "Fig. 10: slowdown over non-blocking writeback (ideal)",
@@ -264,8 +263,6 @@ CONTRACT_MODES = ("serialized", "coalesced", "async-epoch", "janus")
 
 
 def modes_comparison(scale: float = 1.0,
-                     modes: Tuple[str, ...] = CONTRACT_MODES,
-                     workloads: Optional[List[str]] = None,
                      jobs: Optional[int] = None,
                      progress=None) -> FigureResult:
     """Four-mode scheduling comparison across every workload.
@@ -277,7 +274,7 @@ def modes_comparison(scale: float = 1.0,
     to epoch close (bounded by the staleness dial); ``janus`` is the
     paper's pre-execution design.
     """
-    workloads = workloads or ALL_WORKLOADS
+    modes, workloads = CONTRACT_MODES, ALL_WORKLOADS
     params = _params(scale)
     specs: List[PointSpec] = []
     for name in workloads:
@@ -334,12 +331,12 @@ def modes_comparison(scale: float = 1.0,
 ALL_MODES = ("serialized", "parallel", "janus", "ideal",
              "coalesced", "async-epoch")
 
+#: Cores per point of the sharded sweep (see :func:`shards_sweep`).
+SHARDS_CORES = 4
+
 
 def shards_sweep(scale: float = 1.0,
                  shards: Tuple[int, ...] = (1, 2, 4),
-                 modes: Tuple[str, ...] = ALL_MODES,
-                 workloads: Optional[List[str]] = None,
-                 cores: int = 4,
                  jobs: Optional[int] = None,
                  progress=None) -> FigureResult:
     """Speedup vs. shard count across every workload and mode.
@@ -351,14 +348,14 @@ def shards_sweep(scale: float = 1.0,
     doubles as a ``--check``-clean certificate for the sharded
     machine.
 
-    Four cores by default: channel parallelism only matters once the
+    Four cores per point: channel parallelism only matters once the
     write stream is wide enough to queue, and the flush-bound
     ``async-epoch`` mode is where per-shard channel groups pay off.
     The strict modes are BMO-bound (the shared pipeline is the
     critical path), so their rows are expected to stay flat — an
     honest negative result the table reports rather than hides.
     """
-    workloads = workloads or ALL_WORKLOADS
+    modes, workloads, cores = ALL_MODES, ALL_WORKLOADS, SHARDS_CORES
     params = _params(scale)
     specs: List[PointSpec] = []
     for name in workloads:
@@ -424,58 +421,41 @@ def shards_sweep(scale: float = 1.0,
 
 def fig11_compiler(scale: float = 1.0,
                    workloads: Optional[List[str]] = None,
-                   include_profile_guided: bool = False,
                    jobs: Optional[int] = None,
                    progress=None) -> FigureResult:
     """Manual vs. compiler-pass instrumentation speedups.
 
-    ``include_profile_guided`` adds the §6 dynamic-analysis extension
-    as a third column (not a paper bar; it shows how much of the
-    static pass's gap runtime information recovers).
+    The profile-guided column is the §6 dynamic-analysis extension
+    (not a paper bar; it shows how much of the static pass's gap
+    runtime information recovers).
     """
     workloads = workloads or ALL_WORKLOADS
     params = _params(scale)
-    variants = [("serialized", None), ("janus", "manual"),
-                ("janus", "auto")]
-    if include_profile_guided:
-        variants.append(("janus", "profile"))
+    variants = ("manual", "auto", "profile")
     specs: List[PointSpec] = []
     for name in workloads:
-        for mode, variant in variants:
-            specs.append(((name, mode, variant), dict(
-                workload=name, mode=mode, variant=variant,
+        specs.append(((name, "serialized"), dict(
+            workload=name, mode="serialized", params=params)))
+        for variant in variants:
+            specs.append(((name, variant), dict(
+                workload=name, mode="janus", variant=variant,
                 params=params)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
-    columns = ["workload", "manual", "auto"]
-    if include_profile_guided:
-        columns.append("profile-guided")
-    columns.append("auto/manual")
     table = Table(
         "Fig. 11: Janus speedup, manual vs. automated instrumentation",
-        columns)
+        ["workload", "manual", "auto", "profile-guided", "auto/manual"])
     data: Dict = {}
     for name in workloads:
-        ser = points[(name, "serialized", None)]
-        manual = points[(name, "janus", "manual")]
-        auto = points[(name, "janus", "auto")]
-        s_manual = speedup_over(ser, manual)
-        s_auto = speedup_over(ser, auto)
-        data[name] = {"manual": s_manual, "auto": s_auto}
-        row = [name, s_manual, s_auto]
-        if include_profile_guided:
-            profile = points[(name, "janus", "profile")]
-            data[name]["profile"] = speedup_over(ser, profile)
-            row.append(data[name]["profile"])
-        row.append(s_auto / s_manual)
-        table.add_row(*row)
-    mean_manual = arithmetic_mean([d["manual"] for d in data.values()])
-    mean_auto = arithmetic_mean([d["auto"] for d in data.values()])
-    avg_row = ["avg", mean_manual, mean_auto]
-    if include_profile_guided:
-        avg_row.append(arithmetic_mean(
-            [d["profile"] for d in data.values()]))
-    avg_row.append(mean_auto / mean_manual)
-    table.add_row(*avg_row)
+        ser = points[(name, "serialized")]
+        data[name] = {variant: speedup_over(ser, points[(name, variant)])
+                      for variant in variants}
+        row = data[name]
+        table.add_row(name, row["manual"], row["auto"], row["profile"],
+                      row["auto"] / row["manual"])
+    means = {variant: arithmetic_mean([d[variant] for d in data.values()])
+             for variant in variants}
+    table.add_row("avg", means["manual"], means["auto"],
+                  means["profile"], means["auto"] / means["manual"])
     return FigureResult("fig11", data=data, rendered=table.render())
 
 
@@ -483,42 +463,37 @@ def fig11_compiler(scale: float = 1.0,
 # Fig. 12 — deduplication ratios and fingerprint algorithms
 # ---------------------------------------------------------------------------
 
+#: Fig. 12's dedup ratios and fingerprint algorithms (paper §5.2.4).
+DEDUP_RATIOS = (0.25, 0.5, 0.75)
+FINGERPRINTS = ("md5", "crc32")
+
+
 def fig12_dedup(scale: float = 1.0,
-                ratios=(0.25, 0.5, 0.75),
-                algorithms=("md5", "crc32"),
-                workloads: Optional[List[str]] = None,
                 jobs: Optional[int] = None,
                 progress=None) -> FigureResult:
     """Janus speedup under different dedup ratios and algorithms."""
-    workloads = workloads or ALL_WORKLOADS
+    rows = [(name, algorithm, ratio) for name in ALL_WORKLOADS
+            for algorithm in FINGERPRINTS for ratio in DEDUP_RATIOS]
     specs: List[PointSpec] = []
-    for name in workloads:
-        for algorithm in algorithms:
-            for ratio in ratios:
-                cfg = default_config()
-                cfg = cfg.replace(dedup=DedupConfig(
-                    target_ratio=ratio, algorithm=algorithm))
-                params = _params(scale, dedup_ratio=ratio)
-                base = dict(workload=name, params=params, config=cfg)
-                specs.append((
-                    (name, algorithm, ratio, "serialized"),
-                    dict(base, mode="serialized")))
-                specs.append((
-                    (name, algorithm, ratio, "janus"),
-                    dict(base, mode="janus", variant="manual")))
+    for name, algorithm, ratio in rows:
+        cfg = default_config()
+        cfg = cfg.replace(dedup=DedupConfig(
+            target_ratio=ratio, algorithm=algorithm))
+        params = _params(scale, dedup_ratio=ratio)
+        for mode in ("serialized", "janus"):
+            specs.append(((name, algorithm, ratio, mode), dict(
+                workload=name, mode=mode, params=params, config=cfg)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "Fig. 12: Janus speedup vs. dedup ratio and fingerprint",
         ["workload", "algorithm", "ratio", "speedup"])
     data: Dict = {}
-    for name in workloads:
-        for algorithm in algorithms:
-            for ratio in ratios:
-                ser = points[(name, algorithm, ratio, "serialized")]
-                jan = points[(name, algorithm, ratio, "janus")]
-                speedup = speedup_over(ser, jan)
-                data.setdefault(name, {})[(algorithm, ratio)] = speedup
-                table.add_row(name, algorithm, ratio, speedup)
+    for name, algorithm, ratio in rows:
+        speedup = speedup_over(
+            points[(name, algorithm, ratio, "serialized")],
+            points[(name, algorithm, ratio, "janus")])
+        data.setdefault(name, {})[(algorithm, ratio)] = speedup
+        table.add_row(name, algorithm, ratio, speedup)
     return FigureResult("fig12", data=data, rendered=table.render())
 
 
@@ -526,33 +501,31 @@ def fig12_dedup(scale: float = 1.0,
 # Fig. 13 — transaction size sweep
 # ---------------------------------------------------------------------------
 
+#: Fig. 13's transaction update sizes in bytes (paper §5.2.5).
+UPDATE_SIZES = (64, 256, 1024, 4096, 8192)
+
+
 def fig13_transaction_size(scale: float = 1.0,
-                           sizes=(64, 256, 1024, 4096, 8192),
-                           workloads: Optional[List[str]] = None,
                            jobs: Optional[int] = None,
                            progress=None) -> FigureResult:
     """Parallelization and pre-execution speedups vs. update size
     (the five scalable workloads; TATP/TPCC keep their semantics)."""
-    workloads = workloads or SCALABLE_WORKLOADS
     specs: List[PointSpec] = []
-    for name in workloads:
-        for size in sizes:
+    for name in SCALABLE_WORKLOADS:
+        for size in UPDATE_SIZES:
             params = WorkloadParams(
                 n_items=8, value_size=size,
                 n_transactions=max(3, int(8 * scale)))
-            for mode, variant in (("serialized", None),
-                                  ("parallel", None),
-                                  ("janus", "manual")):
+            for mode in ("serialized", "parallel", "janus"):
                 specs.append(((name, size, mode), dict(
-                    workload=name, mode=mode, variant=variant,
-                    params=params)))
+                    workload=name, mode=mode, params=params)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "Fig. 13: speedup vs. transaction update size",
         ["workload", "size (B)", "parallelization", "pre-execution"])
     data: Dict = {}
-    for name in workloads:
-        for size in sizes:
+    for name in SCALABLE_WORKLOADS:
+        for size in UPDATE_SIZES:
             ser = points[(name, size, "serialized")]
             par = points[(name, size, "parallel")]
             jan = points[(name, size, "janus")]
@@ -599,8 +572,8 @@ def fig14_resources(scale: float = 1.0,
         for resource_scale in scales:
             label, cfg = _fig14_label_config(resource_scale)
             specs.append(((name, label), dict(
-                workload=name, mode="janus", variant="manual",
-                params=params, config=cfg)))
+                workload=name, mode="janus", params=params,
+                config=cfg)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "Fig. 14: Janus speedup vs. BMO units and buffer entries",
@@ -620,8 +593,11 @@ def fig14_resources(scale: float = 1.0,
 # Extra: BMO-composition sensitivity (which backend costs what)
 # ---------------------------------------------------------------------------
 
+#: The one workload the BMO-composition ablation runs.
+COMPOSITION_WORKLOAD = "array_swap"
+
+
 def bmo_composition(scale: float = 1.0,
-                    workload: str = "array_swap",
                     jobs: Optional[int] = None,
                     progress=None) -> FigureResult:
     """Serialized cost and Janus recovery for growing BMO stacks.
@@ -641,11 +617,10 @@ def bmo_composition(scale: float = 1.0,
     specs: List[PointSpec] = []
     for stack in stacks:
         cfg = default_config(bmos=stack)
-        base = dict(workload=workload, params=params, config=cfg)
-        specs.append(((stack, "serialized"),
-                      dict(base, mode="serialized")))
-        specs.append(((stack, "janus"),
-                      dict(base, mode="janus", variant="manual")))
+        for mode in ("serialized", "janus"):
+            specs.append(((stack, mode), dict(
+                workload=COMPOSITION_WORKLOAD, mode=mode,
+                params=params, config=cfg)))
     points = _sweep_points(specs, jobs=jobs, progress=progress)
     table = Table(
         "BMO composition: serialized tax and Janus recovery",
@@ -682,3 +657,33 @@ def overhead_analysis() -> FigureResult:
         "\n".join(report.lines())
     return FigureResult("overhead", data=dataclasses.asdict(report),
                         rendered=rendered)
+
+
+# ---------------------------------------------------------------------------
+# The registry ``repro figure`` reads
+# ---------------------------------------------------------------------------
+
+def _static(driver: Callable[[], FigureResult]
+            ) -> Callable[..., FigureResult]:
+    """A driver that simulates nothing, under the sweeps' calling
+    convention: it has no points to scale or shard."""
+    return lambda scale=1.0, jobs=None, progress=None: driver()
+
+
+#: Every figure name ``repro figure`` accepts and its driver, each
+#: called as ``driver(scale=S, jobs=N, progress=P)``.
+FIGURES: Dict[str, Callable[..., FigureResult]] = {
+    "table1": _static(table1_bmo_catalog),
+    "fig3": _static(fig3_timeline),
+    "fig6": _static(fig6_dependency_graph),
+    "fig9": fig9_multicore,
+    "fig10": fig10_ideal_comparison,
+    "fig11": fig11_compiler,
+    "fig12": fig12_dedup,
+    "fig13": fig13_transaction_size,
+    "fig14": fig14_resources,
+    "composition": bmo_composition,
+    "modes": modes_comparison,
+    "shards": shards_sweep,
+    "overhead": _static(overhead_analysis),
+}

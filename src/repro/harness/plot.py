@@ -62,7 +62,7 @@ def fig9_chart(data: Dict[str, Dict[int, Sequence[float]]]) -> str:
 
 
 def fig11_chart(data: Dict[str, Dict[str, float]]) -> str:
-    """Fig. 11 as bars: manual vs auto (vs profile when present)."""
+    """Fig. 11 as bars: manual vs auto vs profile-guided."""
     groups = {workload: dict(series)
               for workload, series in data.items()}
     return bar_chart(

@@ -1,4 +1,4 @@
-"""Plain-text tables and series for the figure reproductions,
+"""Plain-text tables for the figure reproductions,
 plus the path helpers every harness writer goes through.
 
 Output paths (``results/figures/...``, trace/stats JSON, charts) are
@@ -15,7 +15,7 @@ import json
 import os
 from datetime import date
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.common.errors import ReproError
 
@@ -137,14 +137,6 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_series(name: str, points: Dict, unit: str = "x") -> str:
-    """One figure series as ``name: k1=v1 k2=v2 ...``."""
-    parts = [f"{key}={value:.2f}{unit}" if isinstance(value, float)
-             else f"{key}={value}{unit}"
-             for key, value in points.items()]
-    return f"{name}: " + "  ".join(parts)
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:

@@ -132,6 +132,76 @@ class TestNegativeFixtures:
         assert check_docs.main([str(tmp_path)]) == 0
 
 
+class TestMeasuredNumbers:
+    ARTIFACT = ("Fig. 9: speedup\n"
+                "workload | cores | pre-execution\n"
+                "---------+-------+--------------\n"
+                "avg      | 1     | 2.05         \n"
+                "tpcc     | 1     | 82.6%        \n")
+    TABLE = ("| metric | paper | measured |\n"
+             "|---|---|---|\n"
+             "| speedup | 2.35x | **{speedup}x** |\n"
+             "| fully pre-executed | 45.13% | 82.6% |\n")
+
+    def _doc(self, root, speedup, preamble=True, section_cites=None):
+        _write(root, "results/experiments_full.txt", self.ARTIFACT)
+        cite = "Cells of `results/experiments_full.txt`.\n\n" \
+            if preamble else ""
+        extra = f"From `{section_cites}`.\n\n" if section_cites else ""
+        return _write(root, "EXPERIMENTS.md",
+                      f"# Experiments\n\n{cite}## Headline\n\n{extra}"
+                      + self.TABLE.format(speedup=speedup))
+
+    def test_cells_found_in_the_cited_artifact_pass(self, tmp_path):
+        # The paper column (2.35, 45.13) is exempt.
+        doc = self._doc(tmp_path, "2.05")
+        assert check_docs.check_numbers(doc, tmp_path) == []
+
+    def test_stale_cell_fails(self, tmp_path):
+        doc = self._doc(tmp_path, "2.04")
+        problems = check_docs.check_numbers(doc, tmp_path)
+        assert len(problems) == 1
+        assert "2.04 is not in results/experiments_full.txt" in \
+            problems[0]
+        assert "'speedup'" in problems[0]
+
+    def test_number_must_match_a_whole_token(self, tmp_path):
+        # "2.0" is a prefix of the artifact's 2.05, not a cell of it.
+        doc = self._doc(tmp_path, "2.0")
+        assert len(check_docs.check_numbers(doc, tmp_path)) == 1
+
+    def test_section_citation_overrides_the_preamble(self, tmp_path):
+        _write(tmp_path, "results/OTHER.txt", "speedup 2.04 82.6\n")
+        doc = self._doc(tmp_path, "2.04",
+                        section_cites="results/OTHER.txt")
+        assert check_docs.check_numbers(doc, tmp_path) == []
+
+    def test_missing_artifact_fails(self, tmp_path):
+        doc = self._doc(tmp_path, "2.05", section_cites="results/GONE.txt")
+        problems = check_docs.check_numbers(doc, tmp_path)
+        assert problems == ["EXPERIMENTS.md: cited artifact "
+                            "results/GONE.txt does not exist"]
+
+    def test_uncited_tables_are_not_checked(self, tmp_path):
+        doc = self._doc(tmp_path, "9.99", preamble=False)
+        assert check_docs.check_numbers(doc, tmp_path) == []
+
+    def test_only_measured_docs_are_number_checked(self, tmp_path):
+        _write(tmp_path, "results/experiments_full.txt", self.ARTIFACT)
+        _write(tmp_path, "DESIGN.md",
+               "`results/experiments_full.txt`\n\n"
+               + self.TABLE.format(speedup="9.99"))
+        problems = check_docs.check_docs(
+            files=check_docs.default_doc_files(tmp_path),
+            root=tmp_path, subcommands=SUBCOMMANDS)
+        assert problems == []
+        self._doc(tmp_path, "9.99")
+        problems = check_docs.check_docs(
+            files=check_docs.default_doc_files(tmp_path),
+            root=tmp_path, subcommands=SUBCOMMANDS)
+        assert len(problems) == 1 and "9.99" in problems[0]
+
+
 class TestCheckDocsAggregation:
     def test_all_defect_kinds_reported_together(self, tmp_path):
         _write(tmp_path, "README.md",

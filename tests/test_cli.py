@@ -4,7 +4,12 @@ import re
 
 import pytest
 
-from repro.cli import FIGURES, main
+from repro.cli import main
+from repro.harness.experiments import (
+    FIGURES,
+    overhead_analysis,
+    table1_bmo_catalog,
+)
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +35,18 @@ def test_figure_overhead(capsys):
     code, out = run_cli(capsys, "figure", "overhead")
     assert code == 0
     assert "IRB" in out
+
+
+def test_figure_names_join_with_one_blank_line(capsys, tmp_path):
+    # The layout of results/experiments_full.txt.
+    path = tmp_path / "both.txt"
+    code, out = run_cli(capsys, "figure", "table1", "overhead",
+                        "--out", str(path))
+    assert code == 0
+    expected = (table1_bmo_catalog().rendered + "\n\n"
+                + overhead_analysis().rendered + "\n")
+    assert path.read_text() == expected
+    assert out == expected + f"figure -> {path}\n"
 
 
 def test_figure_out_writes_then_rerenders_in_place(capsys, tmp_path):
@@ -159,12 +176,15 @@ def exit_status(argv):
     (["run", "queue", "--shards", "3"], "invalid sharding config"),
     (["figure", "shards", "--scale", "0.05", "--shards", "1,3"],
      "invalid sharding config"),
+    (["figure", "fig9", "--shards", "2"],
+     "--shards only applies to `repro figure shards`"),
     (["run", "queue", "--jobs", "2"], "unrecognized arguments: --jobs"),
     (["profile", "queue", "--jobs", "2"],
      "unrecognized arguments: --jobs"),
 ], ids=["crashtest-workloads", "crashtest-modes", "soak-modes",
         "crashtest-shards", "soak-shards", "fuzz-shards", "run-shards",
-        "figure-shards", "run-jobs", "profile-jobs"])
+        "figure-shards", "figure-shards-other", "run-jobs",
+        "profile-jobs"])
 def test_bad_flags_exit_2_before_running(capsys, argv, message):
     campaign = ["--quick", "--no-write"] \
         if argv[0] in ("crashtest", "soak", "fuzz") else []

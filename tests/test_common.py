@@ -18,11 +18,7 @@ from repro.common.config import (
     default_config,
 )
 from repro.common.units import align_down, align_up, line_span
-from repro.harness.report import (
-    Table,
-    arithmetic_mean,
-    format_series,
-)
+from repro.harness.report import Table, arithmetic_mean
 from repro.obs.metrics import Counter, Histogram
 
 
@@ -206,7 +202,3 @@ class TestReport:
     def test_means(self):
         assert arithmetic_mean([1, 2, 3]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-
-    def test_format_series(self):
-        text = format_series("s", {"a": 1.5, "b": 2.0})
-        assert "a=1.50x" in text

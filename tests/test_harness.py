@@ -1,7 +1,12 @@
-"""Tests for the experiment harness and figure drivers."""
+"""Tests for the experiment harness, the figure drivers and the
+ablations of the design choices DESIGN.md calls out."""
+
+import dataclasses
 
 import pytest
 
+from repro.common.config import default_config
+from repro.harness.crash_campaign import build
 from repro.harness.experiments import (
     fig3_timeline,
     fig6_dependency_graph,
@@ -76,9 +81,13 @@ class TestStaticFigures:
         assert labels["E3"] == "both"
 
     def test_overhead_numbers(self):
+        # The paper quotes a 9.25 KB IRB, 0.51% of the 2 MB LLC and
+        # 300k gates of BMO units (§5.2.7).
         data = overhead_analysis().data
         assert 9.0 < data["irb_kib"] < 9.5
         assert data["irb_entry_bits"] == 1179
+        assert 0.004 < data["fraction_of_llc"] < 0.006
+        assert data["bmo_gates"] == 300_000
 
 
 class TestDynamicFigures:
@@ -101,3 +110,45 @@ class TestDynamicFigures:
         series = result.data["array_swap"]
         assert set(series) == {"1x", "4x"}
         assert all(v > 0 for v in series.values())
+
+
+class TestAblations:
+    """Each design choice against the paper's default configuration,
+    on a workload where it matters."""
+
+    PARAMS = WorkloadParams(n_items=32, value_size=64, n_transactions=12)
+
+    def _speedup(self, workload, config=None):
+        ser = run_point(workload, mode="serialized", params=self.PARAMS,
+                        config=config)
+        jan = run_point(workload, mode="janus", params=self.PARAMS,
+                        config=config)
+        return speedup_over(ser, jan)
+
+    def test_strict_sibling_invalidation_costs_speedup(self):
+        # Charging Merkle-path rework from concurrent commits on the
+        # critical path erases part of the pre-execution benefit.
+        cfg = default_config()
+        cfg = cfg.replace(integrity=dataclasses.replace(
+            cfg.integrity, strict_sibling_invalidation=True))
+        assert self._speedup("array_swap", cfg) < \
+            self._speedup("array_swap")
+
+    def test_metadata_atomicity_selective_and_always(self):
+        always = default_config().replace(
+            selective_metadata_atomicity=False)
+        assert self._speedup("tatp") > 1.0
+        assert self._speedup("tatp", always) > 1.0
+
+    def test_non_pipelined_units_still_speed_up(self):
+        blocking = default_config().replace(bmo_unit_pipeline_fraction=1.0)
+        assert self._speedup("btree") > 1.0
+        assert self._speedup("btree", blocking) > 1.0
+
+    def test_deferred_interface_coalesces_same_line_requests(self):
+        # TATP's manual plan uses the deferred (_BUF) interface: its
+        # same-line field updates merge in the request queue.
+        system, workloads = build("tatp", "janus", self.PARAMS)
+        system.run_programs([w.run() for w in workloads])
+        assert system.janus.request_queue.coalesced >= \
+            self.PARAMS.n_transactions

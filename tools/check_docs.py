@@ -15,7 +15,14 @@ every ``docs/*.md``:
    the argparse tree in :mod:`repro.cli`;
 4. **CLI flags** — every ``--flag`` after ``repro <subcommand>`` in
    such code (``\\`` continuations joined, ``#`` comments dropped)
-   must be an option of that subcommand's parser.
+   must be an option of that subcommand's parser;
+5. **Measured numbers** — in ``README.md`` and ``EXPERIMENTS.md``,
+   the documents that record measurements: in a ``## `` section that
+   cites a ``results/<name>.txt`` artifact (or in any section of a
+   document whose preamble cites one), every number in a table's
+   measured columns must appear verbatim in that artifact.  The first
+   column (the row label) and columns whose header says ``paper`` are
+   exempt.
 
 Pure standard library; exits 0 when clean, 1 with one line per
 problem otherwise.  The check functions take explicit paths so the
@@ -47,6 +54,14 @@ _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 _FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 #: Shell separators that end one command on a line.
 _SHELL_SEP_RE = re.compile(r"[|;&]")
+#: The documents whose tables record measured numbers.
+MEASURED_DOCS = ("README.md", "EXPERIMENTS.md")
+#: A committed text artifact a section cites.
+_ARTIFACT_RE = re.compile(r"results/[\w-]+\.txt")
+#: A number, as a table cell or an artifact writes it.
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+#: A markdown table's header rule (``|---|---|``).
+_TABLE_RULE_RE = re.compile(r"^\|[\s:|-]+\|$")
 
 
 def default_doc_files(root: Path = REPO_ROOT) -> List[Path]:
@@ -166,6 +181,55 @@ def check_flags(doc: Path, root: Path,
     return problems
 
 
+def _tables(text: str) -> Iterable[List[List[str]]]:
+    """Each markdown table in ``text``: its header row, then its body
+    rows, each a list of stripped cells."""
+    lines = text.splitlines()
+    for i in range(1, len(lines)):
+        if not _TABLE_RULE_RE.match(lines[i].strip()) or \
+                not lines[i - 1].startswith("|"):
+            continue
+        table = [lines[i - 1]]
+        for line in lines[i + 1:]:
+            if not line.startswith("|"):
+                break
+            table.append(line)
+        yield [[cell.strip() for cell in row.strip().strip("|")
+                .split("|")] for row in table]
+
+
+def check_numbers(doc: Path, root: Path) -> List[str]:
+    """Measured table cells must be numbers of the cited artifact."""
+    problems = []
+    sections = re.split(r"(?m)^(?=## )", doc.read_text())
+    cited = _ARTIFACT_RE.search(sections[0])
+    default = cited.group(0) if cited else None
+    for section in sections:
+        cited = _ARTIFACT_RE.search(section)
+        artifact = cited.group(0) if cited else default
+        tables = list(_tables(section))
+        if artifact is None or not tables:
+            continue
+        if not (root / artifact).exists():
+            problems.append(f"{doc.relative_to(root)}: cited artifact "
+                            f"{artifact} does not exist")
+            continue
+        numbers = set(_NUMBER_RE.findall((root / artifact).read_text()))
+        heading = section.splitlines()[0]
+        for header, *rows in tables:
+            for row in rows:
+                for column, cell in zip(header[1:], row[1:]):
+                    if "paper" in column.lower():
+                        continue
+                    for number in _NUMBER_RE.findall(cell):
+                        if number not in numbers:
+                            problems.append(
+                                f"{doc.relative_to(root)}: {heading!r}"
+                                f" row {row[0]!r}, column {column!r}: "
+                                f"{number} is not in {artifact}")
+    return problems
+
+
 def check_docs(files: Optional[List[Path]] = None,
                root: Path = REPO_ROOT,
                subcommands: Optional[Dict[str, Set[str]]] = None
@@ -180,6 +244,8 @@ def check_docs(files: Optional[List[Path]] = None,
         problems.extend(check_src_paths(doc, root))
         problems.extend(check_subcommands(doc, root, subcommands))
         problems.extend(check_flags(doc, root, subcommands))
+        if doc.name in MEASURED_DOCS:
+            problems.extend(check_numbers(doc, root))
     return problems
 
 
