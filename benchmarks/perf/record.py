@@ -7,9 +7,10 @@ Run from anywhere; paths resolve against the repository root::
 
 Every run is the benchmark that ``BENCHMARK.json`` declares: its
 ``command`` for each of its ``workloads``, at ``--seed 1`` for
-``run_seconds``.  Recording runs each workload at ``--trace 0`` (the
-end-to-end metrics) and at ``--trace 1`` (the per-layer metrics) and
-writes both runs to ``benchmarks/perf/BENCH_<date>.json``
+``run_seconds``.  Recording runs each workload three times at
+``--trace 0`` (the end-to-end metrics, kept as their per-metric
+median) and once at ``--trace 1`` (the per-layer metrics) and writes
+both entries to ``benchmarks/perf/BENCH_<date>.json``
 (``repro-bench-v2``).  ``--compare`` runs ``--trace 0`` only, writes
 nothing, and checks each run against the newest v2 file here: a run
 must be ``correct``, fail no more ops than the baseline run did, and
@@ -25,6 +26,7 @@ import glob
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -32,6 +34,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 SCHEMA = "repro-bench-v2"
 SEED = 1
+#: ``--trace 0`` runs per workload in a recording; one run per cell
+#: made a baseline that later runs at the same code missed by up to
+#: 25%.
+TRACE0_RUNS = 3
 
 
 def load_spec() -> dict:
@@ -68,17 +74,37 @@ def git_head():
     return proc.stdout.strip() or None
 
 
+def median_run(results: list) -> dict:
+    """One entry from several runs of the same command: every metric,
+    ``host_slowdown`` and ``attempted`` at their median, ``correct``
+    only if every run was, and the most ``failed`` ops of any run."""
+    median = statistics.median
+    return {
+        "correct": all(r["correct"] for r in results),
+        "attempted": median(r["attempted"] for r in results),
+        "failed": max(r["failed"] for r in results),
+        "host_slowdown": median(r["host_slowdown"] for r in results),
+        "metrics": {
+            key: {"value": median(r["metrics"][key]["value"]
+                                  for r in results),
+                  "unit": entry["unit"]}
+            for key, entry in results[0]["metrics"].items()},
+    }
+
+
 def record(spec: dict) -> dict:
     workloads = {}
     for workload in spec["workloads"]:
         name = workload["name"]
-        workloads[name] = {}
-        for trace in (0, 1):
+        runs = {0: [], 1: []}
+        for trace in [0] * TRACE0_RUNS + [1]:
             result = run(spec, name, trace)
-            workloads[name][f"trace{trace}"] = result
+            runs[trace].append(result)
             print(f"{name} --trace {trace}: correct {result['correct']}, "
                   f"failed {result['failed']} of {result['attempted']}, "
                   f"host_slowdown {result['host_slowdown']}", flush=True)
+        workloads[name] = {"trace0": median_run(runs[0]),
+                           "trace1": runs[1][0]}
     return {
         "schema": SCHEMA,
         "meta": {
@@ -87,6 +113,7 @@ def record(spec: dict) -> dict:
             "python": platform.python_version(),
             "seed": SEED,
             "run_seconds": spec["run_seconds"],
+            "trace0_runs": TRACE0_RUNS,
         },
         "workloads": workloads,
     }

@@ -13,27 +13,29 @@ The leaf covers the co-located metadata entry — the encryption counter
 and the dedup remap pointer (DeWrite-style integration) — hence the
 inter-operation dependencies I1 <- E1 and I1 <- D2.
 
-The ``I`` sub-ops carry timing only.  Each committed write hashes
-its path exactly once, at :meth:`IntegrityBmo.commit`, against the
-live tree (:meth:`repro.crypto.merkle.MerkleTree.update_leaf`), so
-the installed digests are correct however stale a pre-execution was,
-and a pre-execution leaves no hashed digests behind to install
-blindly.  Pre-executing I1..I<height> therefore buys simulated time
-only, never host work.
+The ``I`` sub-ops carry timing only.  :meth:`IntegrityBmo.commit`
+hands the committed leaf to the live tree
+(:meth:`repro.crypto.merkle.MerkleTree.update_leaf`), which hashes it
+and its path in at the tree's next read: a crash snapshot, scrub,
+``--check`` or the strict ablation's sibling record.  The installed
+digests are therefore correct however stale a pre-execution was, and
+a pre-execution leaves no hashed digests behind to install blindly.
+Pre-executing I1..I<height> buys simulated time only, never host
+work.
 
 Strict ablation (``IntegrityConfig.strict_sibling_invalidation``):
 I1 and the top level record the path's sibling blocks
-(:meth:`~repro.crypto.merkle.MerkleTree.sibling_blocks`, a read with
-no hashing).  When the write arrives, the lowest level whose recorded
+(:meth:`~repro.crypto.merkle.MerkleTree.sibling_blocks`, a read that
+hashes only the commits still pending).  When the write arrives, the lowest level whose recorded
 siblings another commit has since changed decides which upper ``I``
 sub-ops are re-run, i.e. how much hashing *time* is recharged.
 
-The same recompute-at-commit guarantee is what makes the ``coalesced``
-scheduling mode (:mod:`repro.bmo.policy`) a pure timing optimization:
-when overlapping writebacks share an ancestor node, only the first
-write in the batch is *charged* for that level's hash — the functional
-update still happens per-write at commit, so tree state and
-verification are untouched.
+The same guarantee is what makes the ``coalesced`` scheduling mode
+(:mod:`repro.bmo.policy`) a pure timing optimization: when
+overlapping writebacks share an ancestor node, only the first write
+in the batch is *charged* for that level's hash.  Every committed
+leaf is hashed into the tree at its next read whatever the mode, so
+tree state and verification are untouched.
 """
 
 from typing import Tuple
@@ -118,8 +120,8 @@ class IntegrityBmo(BackendOperation):
 
     # -- commit / staleness --------------------------------------------
     def commit(self, ctx: BmoContext) -> None:
-        # The only place a path is hashed: against the live tree, so
-        # the result is correct however stale the pre-execution was.
+        # The live tree hashes the leaf in at its next read, so the
+        # result is correct however stale the pre-execution was.
         leaf_value = leaf_value_for(ctx)
         index = self.leaf_index(ctx.addr)
         self.tree.update_leaf(index, leaf_value)

@@ -210,9 +210,9 @@ class CoalescedPolicy(ParallelPolicy):
     id; a batch ends when the in-flight count drains to zero, so
     batching is deterministic (simulation order, not wall clock).
 
-    Functional model: unchanged.  Every commit recomputes the path it
-    installs against the live tree, so the final image is
-    byte-identical to ``serialized`` — asserted by
+    Functional model: unchanged.  Every commit hands its leaf to the
+    live tree, which hashes it in at its next read, so the final image
+    is byte-identical to ``serialized`` — asserted by
     ``repro.validate.oracles.check_mode_equivalence``.
     """
 

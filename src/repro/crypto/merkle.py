@@ -9,19 +9,31 @@ lives in a secure non-volatile register.
 
 A 4 GB NVM with arity 8 needs a height-9 tree — far too many nodes to
 materialise, so the tree is *sparse*: subtrees whose leaves were never
-written hash to a precomputed "empty" digest per level.  Updating one
-leaf recomputes exactly ``height`` hashes (the path to the root),
-which is why the paper charges 9 x 40 ns = 360 ns per write.
+written hash to a precomputed "empty" digest per level.  The paper
+charges each write ``height`` hashes for its path, 9 x 40 ns = 360 ns;
+the integrity BMO models that as timing only.
+
+Hashing is deferred to the next read.  :meth:`MerkleTree.update_leaf`
+records the leaf as pending; every reader (:attr:`~MerkleTree.root`,
+:meth:`~MerkleTree.node`, :meth:`~MerkleTree.verify_leaf`,
+:meth:`~MerkleTree.sibling_blocks`, :meth:`~MerkleTree.stale_depth`,
+:meth:`~MerkleTree.snapshot`) first hashes each pending leaf and each
+dirty internal node once, bottom up.  Writes between two reads that
+share upper nodes share those nodes' hashes — the sharing Freij et
+al. coalesce for integrity-tree updates in hardware — and the stored
+blocks, each level's key order and the root equal those of a tree
+that hashed every path at once.  A run that never reads the tree
+hashes nothing.
 
 Layout: every internal node is stored as its *child block* — its
 ``arity`` child digests concatenated, which are exactly the bytes
 SHA-1 hashes to produce the node's own digest.  The digest of node
 ``(L, i)`` is slot ``i % arity`` of the block of its parent
 ``(L + 1, i // arity)``; the root digest sits in its own register.
-Hashing a path therefore costs one splice (the new child digest into
-its parent's block) and one SHA-1 call per level, with no per-child
-lookups or joins.  A block that was never written is absent and reads
-as the level's empty block.
+Hashing a node therefore costs one splice per dirty child (its new
+digest into the block) and one SHA-1 call, with no per-child lookups
+or joins.  A block that was never written is absent and reads as the
+level's empty block.
 """
 
 import hashlib
@@ -72,17 +84,53 @@ class MerkleTree:
         self._levels: Tuple[Tuple[Dict[int, bytes], bytes], ...] = \
             tuple((level_blocks, self._empty[child_level] * self.arity)
                   for child_level, level_blocks in enumerate(blocks))
+        #: Leaf index -> value written since the last read, in order
+        #: of first write; :meth:`_flush` hashes them in.
+        self._pending: Dict[int, bytes] = {}
+
+    def _flush(self) -> None:
+        """Hash the pending leaves into the tree: each pending leaf
+        and each dirty internal node once, bottom up.
+
+        Each level's new digests are spliced into their parents'
+        blocks in first-touch order, so a parent the tree has not
+        stored yet is added to its level's dict where hashing every
+        path at once would have added it.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = {}
+        arity = self.arity
+        dirty = {index: _sha1(value).digest()
+                 for index, value in pending.items()}
+        for level_blocks, empty_block in self._levels:
+            spliced: Dict[int, bytes] = {}
+            for node, digest in dirty.items():
+                parent, slot = divmod(node, arity)
+                offset = slot * DIGEST_BYTES
+                block = spliced.get(parent)
+                if block is None:
+                    block = level_blocks.get(parent, empty_block)
+                spliced[parent] = (block[:offset] + digest
+                                   + block[offset + DIGEST_BYTES:])
+            level_blocks.update(spliced)
+            dirty = {parent: _sha1(block).digest()
+                     for parent, block in spliced.items()}
+        self._root = dirty[0]
 
     # -- queries ---------------------------------------------------------
     @property
     def root(self) -> bytes:
         """Current root digest (the secure-register value)."""
+        self._flush()
         return self._root
 
     def node(self, level: int, index: int) -> bytes:
         """Digest of the node at ``(level, index)``."""
         if not 0 <= level <= self.height:
             raise IntegrityError(f"level {level} out of range")
+        self._flush()
         if level == self.height:
             return self._root if index == 0 else self._empty[level]
         parent, slot = divmod(index, self.arity)
@@ -101,24 +149,11 @@ class MerkleTree:
             raise IntegrityError(
                 f"leaf index {index} outside [0, {self.leaf_capacity})")
 
-    def update_leaf(self, index: int, leaf_value: bytes) -> bytes:
-        """Set leaf ``index`` to ``Hash(leaf_value)`` and re-hash its
-        path against the live tree; returns the new root."""
+    def update_leaf(self, index: int, leaf_value: bytes) -> None:
+        """Set leaf ``index`` to ``Hash(leaf_value)``; the next read of
+        the tree hashes it and its path in."""
         self._check_leaf_index(index)
-        arity = self.arity
-        digest = _sha1(leaf_value).digest()
-        node = index
-        for level_blocks, empty_block in self._levels:
-            parent, slot = divmod(node, arity)
-            offset = slot * DIGEST_BYTES
-            block = level_blocks.get(parent, empty_block)
-            block = (block[:offset] + digest
-                     + block[offset + DIGEST_BYTES:])
-            level_blocks[parent] = block
-            digest = _sha1(block).digest()
-            node = parent
-        self._root = digest
-        return digest
+        self._pending[index] = leaf_value
 
     def verify_leaf(self, index: int, leaf_value: bytes) -> bool:
         """Check that ``leaf_value`` at ``index`` matches the root.
@@ -127,6 +162,7 @@ class MerkleTree:
         authentic iff the recomputed root equals the stored root.
         """
         self._check_leaf_index(index)
+        self._flush()
         arity = self.arity
         digest = _sha1(leaf_value).digest()
         node = index
@@ -144,11 +180,12 @@ class MerkleTree:
         """Record the child blocks the path from leaf ``index`` reads
         its siblings from, one per level bottom-up.
 
-        A read with no hashing.  A pre-execution keeps the record so
-        that, when the actual write arrives, :meth:`stale_depth` can
-        judge staleness per level.
+        A read: it hashes only the writes still pending.  A
+        pre-execution keeps the record so that, when the actual write
+        arrives, :meth:`stale_depth` can judge staleness per level.
         """
         self._check_leaf_index(index)
+        self._flush()
         arity = self.arity
         record = []
         node = index
@@ -167,6 +204,7 @@ class MerkleTree:
         redone from the node at level ``L`` upwards.  The path's own
         slot in each block is not a sibling and is ignored.
         """
+        self._flush()
         level = 0
         for (level_blocks, empty_block), (parent, offset, recorded) \
                 in zip(self._levels, record):
@@ -183,10 +221,12 @@ class MerkleTree:
     # -- persistence hooks -------------------------------------------------
     def snapshot(self) -> dict:
         """Copy of tree state (crash/recovery tests)."""
+        self._flush()
         return {"blocks": [dict(level_blocks)
                            for level_blocks, _empty in self._levels],
                 "root": self._root}
 
     def restore(self, snap: dict) -> None:
+        """Install ``snap``; writes still pending are dropped."""
         self._install([dict(level) for level in snap["blocks"]],
                       snap["root"])

@@ -1,5 +1,5 @@
 """The packed-block Merkle tree against a dict-of-nodes reference,
-and one path hash per committed write.
+and its hashing deferred to the tree's next read.
 
 ``ReferenceMerkleTree`` is the previous production tree, kept verbatim
 (one dict of digests per level, paths hashed by gathering and joining
@@ -228,15 +228,27 @@ class ReferenceMerkleTree:
 #: that random updates share blocks at every level.
 SHAPES = ((2, 4), (8, 3))
 
+VALUES = st.binary(min_size=1, max_size=8)
+
 OPS = st.one_of(
-    st.tuples(st.just("write"), st.integers(0, 15),
-              st.binary(min_size=1, max_size=8)),
-    st.tuples(st.just("write"), st.integers(0, 511),
-              st.binary(min_size=1, max_size=8)),
-    st.tuples(st.just("record"), st.integers(0, 511)),
+    st.tuples(st.just("write"), st.integers(0, 15), VALUES),
+    st.tuples(st.just("write"), st.integers(0, 511), VALUES),
+    st.tuples(st.just("batch"), st.integers(0, 511),
+              st.lists(VALUES, min_size=4, max_size=4)),
+    # A sibling record and a restore, each taken while a write is
+    # still pending.
+    st.tuples(st.just("record"), st.integers(0, 511), VALUES),
     st.tuples(st.just("snapshot")),
-    st.tuples(st.just("restore")),
+    st.tuples(st.just("restore"), st.integers(0, 511), VALUES),
 )
+
+
+def _batch(tree, index):
+    """Leaves one batch writes before the next read: ``index`` twice,
+    its sibling under the same parent, and a far leaf that shares only
+    the root block with it."""
+    capacity = tree.leaf_capacity
+    return (index, index ^ 1, (index + capacity // 2) % capacity, index)
 
 
 def _beside(tree, index):
@@ -280,20 +292,27 @@ def test_packed_tree_matches_reference(arity, height, ops):
     saved = None
     for op in ops:
         kind = op[0]
-        if kind == "write":
-            index, value = op[1] % capacity, op[2]
-            assert tree.update_leaf(index, value) \
-                == ref.update_leaf(index, value)
+        if kind in ("write", "restore"):
+            writes = [(op[1] % capacity, op[2])]
+        elif kind == "record":
+            writes = [((op[1] % capacity) ^ 1, op[2])]
+        elif kind == "batch":
+            writes = list(zip(_batch(tree, op[1] % capacity), op[2]))
+        else:
+            writes = []
+        for index, value in writes:
+            tree.update_leaf(index, value)
+            ref.update_leaf(index, value)
             touched.add(index)
             values[index] = value
-        elif kind == "record":
+        if kind == "record":
             index = op[1] % capacity
             _path, ref_siblings = ref.path_with_siblings(index, b"x")
             records.append((ref_siblings, tree.sibling_blocks(index)))
             touched.add(index)
         elif kind == "snapshot":
             saved = (ref.snapshot(), tree.snapshot(), dict(values))
-        elif saved is not None:
+        elif kind == "restore" and saved is not None:
             ref.restore(saved[0])
             tree.restore(saved[1])
             values = dict(saved[2])
@@ -316,8 +335,9 @@ def test_paper_tree_matches_reference():
     tree = MerkleTree(arity=8, height=9)
     for index in (0, 1, 7, 8, 123_456_789, 8 ** 9 - 1, 8 ** 5):
         value = index.to_bytes(8, "little")
-        assert tree.update_leaf(index, value) \
-            == ref.update_leaf(index, value)
+        tree.update_leaf(index, value)
+        ref.update_leaf(index, value)
+        assert tree.root == ref.root
         assert tree.verify_leaf(index, value)
     assert tree.node(0, 1) == ref.node(0, 1)
     assert tree.node(4, 1) == ref.node(4, 1)
@@ -334,8 +354,33 @@ def test_out_of_range_queries_rejected():
         tree.node(4, 0)
 
 
-# -- one path hash per committed write ----------------------------------------
-def _count_path_hashes(monkeypatch, mode: str, variant: str):
+@pytest.mark.parametrize("arity,height", SHAPES)
+@settings(max_examples=40, deadline=None)
+@given(batches=st.lists(
+    st.lists(st.tuples(st.integers(0, 511), VALUES),
+             min_size=1, max_size=8),
+    min_size=1, max_size=4))
+def test_batched_writes_store_what_per_write_reads_store(arity, height,
+                                                         batches):
+    """Writes flushed together leave the same blocks, in the same key
+    order per level, and the same root as writes each read at once."""
+    batched = MerkleTree(arity=arity, height=height)
+    eager = MerkleTree(arity=arity, height=height)
+    capacity = batched.leaf_capacity
+    for batch in batches:
+        for index, value in batch:
+            for leaf in _batch(batched, index % capacity):
+                batched.update_leaf(leaf, value)
+                eager.update_leaf(leaf, value)
+                eager.root  # a read: hashes this write in at once
+        snap, twin = batched.snapshot(), eager.snapshot()
+        assert snap == twin
+        assert [list(level) for level in snap["blocks"]] \
+            == [list(level) for level in twin["blocks"]]
+
+
+# -- hashing waits for the tree's next read -----------------------------------
+def _count_phase_hashes(monkeypatch, mode: str, variant: str):
     system = NvmSystem(default_config(mode=mode))
     workloads = [
         make_workload("tpcc", system, core,
@@ -357,19 +402,28 @@ def _count_path_hashes(monkeypatch, mode: str, variant: str):
     monkeypatch.setattr(repro.crypto.merkle, "_sha1", counting_sha1)
     monkeypatch.setattr(BmoPipeline, "commit", counting_commit)
     system.run_programs([w.run() for w in workloads])
-    return system, counts
+    run = dict(counts)
+    system.crash()
+    return system, run, counts["sha1"] - run["sha1"]
 
 
 @pytest.mark.parametrize("mode,variant", (("janus", "manual"),
                                           ("serialized", "baseline")))
-def test_each_commit_hashes_one_path(monkeypatch, mode, variant):
-    """A path is one SHA-1 call per level plus the leaf hash; the
-    write path hashes exactly one per commit, however much of the
-    integrity BMO was pre-executed."""
-    system, counts = _count_path_hashes(monkeypatch, mode, variant)
-    height = system.pipeline.by_name["integrity"].tree.height
-    assert counts["commits"] > 0
-    assert counts["sha1"] == counts["commits"] * (height + 1)
+def test_commits_hash_nothing_until_the_crash_reads_the_tree(
+        monkeypatch, mode, variant):
+    """Committed writes hash nothing, however much of the integrity
+    BMO was pre-executed.  The crash snapshot's read then hashes each
+    committed leaf and each of its distinct ancestors once."""
+    system, run, at_crash = _count_phase_hashes(monkeypatch, mode,
+                                                variant)
+    integrity = system.pipeline.by_name["integrity"]
+    arity, height = integrity.tree.arity, integrity.tree.height
+    assert run["commits"] > 0
+    assert run["sha1"] == 0
+    leaves = set(integrity.committed_leaves)
+    ancestors = sum(len({index // arity ** level for index in leaves})
+                    for level in range(1, height + 1))
+    assert at_crash == len(leaves) + ancestors
     if mode == "janus":
         stats = system.metrics.as_flat_dict()
         assert stats["janus.fully_pre_executed"] > 0

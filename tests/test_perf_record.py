@@ -106,6 +106,30 @@ class TestGateRule:
         assert (False, "new: not in the baseline") in checks
 
 
+class TestMedianOfRuns:
+    def test_each_metric_is_its_median_and_failures_are_kept(self):
+        runs = [run_result(ops_per_s=90.0, op_ms_p50=30.0),
+                run_result(ops_per_s=120.0, op_ms_p50=10.0, failed=2),
+                run_result(ops_per_s=100.0, op_ms_p50=20.0,
+                           correct=False)]
+        runs[1]["attempted"], runs[2]["attempted"] = 70, 60
+        runs[0]["host_slowdown"], runs[1]["host_slowdown"] = 0.8, 1.3
+        entry = record.median_run(runs)
+        assert entry["metrics"] == {
+            "ops_per_s": {"value": 100.0, "unit": "op/s"},
+            "op_ms_p50": {"value": 20.0, "unit": "ms"}}
+        assert entry["host_slowdown"] == 1.0
+        assert entry["attempted"] == 60
+        assert entry["failed"] == 2
+        assert entry["correct"] is False
+        assert set(entry) == set(runs[0])
+
+    def test_median_entry_is_gated_like_one_run(self):
+        runs = [run_result(ops_per_s=v) for v in (10.0, 100.0, 1000.0)]
+        assert failures(record.median_run(runs)) == []
+        assert record.median_run(runs[:1]) == runs[0]
+
+
 class TestBaselinePicker:
     def test_newest_v2_file_wins_and_v1_files_are_skipped(self, tmp_path):
         files = {"BENCH_2026-01-01.json": record.SCHEMA,
@@ -132,6 +156,7 @@ class TestBaselinePicker:
         assert meta["seed"] == record.SEED
         assert meta["run_seconds"] == spec["run_seconds"]
         assert meta["git_head"] and meta["python"]
+        assert meta["trace0_runs"] == record.TRACE0_RUNS
         for workload in spec["workloads"]:
             runs = report["workloads"][workload["name"]]
             assert set(runs) == {"trace0", "trace1"}
