@@ -1,8 +1,9 @@
 """Unified observability: metrics, tracing, profiling, telemetry.
 
 * :mod:`repro.obs.metrics` — hierarchical :class:`MetricsRegistry` of
-  labeled counters and reservoir-sampled histograms, with snapshots,
-  snapshot deltas, and JSON/CSV export;
+  counters and exact histograms (one count per distinct value, so
+  memory grows with distinct values, not observations), with
+  snapshots, snapshot deltas, and JSON/CSV export;
 * :mod:`repro.obs.tracer` — structured span/event :class:`Tracer`
   with a no-op :data:`NULL_TRACER` for near-zero disabled overhead;
 * :mod:`repro.obs.chrome_trace` — Chrome trace-event (Perfetto) JSON

@@ -2,16 +2,23 @@
 
 One hierarchy for every statistic the simulator produces.  Components
 register a :class:`MetricsScope` (``registry.scope("irb")``) and create
-labeled counters/histograms inside it; the registry can then take a
+counters/histograms inside it; the registry can then take a
 point-in-time :meth:`MetricsRegistry.snapshot`, diff two snapshots
 with :meth:`MetricsRegistry.delta`, and export everything as CSV.  A
 component built without a registry gets a free-standing
 ``MetricsScope(name)`` with the same ``.counters`` / ``.histograms``
 dicts and ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
 
-Histograms use *bounded reservoir sampling* (Algorithm R, seeded from
-``repro.common.rng`` by metric name) so arbitrarily long runs keep a
-constant memory footprint while ``percentile()`` stays available.
+Histograms are *exact*: each keeps one count per distinct observed
+value, so every percentile is the order statistic of every
+observation, whatever their order.  Memory grows with the number of
+distinct values, not with the number of observations.  The observed
+values are integer sim-ns (or queue depths) and repeat heavily: the
+benchmark cells see at most 49 distinct values per histogram.  The
+largest measured is the write queue's residency on an 8-core btree
+run under ``ideal``: 456 distinct values in 1,124 observations at 24
+transactions per core, 2,837 in 29,339 at 800.  Its 128 entries and
+150 ns channel writes cap a residency at 19,200 ns.
 
 Hot-path convention: ``scope.counter(name)`` / ``scope.histogram(name)``
 are get-or-create lookups keyed by string — cheap, but not free when
@@ -24,67 +31,43 @@ cached handle; see ``docs/performance.md``.
 import csv
 import io
 import math
-from typing import Dict, List, Optional
-
-from repro.common.rng import DeterministicRng
-
-#: Default number of samples a histogram retains for percentiles.
-DEFAULT_RESERVOIR_SIZE = 1024
-
-
-def _labels_suffix(labels: Optional[Dict[str, str]]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return "{" + inner + "}"
+from typing import Dict, Optional
 
 
 class Counter:
     """A named monotonically-increasing counter."""
 
-    __slots__ = ("name", "value", "labels")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str):
         self.name = name
         self.value = 0
-        self.labels = dict(labels) if labels else None
 
     def add(self, amount: int = 1) -> None:
         self.value += amount
 
     def __repr__(self) -> str:
-        return f"{self.name}{_labels_suffix(self.labels)}={self.value}"
+        return f"{self.name}={self.value}"
 
 
 class Histogram:
-    """Streaming mean/min/max summary plus a bounded sample reservoir.
+    """Exact streaming summary: count, sum, min, max and one count per
+    distinct observed value.
 
-    ``keep_samples=True`` (the default) retains at most
-    ``reservoir_size`` samples via reservoir sampling — Algorithm R,
-    driven by a :class:`DeterministicRng` stream derived from the
-    histogram's name, so runs stay bit-reproducible.  Memory is O(k)
-    no matter how many samples are observed.
-
-    ``keep_samples=False`` discards samples entirely; in that case
-    :meth:`percentile` returns ``None`` (not ``0.0``) so callers
-    cannot silently misread "samples were discarded" as a latency.
+    :meth:`percentile` interpolates over the sorted observations as if
+    every one were kept, so a summary does not depend on the order the
+    values arrived in.
     """
 
-    __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "reservoir_size", "_samples", "_rng")
+    __slots__ = ("name", "count", "total", "min", "max", "_counts")
 
-    def __init__(self, name: str, keep_samples: bool = True,
-                 reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-                 labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.labels = dict(labels) if labels else None
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.reservoir_size = reservoir_size
-        self._samples: Optional[List[float]] = [] if keep_samples else None
-        self._rng = None  # created lazily on first reservoir eviction
+        self._counts: Dict[float, int] = {}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -95,63 +78,42 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._samples is None:
-            return
-        if len(self._samples) < self.reservoir_size:
-            self._samples.append(value)
-            return
-        # Reservoir full: keep each of the samples seen with equal
-        # probability k/count (Algorithm R).
-        if self._rng is None:
-            self._rng = DeterministicRng(0).stream(
-                f"histogram:{self.name}")
-        slot = self._rng.randrange(self.count)
-        if slot < self.reservoir_size:
-            self._samples[slot] = value
+        counts = self._counts
+        counts[value] = counts.get(value, 0) + 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, p: float) -> Optional[float]:
-        """Linear-interpolated percentile over the retained reservoir.
-
-        Returns ``None`` when the histogram was created with
-        ``keep_samples=False`` — there is nothing to interpolate, and
-        returning ``0.0`` would read as a real (zero) latency.
-        """
-        if self._samples is None:
-            return None
-        if not self._samples:
+    def percentile(self, p: float) -> float:
+        """Linear interpolation at rank ``p/100 * (count - 1)`` of the
+        sorted observations; ``0.0`` when nothing was observed."""
+        if not self.count:
             return 0.0
-        data = sorted(self._samples)
-        if len(data) == 1:
-            return data[0]
-        rank = (p / 100.0) * (len(data) - 1)
+        if self.count == 1:
+            # The observation itself: an int stays an int in exports.
+            return self.max
+        rank = (p / 100.0) * (self.count - 1)
         lo = int(math.floor(rank))
-        hi = min(lo + 1, len(data) - 1)
+        hi = min(lo + 1, self.count - 1)
         frac = rank - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
-
-    @property
-    def percentiles_approximate(self) -> bool:
-        """True when the reservoir no longer holds *every* observed
-        sample (Algorithm R evicted some), so percentiles are reservoir
-        estimates, not exact order statistics.
-        """
-        if self._samples is None:
-            return False
-        return self.count > len(self._samples)
+        # Walk the distinct values in order: ``seen`` observations lie
+        # at or below ``value``, so ranks ``< seen`` read ``value``.
+        counts = self._counts
+        low = high = None
+        seen = 0
+        for value in sorted(counts):
+            seen += counts[value]
+            if low is None and lo < seen:
+                low = value
+            if hi < seen:
+                high = value
+                break
+        return low * (1 - frac) + high * frac
 
     def summary(self) -> Dict[str, float]:
-        """Exact running aggregates plus (possibly sampled) percentiles.
-
-        ``count`` / ``sum`` / ``min`` / ``max`` / ``mean`` are exact —
-        tracked streaming, independent of the reservoir.  Percentiles
-        come from the reservoir; once it has dropped samples they are
-        estimates, flagged with ``approximate: true`` so exports never
-        silently present sampled percentiles as exact.
-        """
+        """Count, mean, sum, min, max and, once something was
+        observed, p50/p95/p99; all exact."""
         out = {
             "count": self.count,
             "mean": self.mean,
@@ -159,25 +121,22 @@ class Histogram:
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
         }
-        # Percentiles only when the reservoir holds samples: an empty
+        # Percentiles only once something was observed: an empty
         # histogram would otherwise report p50 = 0.0, reading as a
         # latency.
-        if self._samples:
+        if self.count:
             out["p50"] = self.percentile(50)
             out["p95"] = self.percentile(95)
             out["p99"] = self.percentile(99)
-            if self.percentiles_approximate:
-                out["approximate"] = True
         return out
 
 
 class MetricsScope:
     """A namespaced bag of counters and histograms inside a registry.
 
-    Exposes ``counters`` and ``histograms`` dicts keyed by short
-    (label-free) name.  Labeled variants of a metric live alongside
-    the unlabeled one, keyed by ``name{k=v}``.  A scope built on its
-    own stands alone (a component built outside a system).
+    Exposes ``counters`` and ``histograms`` dicts keyed by short name.
+    A scope built on its own stands alone (a component built outside a
+    system).
     """
 
     def __init__(self, name: str = "stats"):
@@ -185,25 +144,16 @@ class MetricsScope:
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
 
-    def counter(self, name: str,
-                labels: Optional[Dict[str, str]] = None) -> Counter:
-        key = name + _labels_suffix(labels)
-        if key not in self.counters:
-            self.counters[key] = Counter(name, labels=labels)
-        return self.counters[key]
+    def counter(self, name: str) -> Counter:
+        if name not in self.counters:
+            self.counters[name] = Counter(name)
+        return self.counters[name]
 
-    def histogram(self, name: str,
-                  labels: Optional[Dict[str, str]] = None,
-                  keep_samples: bool = True,
-                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE
-                  ) -> Histogram:
-        key = name + _labels_suffix(labels)
-        if key not in self.histograms:
+    def histogram(self, name: str) -> Histogram:
+        if name not in self.histograms:
             full = f"{self.name}.{name}" if self.name else name
-            self.histograms[key] = Histogram(
-                full, keep_samples=keep_samples,
-                reservoir_size=reservoir_size, labels=labels)
-        return self.histograms[key]
+            self.histograms[name] = Histogram(full)
+        return self.histograms[name]
 
     def as_dict(self) -> Dict[str, float]:
         """Flat name -> value view: counters, histogram mean/count."""

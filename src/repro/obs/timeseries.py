@@ -197,24 +197,10 @@ def render_series(samples: List[Dict], metric: str,
 
 # -- Prometheus text exposition ------------------------------------------
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_]")
-_LABELS = re.compile(r"^(.*?)\{(.*)\}$")
 
 
 def _prom_name(name: str, prefix: str) -> str:
     return _PROM_BAD.sub("_", f"{prefix}_{name}")
-
-
-def _split_prom(name: str) -> Tuple[str, str]:
-    """``scope.metric{k=v,...}`` -> (bare name, prometheus labels)."""
-    match = _LABELS.match(name)
-    if not match:
-        return name, ""
-    base, inner = match.group(1), match.group(2)
-    pairs = []
-    for part in inner.split(","):
-        key, _sep, value = part.partition("=")
-        pairs.append(f'{_PROM_BAD.sub("_", key)}="{value}"')
-    return base, "{" + ",".join(pairs) + "}"
 
 
 def prometheus_exposition(snapshot: Dict, prefix: str = "repro") -> str:
@@ -223,9 +209,7 @@ def prometheus_exposition(snapshot: Dict, prefix: str = "repro") -> str:
 
     Counters become ``counter`` metrics; histograms become
     ``summary``-style families (``_count`` / ``_sum`` plus quantile
-    samples).  Reservoir-estimated quantiles carry an
-    ``approximate="true"`` label — the exposition must be as honest as
-    the JSON export about sampled percentiles.
+    samples, exact like the snapshot's percentiles).
     """
     lines: List[str] = []
     typed = set()
@@ -236,26 +220,20 @@ def prometheus_exposition(snapshot: Dict, prefix: str = "repro") -> str:
             lines.append(f"# TYPE {name} {kind}")
 
     for name in sorted(snapshot.get("counters", {})):
-        bare, labels = _split_prom(name)
-        prom = _prom_name(bare, prefix)
+        prom = _prom_name(name, prefix)
         declare(prom, "counter")
-        lines.append(f"{prom}{labels} {snapshot['counters'][name]}")
+        lines.append(f"{prom} {snapshot['counters'][name]}")
     for name in sorted(snapshot.get("histograms", {})):
         summary = snapshot["histograms"][name]
-        bare, labels = _split_prom(name)
-        prom = _prom_name(bare, prefix)
+        prom = _prom_name(name, prefix)
         declare(prom, "summary")
-        lines.append(f"{prom}_count{labels} {summary.get('count', 0)}")
+        lines.append(f"{prom}_count {summary.get('count', 0)}")
         total = summary.get(
             "sum", summary.get("mean", 0.0) * summary.get("count", 0))
-        lines.append(f"{prom}_sum{labels} {total}")
-        approx = ',approximate="true"' if summary.get("approximate") \
-            else ""
+        lines.append(f"{prom}_sum {total}")
         for quantile, key in (("0.5", "p50"), ("0.95", "p95"),
                               ("0.99", "p99")):
             if key in summary:
-                inner = labels[1:-1] + "," if labels else ""
                 lines.append(
-                    f'{prom}{{{inner}quantile="{quantile}"'
-                    f'{approx}}} {summary[key]}')
+                    f'{prom}{{quantile="{quantile}"}} {summary[key]}')
     return "\n".join(lines) + ("\n" if lines else "")

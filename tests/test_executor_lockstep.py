@@ -27,6 +27,7 @@ from repro.common.config import BmoLatencies, default_config
 from repro.common.errors import SimulationError
 from repro.core import NvmSystem
 from repro.harness.runner import run_point
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import Tracer
 from repro.sim import Resource, Simulator
 from repro.sim.engine import Process, SimEvent
@@ -247,8 +248,22 @@ def drive(executor_cls, scenario: dict) -> dict:
 
     for wid, spec in enumerate(scenario["writes"]):
         sim.process(writer(wid, spec), name=f"writer{wid}")
-    sim.run()
+    # Record every histogram observation in order: the summaries alone
+    # do not show the order within an instant.
+    observed = []
+    observe = Histogram.observe
+
+    def recording_observe(hist, value):
+        observed.append((hist.name, value))
+        observe(hist, value)
+
+    Histogram.observe = recording_observe
+    try:
+        sim.run()
+    finally:
+        Histogram.observe = observe
     stats = executor.stats
+    assert len(observed) == sum(h.count for h in stats.histograms.values())
     return {
         "now": sim.now,
         "log": log,
@@ -260,8 +275,9 @@ def drive(executor_cls, scenario: dict) -> dict:
         "units": (units.total_acquires, units.utilisation(),
                   units.in_use, units.queue_length),
         "counters": [(k, c.value) for k, c in stats.counters.items()],
-        "histograms": [(k, h.count, h.total, h.min, h.max, h._samples)
+        "histograms": [(k, h.summary())
                        for k, h in stats.histograms.items()],
+        "observed": observed,
         "events": sim.events,
     }
 

@@ -1,8 +1,12 @@
 """Tests for the central metrics registry (repro.obs.metrics)."""
 
 import json
+import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -12,33 +16,59 @@ from repro.obs.metrics import (
 )
 
 
-class TestHistogramReservoir:
-    def test_reservoir_is_bounded(self):
-        h = Histogram("lat", reservoir_size=100)
-        for i in range(5000):
-            h.observe(float(i))
-        assert h.count == 5000
-        assert len(h._samples) == 100
-        # Streaming aggregates still see every sample.
-        assert h.min == 0.0 and h.max == 4999.0
-        assert h.mean == pytest.approx(2499.5)
+def interpolated(observations, p):
+    """The percentile rule over the full sorted observation list."""
+    data = sorted(observations)
+    if len(data) == 1:
+        return data[0]
+    rank = (p / 100.0) * (len(data) - 1)
+    lo = int(math.floor(rank))
+    hi = min(lo + 1, len(data) - 1)
+    frac = rank - lo
+    return data[lo] * (1 - frac) + data[hi] * frac
 
-    def test_reservoir_percentile_is_representative(self):
-        h = Histogram("lat", reservoir_size=256)
+
+class TestExactHistogram:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), distinct=st.integers(1, 600),
+           seed=st.integers(0, 2**32 - 1))
+    # Generated n is mostly small; pin one case far past 1,024.
+    @example(n=3000, distinct=60, seed=0)
+    def test_percentiles_are_exact_and_order_independent(self, n,
+                                                         distinct, seed):
+        # Up to 3,000 integer observations of a few distinct values,
+        # like the simulator's sim-ns histograms.
+        rng = random.Random(seed)
+        values = rng.sample(range(-10, 10**6), distinct)
+        observations = [rng.choice(values) for _ in range(n)]
+        summaries = []
+        for _ in range(2):
+            rng.shuffle(observations)
+            h = Histogram("lat")
+            for value in observations:
+                h.observe(value)
+            for p in (0, 1, 50, 95, 99, 100):
+                # repr: the same value and type, as the exports print it.
+                assert repr(h.percentile(p)) == \
+                    repr(interpolated(observations, p))
+            summaries.append(json.dumps(h.summary()))
+        assert summaries[0] == summaries[1]
+
+    def test_memory_is_one_entry_per_distinct_value(self):
+        h = Histogram("lat")
+        for i in range(5000):
+            h.observe(i % 10)
+        assert h.count == 5000
+        assert len(h._counts) == 10
+        assert h.min == 0 and h.max == 9
+        assert h.mean == pytest.approx(4.5)
+
+    def test_percentiles_of_many_observations_are_exact(self):
+        h = Histogram("lat")
         for i in range(10_000):
             h.observe(float(i))
-        p50 = h.percentile(50)
-        # Uniform input: the sampled median is near the true median.
-        assert 3000 < p50 < 7000
-
-    def test_reservoir_is_deterministic(self):
-        def build():
-            h = Histogram("same-name", reservoir_size=32)
-            for i in range(1000):
-                h.observe(float(i))
-            return h._samples
-
-        assert build() == build()
+        assert h.percentile(50) == 4999.5
+        assert h.percentile(99) == pytest.approx(9899.01)
 
     def test_small_counts_keep_exact_samples(self):
         h = Histogram("lat")
@@ -48,23 +78,17 @@ class TestHistogramReservoir:
         assert h.percentile(100) == 3.0
         assert h.percentile(50) == pytest.approx(2.0)
 
-    def test_discarded_samples_percentile_is_none(self):
-        h = Histogram("lat", keep_samples=False)
-        h.observe(42.0)
-        assert h.count == 1 and h.mean == 42.0
-        assert h.percentile(50) is None  # not a silent 0.0
-
     def test_empty_histogram_percentile_zero(self):
         assert Histogram("lat").percentile(50) == 0.0
 
-    def test_summary_includes_percentiles_when_sampled(self):
+    def test_summary_includes_percentiles_once_observed(self):
         h = Histogram("lat")
         for v in (1.0, 2.0, 3.0, 4.0):
             h.observe(v)
         s = h.summary()
         assert s["count"] == 4
         assert "p50" in s and "p95" in s and "p99" in s
-        assert "p50" not in Histogram("x", keep_samples=False).summary()
+        assert "p50" not in Histogram("x").summary()
 
 
 class TestScope:
@@ -77,19 +101,10 @@ class TestScope:
         d = scope.as_dict()
         assert d["hits"] == 3 and d["lat.mean"] == 10.0
 
-    def test_labeled_counters_are_distinct(self):
-        scope = MetricsScope("mc")
-        scope.counter("writes", labels={"kind": "data"}).add(2)
-        scope.counter("writes", labels={"kind": "meta"}).add(5)
-        scope.counter("writes").add(1)
-        assert scope.counters["writes{kind=data}"].value == 2
-        assert scope.counters["writes{kind=meta}"].value == 5
-        assert scope.counters["writes"].value == 1
-
-    def test_counter_repr_includes_labels(self):
-        c = Counter("hits", labels={"mode": "janus"})
+    def test_counter_repr(self):
+        c = Counter("hits")
         c.add(2)
-        assert repr(c) == "hits{mode=janus}=2"
+        assert repr(c) == "hits=2"
 
 
 class TestRegistry:
@@ -155,42 +170,24 @@ class TestRegistry:
         assert any(line.startswith("irb.hits,count,7") for line in lines)
 
 
-class TestExactAggregatesAndApproximateMarking:
-    """PR 6 satellite: exact sum alongside the reservoir, and honest
-    marking of reservoir-derived percentiles."""
-
+class TestExactAggregates:
     def test_summary_carries_exact_sum_min_max(self):
-        h = Histogram("lat", reservoir_size=8)
-        for i in range(100):
+        h = Histogram("lat")
+        for i in range(2000):
             h.observe(float(i))
         s = h.summary()
-        assert s["sum"] == sum(range(100))
-        assert s["min"] == 0.0 and s["max"] == 99.0
-        assert s["count"] == 100
+        assert s["sum"] == sum(range(2000))
+        assert s["min"] == 0.0 and s["max"] == 1999.0
+        assert s["count"] == 2000
 
-    def test_exact_percentiles_not_marked(self):
-        h = Histogram("lat", reservoir_size=128)
-        for i in range(50):
-            h.observe(float(i))
-        s = h.summary()
-        assert "approximate" not in s
-        assert h.percentiles_approximate is False
-
-    def test_reservoir_eviction_marks_approximate(self):
-        h = Histogram("lat", reservoir_size=16)
-        for i in range(1000):
-            h.observe(float(i))
-        s = h.summary()
-        assert s["approximate"] is True
-        assert h.percentiles_approximate is True
-
-    def test_csv_export_carries_approximate_and_sum(self):
+    def test_csv_export_carries_sum_and_percentiles(self):
         registry = MetricsRegistry()
-        h = registry.scope("wq").histogram("residency_ns",
-                                           reservoir_size=8)
-        for i in range(100):
+        h = registry.scope("wq").histogram("residency_ns")
+        for i in range(2000):
             h.observe(float(i))
         rows = registry.to_csv().splitlines()
         fields = {tuple(r.split(",")[:2]) for r in rows[1:]}
-        assert ("wq.residency_ns", "approximate") in fields
         assert ("wq.residency_ns", "sum") in fields
+        assert ("wq.residency_ns", "p99") in fields
+        assert {field for _name, field in fields} == {
+            "count", "mean", "sum", "min", "max", "p50", "p95", "p99"}

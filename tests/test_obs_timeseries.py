@@ -152,18 +152,11 @@ class TestPrometheusExposition:
         text = prometheus_exposition(self._snapshot())
         assert 'approximate="true"' not in text
 
-    def test_reservoir_overflow_marks_approximate(self):
+    def test_large_histograms_expose_exact_quantiles(self):
         registry = MetricsRegistry()
-        hist = registry.scope("wq").histogram("residency_ns",
-                                              reservoir_size=16)
-        for i in range(1000):
+        hist = registry.scope("wq").histogram("residency_ns")
+        for i in range(2000):
             hist.observe(float(i))
         text = prometheus_exposition(registry.snapshot())
-        assert 'approximate="true"' in text
-
-    def test_labeled_counters_render_prometheus_labels(self):
-        registry = MetricsRegistry()
-        registry.scope("parallel").counter(
-            "tasks_done", labels={"worker": "0"}).add(2)
-        text = prometheus_exposition(registry.snapshot())
-        assert 'worker="0"' in text
+        assert 'repro_wq_residency_ns{quantile="0.5"} 999.5' in text
+        assert "approximate=" not in text

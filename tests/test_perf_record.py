@@ -39,6 +39,14 @@ failed_frac                                             0 ratio
 """
 
 
+def traced_stdout(ops_per_s):
+    """A ``--trace 1`` run's output: the canned run without its
+    ``host_slowdown`` line, at ``ops_per_s``."""
+    lines = [line for line in CANNED_STDOUT.splitlines()
+             if not line.startswith("host_slowdown")]
+    return "\n".join(lines).replace("588.25", str(ops_per_s))
+
+
 def run_result(ops_per_s=100.0, op_ms_p50=10.0, correct=True, failed=0):
     return {"correct": correct, "attempted": 50, "failed": failed,
             "host_slowdown": 1.0,
@@ -65,9 +73,9 @@ class TestParseOutput:
         assert result["host_slowdown"] == pytest.approx(0.917499)
 
     def test_traced_run_has_no_host_slowdown(self):
-        traced = "\n".join(line for line in CANNED_STDOUT.splitlines()
-                           if not line.startswith("host_slowdown"))
-        assert record.parse_output(traced)["host_slowdown"] is None
+        traced = record.parse_output(traced_stdout(588.25))
+        assert traced["host_slowdown"] is None
+        assert traced["metrics"]["ops_per_s"]["value"] == 588.25
 
 
 class TestGateRule:
@@ -123,6 +131,36 @@ class TestMedianOfRuns:
         assert entry["failed"] == 2
         assert entry["correct"] is False
         assert set(entry) == set(runs[0])
+
+    def test_traced_runs_keep_no_host_slowdown(self):
+        runs = [record.parse_output(traced_stdout(v))
+                for v in (300.0, 100.0, 200.0)]
+        entry = record.median_run(runs)
+        assert entry["host_slowdown"] is None
+        assert entry["metrics"]["ops_per_s"]["value"] == 200.0
+
+    def test_recording_keeps_the_median_of_three_runs_per_setting(
+            self, monkeypatch):
+        calls = []
+
+        def fake_run(spec, workload, trace):
+            calls.append((workload, trace))
+            ops = (300.0, 100.0, 200.0)[(len(calls) - 1) % 3]
+            stdout = CANNED_STDOUT.replace("588.25", str(ops)) \
+                if trace == 0 else traced_stdout(ops + 1000)
+            return record.parse_output(stdout)
+
+        monkeypatch.setattr(record, "run", fake_run)
+        monkeypatch.setattr(record, "git_head", lambda: "0" * 40)
+        report = record.record(dict(SPEC, run_seconds=20))
+        assert calls == [("w", 0)] * 3 + [("w", 1)] * 3
+        assert report["meta"]["trace0_runs"] == 3
+        assert report["meta"]["trace1_runs"] == 3
+        entry = report["workloads"]["w"]
+        assert entry["trace0"]["metrics"]["ops_per_s"]["value"] == 200.0
+        assert entry["trace0"]["host_slowdown"] == pytest.approx(0.917499)
+        assert entry["trace1"]["metrics"]["ops_per_s"]["value"] == 1200.0
+        assert entry["trace1"]["host_slowdown"] is None
 
     def test_median_entry_is_gated_like_one_run(self):
         runs = [run_result(ops_per_s=v) for v in (10.0, 100.0, 1000.0)]

@@ -10,7 +10,7 @@ Contract under test (``docs/scheduling-modes.md``):
   runs still match the baseline (``run_programs`` quiesces the open
   epoch), while a mid-run crash recovers to the last fully-flushed
   epoch boundary with staleness bounded by the dial
-  (:func:`repro.validate.oracles.check_bounded_staleness`, the
+  (``check_bounded_staleness`` in ``tests/staleness_oracle.py``, the
   satellite torn-epoch campaign).
 """
 
@@ -28,12 +28,14 @@ from repro.common.config import (
 from repro.common.errors import SimulationError
 from repro.harness.runner import run_point
 from repro.validate.oracles import (
-    check_bounded_staleness,
     check_mode_equivalence,
     check_workload_equivalence,
-    run_staleness_crash,
 )
 from repro.workloads import WorkloadParams
+from tests.staleness_oracle import (
+    check_bounded_staleness,
+    run_staleness_crash,
+)
 
 SMALL = WorkloadParams(n_items=12, value_size=64, n_transactions=6)
 

@@ -17,11 +17,11 @@ import pytest
 from repro.common.config import default_config
 from repro.core import NvmSystem
 from repro.validate.oracles import (
-    check_bounded_staleness,
     check_workload_equivalence,
     run_workload_digest,
 )
 from repro.workloads import WORKLOADS
+from tests.staleness_oracle import check_bounded_staleness
 
 SHARDS = (1, 2, 4)
 ALL_MODES = ("serialized", "parallel", "janus", "ideal",
