@@ -127,6 +127,19 @@ def record(spec: dict) -> dict:
     }
 
 
+def bench_path(date: str, directory: str = HERE) -> str:
+    """Where a recording made on ``date`` goes: ``BENCH_<date>.json``,
+    or ``BENCH_<date>_<n>.json`` if that day already has one, so that
+    a second recording never overwrites a committed one and still
+    sorts after it."""
+    path = os.path.join(directory, f"BENCH_{date}.json")
+    n = 2
+    while os.path.exists(path):
+        path = os.path.join(directory, f"BENCH_{date}_{n}.json")
+        n += 1
+    return path
+
+
 def newest_baseline(directory: str = HERE):
     """(path, report) of the newest ``BENCH_*.json`` whose schema is
     v2, or ``(None, None)``.  ``BENCH_<ISO date>`` names sort by date;
@@ -205,7 +218,7 @@ def main(argv=None) -> int:
                for result in runs.values()):
         print("record.py: a run is not correct; nothing written")
         return 1
-    path = os.path.join(HERE, f"BENCH_{report['meta']['date']}.json")
+    path = bench_path(report["meta"]["date"])
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

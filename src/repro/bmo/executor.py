@@ -3,10 +3,12 @@
 Three execution styles, matching the paper's design points:
 
 * **serialized** — the BMOs run as monolithic blocks, back to back,
-  occupying one unit for their summed latency (the baseline system);
-* **dataflow** — one list scheduler per :meth:`BmoExecutor.run_subops`
-  call.  It readies each sub-operation once its dependencies inside
-  the call have finished, requests a BMO unit for it from the shared
+  occupying one unit for their summed latency (the baseline system):
+  a unit grant callback, then one callback at the block's end;
+* **dataflow** — one list scheduler per :meth:`BmoExecutor.start`
+  call (:meth:`BmoExecutor.run_subops` is its process form).  It
+  readies each sub-operation once its dependencies inside the call
+  have finished, requests a BMO unit for it from the shared
   :class:`repro.sim.Resource` (FIFO across every concurrent write and
   core), holds the unit for the initiation interval, runs the
   functional action when the full latency has elapsed, and completes
@@ -39,10 +41,16 @@ the simulator's same-instant FIFO batch:
   timing policy discounts to zero still takes a unit for zero time);
 * the completion event fires directly when the call has a single
   target and one hop later otherwise.  An exception from a sub-op's
-  action fails it instead, and is thrown into the waiting process.
+  action fails it instead, and reaches whoever waits on it: a process
+  parked on it, or the write whose continuation it carries.
+
+The write path (``repro.core.machine``) extends this contract to the
+steps around the executor: whoever waits on a call's completion
+continues inside its dispatch, where a process parked on it resumed.
 """
 
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
+                    Optional, Tuple)
 
 from repro.bmo.base import BmoContext
 from repro.bmo.pipeline import BmoPipeline
@@ -127,46 +135,54 @@ class BmoExecutor:
             self._serial_total, quantize_ns(serial * pipeline_fraction))
 
     # -- serialized baseline ---------------------------------------------
-    def run_serialized(self, ctx: BmoContext):
-        """Process: run all BMOs as one monolithic, serial block.
+    def run_serialized(self, ctx: BmoContext, waiter: SimEvent,
+                       fn: Callable, *args) -> None:
+        """Run all BMOs as one monolithic, serial block, then call
+        ``fn(*args)``; an error of the block fails ``waiter``.
 
         The block occupies a unit for its initiation interval and its
         results appear after the full serial latency — the same
         pipelined-engine model the dataflow path uses, so serialized
         vs. parallel compares latency composition, not unit counts.
+        The unit grant is one callback; it schedules the unit's
+        release and then the block's end, where ``fn`` is called.
         """
-        start = self.sim.now
+        self.units.request(self._serial_start, ctx, self.sim.now,
+                           waiter, fn, args)
+
+    def _serial_start(self, ctx: BmoContext, start: int, waiter: SimEvent,
+                      fn: Callable, args) -> None:
         # Quantized occupancy/shadow split, precomputed in __init__ so
         # the two delays sum to exactly the quantized serial latency
         # (no per-leg rounding).
-        total = self._serial_total
-        occupancy = self._serial_occupancy
-        grant = self.units.acquire()
+        self.sim._schedule(self._serial_occupancy, self.units.release)
+        self.sim._schedule(self._serial_total, self._serial_end, ctx,
+                           start, waiter, fn, args)
+
+    def _serial_end(self, ctx: BmoContext, start: int, waiter: SimEvent,
+                    fn: Callable, args) -> None:
         try:
-            yield grant
-        except BaseException:
-            self.units.cancel(grant)
-            raise
-        # The unit frees itself exactly at the end of the initiation
-        # interval via a scheduled callback; the process sleeps once
-        # for the full latency instead of resuming twice.
-        self.sim._schedule(occupancy, self.units.release)
-        yield self.sim.delay(total)
-        self.pipeline.execute_all(ctx)
+            self.pipeline.execute_all(ctx)
+        except Exception as err:
+            waiter.fail(err)
+            return
         self._h_serialized_block.observe(self.sim.now - start)
         if self.tracer.enabled:
             self.tracer.complete(
                 "serialized-bmos", "bmo", ("bmo", "serialized"),
                 start_ns=start, dur_ns=self.sim.now - start,
                 args={"addr": ctx.addr})
-        return ctx
+        fn(*args)
 
     # -- dataflow execution ------------------------------------------------
-    def run_subops(self, ctx: BmoContext,
-                   names: Optional[Iterable[str]] = None):
-        """Process: execute ``names`` (default: all not yet completed)
-        as a dependency-respecting dataflow on the shared units.
-        Completes when every requested sub-op has run.
+    def start(self, ctx: BmoContext,
+              names: Optional[Iterable[str]] = None) -> Optional[SimEvent]:
+        """Start ``names`` (default: all not yet completed) as a
+        dependency-respecting dataflow on the shared units.
+
+        Returns the event that fires when every requested sub-op has
+        run (and fails with a sub-op's error), or ``None`` when
+        nothing is left to run.
         """
         completed = ctx.completed
         if names is None:
@@ -177,7 +193,7 @@ class BmoExecutor:
             targets = tuple([n for n in self._order
                              if n in wanted and n not in completed])
         if not targets:
-            return ctx
+            return None
         plan = self._plans.get(targets)
         if plan is None:
             plan = self._plan(targets)
@@ -185,7 +201,14 @@ class BmoExecutor:
             self._reject(targets, completed)
         done = SimEvent(self.sim, "bmo-subops")
         SubopSchedule(self, ctx, targets, plan, done)
-        yield done
+        return done
+
+    def run_subops(self, ctx: BmoContext,
+                   names: Optional[Iterable[str]] = None):
+        """Process: :meth:`start` ``names`` and wait until they ran."""
+        done = self.start(ctx, names)
+        if done is not None:
+            yield done
         return ctx
 
     def _plan(self, targets: Tuple[str, ...]) -> CallPlan:
@@ -228,24 +251,35 @@ class BmoExecutor:
         yield from self.run_subops(ctx, runnable)
         return ctx
 
-    def refresh_and_complete(self, ctx: BmoContext):
-        """Process: bring ``ctx`` to a committed-ready state.
+    def refresh_and_complete(self, ctx: BmoContext, waiter: SimEvent,
+                             fn: Callable, *args) -> None:
+        """Bring ``ctx`` to a committed-ready state, then call
+        ``fn(*args)``; a sub-op's error fails ``waiter``.
 
         Re-runs stale sub-ops (and their dependents) until the context
-        is both complete and fresh.  Called by the memory controller
-        with the write's final address and data already installed.
+        is both complete and fresh.  Called by the Janus engine with
+        the write's final address and data already installed.  ``fn``
+        runs at once when nothing is left to run, else from the last
+        run's done event.
         """
-        if ctx.addr is None or ctx.data is None:
-            raise SimulationError("write context needs both addr and data")
-        while True:
+        try:
+            if ctx.addr is None or ctx.data is None:
+                raise SimulationError(
+                    "write context needs both addr and data")
             stale = self.pipeline.stale_subops(ctx)
             if stale:
                 self._c_stale_rerun.add(len(stale))
                 self.pipeline.invalidate(ctx, stale)
             remaining = [n for n in self._order if n not in ctx.completed]
-            if not remaining:
-                return ctx
-            yield from self.run_subops(ctx, remaining)
+            done = self.start(ctx, remaining) if remaining else None
+        except Exception as err:
+            waiter.fail(err)
+            return
+        if done is None:
+            fn(*args)
+        else:
+            done.then(waiter, self.refresh_and_complete, ctx, waiter, fn,
+                      *args)
 
 
 class SubopSchedule:

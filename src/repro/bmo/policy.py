@@ -8,10 +8,16 @@ the BMO work runs and *what a completed writeback means* for
 durability — the four-mode consistency contract is documented in
 ``docs/scheduling-modes.md``.
 
-Strict policies (``serialized``, ``parallel``, ``janus``): the
-writeback process returns only after the write (and, when required,
-its metadata) is accepted into the ADR persist domain, so ``sfence``
+Strict policies (``serialized``, ``parallel``, ``janus``): a
+writeback completes only after the write (and, when required, its
+metadata) is accepted into the ADR persist domain, so ``sfence``
 implies durability.
+
+A policy drives each write as simulator callbacks carried by the
+write's :class:`repro.core.machine.Writeback` event, in the slots a
+process per write resumes in (the contract is in the
+``repro.core.machine`` docstring).  Only the async-epoch flusher is a
+process: one per run of closed epochs, not one per write.
 
 ``ideal``: BMOs and persistence run off the critical path entirely —
 the paper's non-blocking upper bound (oracle, not buildable hardware).
@@ -45,6 +51,7 @@ import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
+from repro.sim import SimEvent
 
 
 class SchedulingPolicy:
@@ -66,26 +73,42 @@ class SchedulingPolicy:
         self.executor = controller.executor
 
     # -- the write path ------------------------------------------------
-    def writeback(self, thread_id: int, line_addr: int, data: bytes,
-                  critical: bool, start: float):
-        """Process: mode-specific tail of one writeback.
+    def writeback(self, wb) -> None:
+        """Mode-specific tail of one writeback.
 
         The controller has already charged the cache transfer and read
-        the dirty line; the default (strict) shape runs the BMOs, then
-        persists, then completes — so ``sfence`` implies durability.
+        the dirty line into ``wb.data``; the default (strict) shape
+        runs the BMOs, then persists, then completes ``wb`` — so
+        ``sfence`` implies durability.
         """
-        mc = self.controller
-        mc_arrival = self.sim.now
-        ctx = yield from self.run_bmos(thread_id, line_addr, data)
-        bmo_done = self.sim.now
-        yield from mc._persist(ctx, critical)
-        mc._h_critical_write.observe(self.sim.now - start)
-        mc._trace(thread_id, line_addr, start, mc_arrival, bmo_done,
-                  self.sim.now, critical)
+        wb.mc_arrival = self.sim.now
+        try:
+            self.run_bmos(wb)
+        except Exception as err:
+            wb.fail(err)
 
-    def run_bmos(self, thread_id: int, line_addr: int, data: bytes):
-        """Process: run the BMO pipeline for one write; returns ctx."""
+    def run_bmos(self, wb) -> None:
+        """Run the BMO pipeline for one write into ``wb.ctx``, then
+        call :meth:`_bmos_done`; a sub-op's error fails ``wb``."""
         raise NotImplementedError
+
+    def _bmos_done(self, wb) -> None:
+        wb.bmo_done = self.sim.now
+        self.controller._persist(wb.ctx, wb.critical, wb, self._persisted,
+                                 wb)
+
+    def _persisted(self, wb) -> None:
+        mc = self.controller
+        now = self.sim.now
+        mc._h_critical_write.observe(now - wb.start)
+        mc._trace(wb.thread_id, wb.line_addr, wb.start, wb.mc_arrival,
+                  wb.bmo_done, now, wb.critical)
+        self.release(wb)
+        wb.succeed()
+
+    def release(self, wb) -> None:
+        """``wb`` is about to complete or fail: drop any per-write
+        state the policy keeps."""
 
     # -- lifecycle hooks -----------------------------------------------
     def quiesce(self) -> None:
@@ -103,10 +126,10 @@ class SerializedPolicy(SchedulingPolicy):
 
     name = "serialized"
 
-    def run_bmos(self, thread_id, line_addr, data):
-        ctx = self.pipeline.make_context(addr=line_addr, data=data)
-        yield from self.executor.run_serialized(ctx)
-        return ctx
+    def run_bmos(self, wb):
+        wb.ctx = self.pipeline.make_context(addr=wb.line_addr,
+                                            data=wb.data)
+        self.executor.run_serialized(wb.ctx, wb, self._bmos_done, wb)
 
 
 class ParallelPolicy(SchedulingPolicy):
@@ -118,10 +141,14 @@ class ParallelPolicy(SchedulingPolicy):
 
     name = "parallel"
 
-    def run_bmos(self, thread_id, line_addr, data):
-        ctx = self.pipeline.make_context(addr=line_addr, data=data)
-        yield from self.executor.run_subops(ctx)
-        return ctx
+    def run_bmos(self, wb):
+        wb.ctx = self.pipeline.make_context(addr=wb.line_addr,
+                                            data=wb.data)
+        done = self.executor.start(wb.ctx)
+        if done is None:
+            self._bmos_done(wb)
+        else:
+            done.then(wb, self._bmos_done, wb)
 
 
 class JanusPolicy(SchedulingPolicy):
@@ -129,12 +156,15 @@ class JanusPolicy(SchedulingPolicy):
 
     name = "janus"
 
-    def run_bmos(self, thread_id, line_addr, data):
+    def run_bmos(self, wb):
         # This controller's own engine: on the sharded machine each
         # shard pre-executes (and IRB-matches) only lines it owns.
-        ctx, _fully = yield from self.controller.janus.service_write(
-            thread_id, line_addr, data)
-        return ctx
+        self.controller.janus.service_write(
+            wb.thread_id, wb.line_addr, wb.data, wb, self._serviced, wb)
+
+    def _serviced(self, ctx, fully, wb):
+        wb.ctx = ctx
+        self._bmos_done(wb)
 
 
 class IdealPolicy(SchedulingPolicy):
@@ -147,29 +177,37 @@ class IdealPolicy(SchedulingPolicy):
 
     def __init__(self, controller):
         super().__init__(controller)
-        self._line_chains: Dict[int, object] = {}
+        #: line -> completion event of its latest background write.
+        self._line_chains: Dict[int, SimEvent] = {}
 
-    def writeback(self, thread_id, line_addr, data, critical, start):
+    def writeback(self, wb):
         mc = self.controller
         mc_arrival = self.sim.now
+        line_addr = wb.line_addr
         previous = self._line_chains.get(line_addr)
-        proc = self.sim.process(
-            self._background(line_addr, data, critical,
-                             wait_for=previous),
-            name="ideal-bg")
-        self._line_chains[line_addr] = proc
-        mc._h_critical_write.observe(self.sim.now - start)
-        mc._trace(thread_id, line_addr, start, mc_arrival, mc_arrival,
-                  self.sim.now, critical)
-        return
-        yield  # pragma: no cover — keeps this a generator
+        chain = SimEvent(self.sim, "ideal-bg")
+        self.sim._schedule_now(self._background, line_addr, wb.data,
+                               wb.critical, previous, chain)
+        self._line_chains[line_addr] = chain
+        mc._h_critical_write.observe(self.sim.now - wb.start)
+        mc._trace(wb.thread_id, line_addr, wb.start, mc_arrival,
+                  mc_arrival, self.sim.now, wb.critical)
+        wb.succeed()
 
-    def _background(self, line_addr, data, critical, wait_for=None):
-        if wait_for is not None and not wait_for.triggered:
-            yield wait_for
+    def _background(self, line_addr, data, critical, previous, chain):
+        """Run one write's BMOs and persist it, after the line's
+        previous background write; ``chain`` fires when it is done."""
+        if previous is not None and not previous.triggered:
+            previous.then(chain, self._background, line_addr, data,
+                          critical, None, chain)
+            return
         ctx = self.pipeline.make_context(addr=line_addr, data=data)
-        yield from self.executor.run_subops(ctx)
-        yield from self.controller._persist(ctx, critical)
+        done = self.executor.start(ctx)
+        if done is None:
+            self.controller._persist(ctx, critical, chain, chain.succeed)
+        else:
+            done.then(chain, self.controller._persist, ctx, critical,
+                      chain, chain.succeed)
 
 
 class TimingPolicyMux:
@@ -255,17 +293,16 @@ class CoalescedPolicy(ParallelPolicy):
                 self.executor.timing_policy = mux
             mux.policies[controller.shard_id] = hook
 
-    def writeback(self, thread_id, line_addr, data, critical, start):
+    def writeback(self, wb):
         if self._inflight == 0:
             self._batch += 1
             self._charged.clear()
             self._c_batches.add()
         self._inflight += 1
-        try:
-            yield from super().writeback(thread_id, line_addr, data,
-                                         critical, start)
-        finally:
-            self._inflight -= 1
+        super().writeback(wb)
+
+    def release(self, wb):
+        self._inflight -= 1
 
     def adjust_timing(self, name: str, ctx, total: int,
                       occupancy: int) -> Tuple[int, int]:
@@ -423,23 +460,28 @@ class AsyncEpochPolicy(SchedulingPolicy):
         self._c_stalls = stats.counter("staleness_stalls")
         self._h_flush = stats.histogram("epoch_flush_ns")
 
-    def writeback(self, thread_id, line_addr, data, critical, start):
-        mc = self.controller
+    def writeback(self, wb):
         # Bounded staleness: stall while the maximum number of closed
         # epochs is still awaiting flush.  The invariant afterwards:
         # closed - flushed <= staleness_epochs at every instant (a
         # cross-shard demand-close may transiently add one epoch).
-        while self._epochs_closed - self._epochs_flushed \
+        if self._epochs_closed - self._epochs_flushed \
                 >= self.staleness_epochs:
             self._c_stalls.add()
             gate = self.sim.event("epoch-room")
             self._stall_gates.append(gate)
-            yield gate
-        yield self.sim.delay(self._buffer_ns)
+            gate.then(wb, self.writeback, wb)
+            return
+        self.sim._schedule(self._buffer_ns, self._buffer, wb)
+
+    def _buffer(self, wb):
+        mc = self.controller
+        thread_id, line_addr, critical = \
+            wb.thread_id, wb.line_addr, wb.critical
         txn = self.system.cores[thread_id].current_txn_id
         seq = self._coordinator.tag(txn) \
             if self._coordinator is not None else 0
-        self._open.append((thread_id, line_addr, data, critical,
+        self._open.append((thread_id, line_addr, wb.data, critical,
                            txn, seq))
         self._c_buffered.add()
         if critical and txn:
@@ -448,12 +490,13 @@ class AsyncEpochPolicy(SchedulingPolicy):
             # promote it when this epoch is fully durable.
             self._open_txns.add(txn)
         now = self.sim.now
-        mc._h_critical_write.observe(now - start)
-        mc._trace(thread_id, line_addr, start, now, now, now, critical)
+        mc._h_critical_write.observe(now - wb.start)
+        mc._trace(thread_id, line_addr, wb.start, now, now, now, critical)
         if len(self._open) >= self.epoch_writes:
             self._close_epoch()
+        wb.succeed()
 
-    def run_bmos(self, thread_id, line_addr, data):  # pragma: no cover
+    def run_bmos(self, wb):  # pragma: no cover
         raise SimulationError(
             "async-epoch runs BMOs from its flusher, not inline")
 
@@ -496,7 +539,13 @@ class AsyncEpochPolicy(SchedulingPolicy):
                 yield from self.executor.run_subops(ctx)
                 if coord is not None:
                     yield from coord.wait_turn(txn, seq)
-                yield from mc._persist(ctx, critical)
+                rerun = mc._rerun_stale(ctx)
+                while rerun is not None:
+                    yield rerun
+                    rerun = mc._rerun_stale(ctx)
+                accepted = mc._accept(ctx, critical)
+                if accepted is not None:
+                    yield accepted
                 if coord is not None:
                     coord.mark_persisted(txn, seq)
             # Everything in this epoch is accepted into the ADR

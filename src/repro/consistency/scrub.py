@@ -141,11 +141,10 @@ def scrub(system, degraded=None, injector=None) -> ScrubReport:
 
     # 2. metadata: every committed leaf against the secure root.
     if integrity is not None:
-        for index, leaf_value in \
-                sorted(integrity.committed_leaves.items()):
-            report.leaves_checked += 1
-            if not integrity.tree.verify_leaf(index, leaf_value):
-                report.merkle_failures.append(index)
+        leaves = sorted(integrity.committed_leaves.items())
+        report.leaves_checked += len(leaves)
+        report.merkle_failures.extend(
+            integrity.tree.verify_leaves(leaves))
 
     # 3. dedup structural invariants.
     if dedup is not None:

@@ -10,11 +10,43 @@ global — they model chip-wide metadata structures.  ``shards=1``
 constructs exactly the classic single-controller machine (same scope
 names, same event order), bit-identical to the pre-sharding system.
 The full contract is documented in ``docs/sharding.md``.
+
+The write path runs as simulator callbacks, with no process per
+write.  Same-instant order decides unit, channel and write-queue
+grants, so each callback takes the batch slot of the process step it
+replaced (``tests/writepath_reference.py`` keeps those processes;
+``tests/test_writepath_lockstep.py`` runs both in lockstep):
+
+* :meth:`Core.clwb` creates one :class:`Writeback` event per line and
+  queues :meth:`MemoryController.writeback` in the slot of the
+  reference ``clwb`` process's first step; the next ``sfence`` joins
+  the events;
+* the writeback schedules the rest of the write after the cache
+  transfer, where the process's delay resumed;
+* a wait on an event — a sub-op call's done event, an IRB entry's
+  in-flight pre-execution, an epoch-room gate — continues through
+  :meth:`repro.sim.SimEvent.then`, inside the event's dispatch, where
+  the waiting process resumed; a unit grant through
+  :meth:`repro.sim.Resource.request` takes the slot of the granted
+  ``acquire``'s resumption;
+* ``_persist`` counts its acceptances down in a :class:`repro.sim.Join`:
+  each :meth:`repro.mem.write_queue.WriteQueue.accept` ends with
+  ``arrive`` in the slot of the finished ``accept`` process's
+  dispatch, and the join's dispatch takes the slot the ``AllOf`` over
+  those processes took;
+* a step with nothing to wait for continues inside the same callback,
+  as the process ran on without yielding, and the :class:`Writeback`
+  triggers where the process finished; like any event it is
+  dispatched only if an ``sfence`` already waits on it.
+
+A step that raises fails the write's :class:`Writeback` (ideal mode's
+off-path work fails its own chain event), so ``sfence`` raises where
+it raised when the write was a process.
 """
 
 import itertools
 import weakref
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.bmo.dedup import DedupTable
 from repro.bmo.executor import BmoExecutor
@@ -34,7 +66,41 @@ from repro.mem.shard import ShardRouter
 from repro.mem.write_queue import WriteEntry, WriteQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.sim import Resource, Simulator
+from repro.sim import Join, Resource, SimEvent, Simulator
+
+
+class Writeback(SimEvent):
+    """One cache-line writeback on its way to the persist domain.
+
+    :meth:`Core.clwb` creates one per line and the next ``sfence``
+    waits on it: it triggers when the write reaches the point its
+    scheduling policy calls complete, and fails with the error of a
+    step that raised.  It also carries the write's state from one
+    write-path callback to the next.
+    """
+
+    __slots__ = ("policy", "thread_id", "line_addr", "critical",
+                 "start", "mc_arrival", "bmo_done", "data", "ctx")
+
+    def __init__(self, sim: Simulator, policy, thread_id: int,
+                 line_addr: int, critical: bool):
+        # SimEvent.__init__, flattened: one per written line.
+        self.sim = sim
+        self.name = "clwb"
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
+        self._exc = None
+        self.policy = policy
+        self.thread_id = thread_id
+        self.line_addr = line_addr
+        self.critical = critical
+
+    def fail(self, exc: BaseException) -> "Writeback":
+        # The policy lets go of a failed write where it lets go of a
+        # completed one (coalesced ends its in-flight count).
+        self.policy.release(self)
+        return SimEvent.fail(self, exc)
 
 
 class MemoryController:
@@ -138,22 +204,23 @@ class MemoryController:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def writeback(self, thread_id: int, line_addr: int,
-                  critical: bool = False):
-        """Process: one cache-line writeback to the persist domain.
+    def writeback(self, wb: "Writeback") -> None:
+        """Start one cache-line writeback to the persist domain.
 
-        Returns when the write reaches the point its scheduling policy
-        calls complete — durable acceptance for the strict modes, the
-        epoch buffer for ``async-epoch``.  This is what a ``clwb``'s
-        completion — observed by the next ``sfence`` — waits for.
+        ``wb`` triggers when the write reaches the point its
+        scheduling policy calls complete — durable acceptance for the
+        strict modes, the epoch buffer for ``async-epoch``.  This is
+        what a ``clwb``'s completion — observed by the next
+        ``sfence`` — waits for.
         """
         self._c_writebacks.add()
-        start = self.sim.now
+        wb.start = self.sim.now
         # Cache hierarchy -> memory controller transfer (~15 ns).
-        yield self.sim.delay(self.cfg.cache.writeback_ns)
-        data = self.system.volatile.read_line(line_addr)
-        yield from self.policy.writeback(thread_id, line_addr, data,
-                                         critical, start)
+        self.sim._schedule(self.cfg.cache.writeback_ns, self._arrive, wb)
+
+    def _arrive(self, wb: "Writeback") -> None:
+        wb.data = self.system.volatile.read_line(wb.line_addr)
+        self.policy.writeback(wb)
 
     def _trace(self, thread_id, line_addr, start, mc_arrival,
                bmo_done, persisted, critical) -> None:
@@ -180,21 +247,50 @@ class MemoryController:
                             start_ns=bmo_done,
                             dur_ns=persisted - bmo_done)
 
-    def _persist(self, ctx, critical: bool):
-        """Commit BMO state and enter the persist domain."""
-        system = self.system
-        pipeline = self.pipeline
-        # Refresh any staleness that crept in while queued (janus mode
-        # already guarantees freshness; serialized/parallel contexts
-        # executed just now, but concurrent cores may interleave).
-        stale = pipeline.stale_subops(ctx)
-        while stale:
-            pipeline.invalidate(ctx, stale)
-            yield from self.executor.run_subops(ctx)
-            stale = pipeline.stale_subops(ctx)
-        action = pipeline.commit(ctx)
+    def _persist(self, ctx, critical: bool, waiter: SimEvent,
+                 fn: Callable, *args) -> None:
+        """Commit BMO state and enter the persist domain, then call
+        ``fn(*args)``: at once when nothing had to be waited for, else
+        where the last wait ended.  An error fails ``waiter``."""
+        try:
+            rerun = self._rerun_stale(ctx)
+            accepted = None if rerun is not None \
+                else self._accept(ctx, critical)
+        except Exception as err:
+            waiter.fail(err)
+            return
+        if rerun is not None:
+            rerun.then(waiter, self._persist, ctx, critical, waiter, fn,
+                       *args)
+        elif accepted is not None:
+            accepted.then(waiter, fn, *args)
+        else:
+            fn(*args)
 
-        accepts = []
+    def _rerun_stale(self, ctx) -> Optional[SimEvent]:
+        """Start re-running whatever went stale while the write was
+        queued; returns the re-run's done event, or ``None`` when
+        ``ctx`` is fresh.  The caller commits only once it is fresh.
+
+        Janus mode already guarantees freshness; serialized/parallel
+        contexts executed just now, but concurrent cores may
+        interleave.
+        """
+        pipeline = self.pipeline
+        stale = pipeline.stale_subops(ctx)
+        if not stale:
+            return None
+        pipeline.invalidate(ctx, stale)
+        return self.executor.start(ctx)
+
+    def _accept(self, ctx, critical: bool) -> Optional[Join]:
+        """Commit a fresh ``ctx`` and hand its lines to the write
+        queues.  Returns the join that fires once every acceptance is
+        done (the write is persisted), or ``None`` when none had to be
+        waited for."""
+        system = self.system
+        action = self.pipeline.commit(ctx)
+        accepted = Join(self.sim)
         if action.write_data:
             entry = WriteEntry(
                 addr=action.device_addr, data=action.payload,
@@ -202,11 +298,11 @@ class MemoryController:
             # Route by the *device* address: dedup may have redirected
             # the payload to a shadow line on another shard, making
             # this a cross-shard transaction — the sfence barrier
-            # below (``accepts`` joined by the caller) spans every
+            # (this join, awaited by the writeback) spans every
             # controller touched.
-            queue = system.write_queue_for(action.device_addr)
-            accepts.append(self.sim.process(
-                queue.accept(entry), name="accept-data"))
+            accepted.count += 1
+            system.write_queue_for(action.device_addr).accept(
+                entry, accepted.arrive)
         else:
             self._c_dedup_cancelled.add()
         for i in range(action.metadata_lines):
@@ -223,13 +319,17 @@ class MemoryController:
             meta_entry = WriteEntry(addr=meta_addr,
                                     data=bytes(CACHE_LINE_BYTES),
                                     metadata={"kind": "metadata"})
-            proc = self.sim.process(
-                system.write_queue_for(meta_addr).accept(meta_entry),
-                name="accept-meta")
-            accepts.append(proc)
+            accepted.count += 1
+            system.write_queue_for(meta_addr).accept(meta_entry,
+                                                     accepted.arrive)
             self._c_metadata_atomic_waits.add()
-        if accepts:
-            yield self.sim.all_of(accepts)
+        if not accepted.count:
+            self._c_writes_persisted.add()
+            return None
+        accepted.add_callback(self._count_persisted)
+        return accepted
+
+    def _count_persisted(self, accepted: Join) -> None:
         self._c_writes_persisted.add()
 
     def _metadata_line_for(self, addr: int, index: int) -> int:
@@ -369,18 +469,19 @@ class Core:
         Non-blocking (like the instruction): completion is observed by
         the next :meth:`sfence`.
         """
+        sim = self.sim
         for line in line_span(addr, size):
             # Route each line to its owning shard's controller; a
             # transaction touching several shards accumulates pending
             # writebacks on all of them, and the next sfence becomes
             # a barrier over every controller touched.
-            proc = self.sim.process(
-                self.system.controller_for(line).writeback(
-                    self.core_id, line, critical=critical),
-                name="clwb")
-            self._outstanding.append(proc)
+            controller = self.system.controller_for(line)
+            wb = Writeback(sim, controller.policy, self.core_id, line,
+                           critical)
+            sim._schedule_now(controller.writeback, wb)
+            self._outstanding.append(wb)
             self._c_clwbs.add()
-        yield self.sim.delay(self.cfg.core.instruction_ns)
+        yield sim.delay(self.cfg.core.instruction_ns)
 
     def sfence(self):
         """Block until every outstanding writeback is persistent."""

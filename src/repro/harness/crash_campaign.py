@@ -205,27 +205,24 @@ def run_to_accept(system, program, n: int) -> None:
     """Run ``program`` until the ``n``th write-queue acceptance,
     counted across every shard's queue, completes: the only instant
     an entry is sure to sit undrained in the ADR domain, which the
-    ``wq_*`` faults need.  Every queue's ``accept`` is restored."""
+    ``wq_*`` faults need.  Every queue's acceptance observer is
+    removed again."""
     stop = system.sim.event("accept-crash")
-    originals = [queue.accept for queue in system.write_queues]
     seen = {"accepts": 0}
 
-    def _wrap(original):
-        def wrapped(entry):
-            yield from original(entry)
-            seen["accepts"] += 1
-            if seen["accepts"] == n and not stop.triggered:
-                stop.succeed()
-        return wrapped
+    def observe(entry) -> None:
+        seen["accepts"] += 1
+        if seen["accepts"] == n and not stop.triggered:
+            stop.succeed()
 
-    for queue, original in zip(system.write_queues, originals):
-        queue.accept = _wrap(original)
+    for queue in system.write_queues:
+        queue.on_accept = observe
     system.sim.process(program, name="stream")
     try:
         system.sim.run(stop_event=stop)
     finally:
-        for queue, original in zip(system.write_queues, originals):
-            queue.accept = original
+        for queue in system.write_queues:
+            queue.on_accept = None
 
 
 def recovery_fields(state) -> Dict:

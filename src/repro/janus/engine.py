@@ -11,8 +11,13 @@
 * :meth:`service_write` (step 5) is called by the memory controller
   when the actual write arrives: it matches the IRB, validates the
   stored data copy, waits for in-flight pre-execution, refreshes any
-  stale sub-operations, and returns a commit-ready context.
+  stale sub-operations, and hands a commit-ready context to its
+  continuation.  It runs as simulator callbacks in the slots a
+  process per write resumes in; pre-execution (step 4) stays one
+  ``janus-preexec`` process per admitted operation.
 """
+
+from typing import Callable
 
 from repro.bmo.base import ExternalInput
 from repro.bmo.executor import BmoExecutor
@@ -28,7 +33,7 @@ from repro.janus.queues import (
 )
 from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import Simulator
+from repro.sim import SimEvent, Simulator
 
 
 class JanusEngine:
@@ -177,53 +182,80 @@ class JanusEngine:
             self._inflight_ops -= 1
 
     # -- step 5: the actual write arrives -----------------------------------
-    def service_write(self, thread_id: int, line_addr: int, data: bytes):
-        """Process: produce a commit-ready context for this write.
+    def service_write(self, thread_id: int, line_addr: int, data: bytes,
+                      waiter: SimEvent, fn: Callable, *args) -> None:
+        """Produce a commit-ready context for this write, then call
+        ``fn(ctx, fully_pre_executed, *args)``.
 
-        Yields until all (remaining) sub-operations have executed.
-        Returns ``(ctx, fully_pre_executed)``.
+        ``fn`` runs at once when nothing had to be waited for, else
+        from the callback of the last wait: in-flight pre-execution or
+        a run of the remaining sub-operations.  A sub-op's error fails
+        ``waiter`` instead.
         """
-        entry = self.irb.match_write(thread_id, line_addr, data)
+        try:
+            entry = self.irb.match_write(thread_id, line_addr, data)
+            if entry is None:
+                ctx = self.pipeline.make_context(addr=line_addr, data=data)
+                done = self.executor.start(ctx)
+        except Exception as err:
+            waiter.fail(err)
+            return
         if entry is None:
-            ctx = self.pipeline.make_context(addr=line_addr, data=data)
-            yield from self.executor.run_subops(ctx)
-            return ctx, False
-
+            if done is None:
+                fn(ctx, False, *args)
+            else:
+                done.then(waiter, fn, ctx, False, *args)
+            return
         if entry.inflight is not None:
             # The write arrived before its pre-execution finished —
             # the program left an insufficient window (§4.4 guideline
             # 3).  Record the shortfall for the misuse detector.
-            wait_start = self.sim.now
-            yield entry.inflight
-            self._c_inflight_waits.add()
-            self._h_window_shortfall.observe(self.sim.now - wait_start)
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "inflight-wait", "janus",
-                    ("write-path", f"core{thread_id}"),
-                    start_ns=wait_start,
-                    dur_ns=self.sim.now - wait_start,
-                    args={"line_addr": line_addr})
-        self.irb.consume(entry)
-        ctx = entry.ctx
+            entry.inflight.then(waiter, self._pre_executed, entry,
+                                thread_id, line_addr, data, self.sim.now,
+                                waiter, fn, args)
+            return
+        self._consume(entry, line_addr, data, waiter, fn, args)
 
-        if entry.data is not None and entry.data != data:
-            # Stale data copy (§4.3.1 cause 1): every data-dependent
-            # result must be recomputed with the fresh bytes.
-            self._c_data_mismatches.add()
-            graph = self.pipeline.graph
-            data_dependent = {
-                name for name in ctx.completed
-                if ExternalInput.DATA in graph.external_requirements(name)}
-            self.pipeline.invalidate(ctx, data_dependent)
-        ctx.addr = line_addr
-        ctx.data = data
+    def _pre_executed(self, entry: IrbEntry, thread_id: int,
+                      line_addr: int, data: bytes, wait_start: int,
+                      waiter: SimEvent, fn: Callable, args) -> None:
+        self._c_inflight_waits.add()
+        self._h_window_shortfall.observe(self.sim.now - wait_start)
+        if self.tracer.enabled:
+            self.tracer.complete(
+                "inflight-wait", "janus",
+                ("write-path", f"core{thread_id}"),
+                start_ns=wait_start,
+                dur_ns=self.sim.now - wait_start,
+                args={"line_addr": line_addr})
+        self._consume(entry, line_addr, data, waiter, fn, args)
 
-        fully = (not self.pipeline.stale_subops(ctx)
-                 and set(ctx.completed) == set(self.pipeline.graph.subops))
+    def _consume(self, entry: IrbEntry, line_addr: int, data: bytes,
+                 waiter: SimEvent, fn: Callable, args) -> None:
+        try:
+            self.irb.consume(entry)
+            ctx = entry.ctx
+            if entry.data is not None and entry.data != data:
+                # Stale data copy (§4.3.1 cause 1): every data-dependent
+                # result must be recomputed with the fresh bytes.
+                self._c_data_mismatches.add()
+                graph = self.pipeline.graph
+                data_dependent = {
+                    name for name in ctx.completed
+                    if ExternalInput.DATA
+                    in graph.external_requirements(name)}
+                self.pipeline.invalidate(ctx, data_dependent)
+            ctx.addr = line_addr
+            ctx.data = data
+            fully = (not self.pipeline.stale_subops(ctx)
+                     and set(ctx.completed)
+                     == set(self.pipeline.graph.subops))
+        except Exception as err:
+            waiter.fail(err)
+            return
         if fully:
             self._c_fully_pre_executed.add()
         else:
             self._c_partially_pre_executed.add()
-        yield from self.executor.refresh_and_complete(ctx)
-        return ctx, fully
+        self.executor.refresh_and_complete(ctx, waiter, fn, ctx, fully,
+                                           *args)

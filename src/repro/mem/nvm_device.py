@@ -7,7 +7,7 @@ drains slow down — the contention that makes Janus's relative
 benefit shrink at 8 cores (paper §5.2.1, trend 1).
 
 Only writes reach a channel: the write queue drains through
-:meth:`NvmDevice.write_access`.  Core loads are timed by
+:meth:`NvmDevice.write`.  Core loads are timed by
 ``Core._access_latency``, which charges ``read_service_ns`` on a
 cache miss (plus the controller's decrypt penalty) without occupying
 a channel.
@@ -19,7 +19,7 @@ topologies, so shard count multiplies total channel parallelism
 (``shards=1`` keeps the classic single device, bit for bit).
 """
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.config import MemoryConfig
 from repro.obs.metrics import MetricsScope
@@ -67,13 +67,28 @@ class NvmDevice:
             addr = self._local_addr(addr)
         return (addr // 64) % len(self._channels)
 
-    def write_access(self, addr: int):
-        """Process: occupy the line's channel for one line write."""
+    def write(self, addr: int, done: Callable, *args) -> None:
+        """Occupy the line's channel for one line write, then call
+        ``done(*args)``.
+
+        The channel grant is one callback, in the slot a process's
+        ``yield channel.acquire()`` resumed in; it holds the channel
+        for ``write_service_ns``, and the callback at the end releases
+        it and calls ``done`` in the same dispatch.
+        """
         self.writes += 1
         self.stats.counter("writes").add()
         self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
         channel = self._channels[self._channel_index(addr)]
-        yield from channel.use(self.cfg.write_service_ns)
+        channel.request(self._granted, channel, done, args)
+
+    def _granted(self, channel: Resource, done: Callable, args) -> None:
+        self.sim._schedule(self.cfg.write_service_ns, self._written,
+                           channel, done, args)
+
+    def _written(self, channel: Resource, done: Callable, args) -> None:
+        channel.release()
+        done(*args)
 
     def wear_statistics(self) -> Dict[str, float]:
         """Summary of the per-line wear distribution."""

@@ -4,13 +4,32 @@ With Intel ADR, a write is durable the moment it is *accepted* into
 the write queue (paper §2.3 / Fig. 1): residual energy flushes the
 queue to NVM on power failure.  So:
 
-* ``accept(entry)`` is the persist point — the caller's ``sfence``
-  completes once all its writebacks have been accepted;
-* the drain process then performs the actual device write in the
-  background, off the critical path.
+* ``accept(entry, done)`` is the persist point — the caller's
+  ``sfence`` completes once all its writebacks have been accepted;
+* the drain then performs the actual device write in the background,
+  off the critical path.
 
-The queue is bounded; when full, ``accept`` blocks until the drain
+The queue is bounded; when full, an acceptance waits until a drain
 frees a slot (back-pressure, which matters under multi-core load).
+
+Acceptance and drain run as simulator callbacks, not processes.  Each
+callback takes the same-instant batch slot of the process step it
+replaced (``tests/writepath_reference.py`` keeps those processes and
+``tests/test_writepath_lockstep.py`` checks the two in lockstep):
+
+* :meth:`WriteQueue.accept` queues one callback, in the slot of the
+  reference ``accept`` process's first step; it requests a queue slot;
+* the grant callback takes the slot the process resumed in, whether
+  the slot was free or was handed over by a drain's ``release``; it
+  accepts the entry, queues the drain's start (the ``wq-drain``
+  process's first step) and then ``done`` (the finished ``accept``
+  process's dispatch);
+* the drain asks :meth:`repro.mem.nvm_device.NvmDevice.write` for the
+  line's channel: one grant callback, then one callback after the
+  service time that releases the channel and retires the entry, which
+  frees the queue slot and wakes idle waiters.
+
+A drain that raises propagates out of :meth:`Simulator.run`.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +60,7 @@ class WriteEntry:
 
 
 class WriteQueue:
-    """Bounded persist-domain queue with a background drain process."""
+    """Bounded persist-domain queue with a background drain."""
 
     TRACK = ("mem", "write-queue")
 
@@ -62,6 +81,9 @@ class WriteQueue:
         #: each drain (media faults on the landed line) and per entry
         #: during the ADR flush (drop / tear on power loss).
         self.injector = None
+        #: Optional acceptance observer, called with each entry right
+        #: after it is accepted (crash campaigns stop the run there).
+        self.on_accept: Optional[Callable[[WriteEntry], None]] = None
         # Hot metric handles: resolved once, not per accepted write.
         self._c_accepted = self.stats.counter("accepted")
         self._c_drained = self.stats.counter("drained")
@@ -69,37 +91,43 @@ class WriteQueue:
         self._h_full_stall = self.stats.histogram("full_stall_ns")
         self._h_residency = self.stats.histogram("residency_ns")
 
-    def accept(self, entry: WriteEntry):
-        """Process: block until a slot is free, then persist ``entry``.
+    def accept(self, entry: WriteEntry, done: Callable, *args) -> None:
+        """Persist ``entry``, waiting for a free slot if the queue is
+        full, then call ``done(*args)``.
 
-        Returns once the entry is durably in the persist domain; the
-        device write continues in the background.
+        ``done`` runs once the entry is durably in the persist domain;
+        the device write continues in the background.
         """
-        arrival = self.sim.now
-        grant = self._slots.acquire()
-        try:
-            yield grant
-        except BaseException:
-            # Killed while stalled on a full queue: withdraw the slot
-            # request so the dead waiter can't leak capacity.
-            self._slots.cancel(grant)
-            raise
+        self.sim._schedule_now(self._request, entry, done, args)
+
+    def _request(self, entry: WriteEntry, done: Callable, args) -> None:
+        self._slots.request(self._accept, entry, self.sim.now, done, args)
+
+    def _accept(self, entry: WriteEntry, arrival: int, done: Callable,
+                args) -> None:
+        sim = self.sim
+        now = sim.now
         self.accepted += 1
         self._c_accepted.add()
         self._h_occupancy.observe(self.outstanding)
-        if arrival < self.sim.now:
+        if arrival < now:
             # Back-pressure: the queue was full and this write stalled.
-            self._h_full_stall.observe(self.sim.now - arrival)
-        entry.accepted_at = self.sim.now
+            self._h_full_stall.observe(now - arrival)
+        entry.accepted_at = now
         self._pending.append(entry)
         if self.tracer.enabled:
-            self.tracer.counter("wq-occupancy", self.TRACK, self.sim.now,
+            self.tracer.counter("wq-occupancy", self.TRACK, now,
                                 {"outstanding": self.outstanding})
-        self.sim.process(self._drain(entry), name="wq-drain")
+        sim._schedule_now(self._drain, entry)
+        sim._schedule_now(done, *args)
+        if self.on_accept is not None:
+            self.on_accept(entry)
 
-    def _drain(self, entry: WriteEntry):
+    def _drain(self, entry: WriteEntry) -> None:
+        self.device.write(entry.addr, self._drained, entry)
+
+    def _drained(self, entry: WriteEntry) -> None:
         try:
-            yield from self.device.write_access(entry.addr)
             if entry in self._pending:  # not already ADR-flushed
                 self._pending.remove(entry)
                 if entry.on_drain is not None:

@@ -7,8 +7,9 @@ complementary attributions, both derived from a single run:
 * **Dispatch profile** — the :class:`~repro.sim.engine.Simulator`
   dispatch loop, with this profiler hooked in, classifies every
   dispatched callback into a stable *event-type* key
-  (``subopschedule``, ``process:clwb``, ``event:bmo-subops``, ...)
-  and records counts plus host wall-clock nanoseconds.  Counts are a
+  (``subopschedule._ready``, ``memorycontroller._arrive``,
+  ``process:program``, ``event:bmo-subops``, ...) and records counts
+  plus host wall-clock nanoseconds.  Counts are a
   pure function of the run (deterministic and byte-stable);
   wall-clock is host-measured and reported separately, never written
   into the byte-stable artifacts.
@@ -32,6 +33,8 @@ same either way, so a profile never changes what it measures
 import re
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.sim.engine import SimEvent
 
 PROFILE_SCHEMA = "repro-profile-v1"
 
@@ -60,7 +63,14 @@ def normalize_event_name(name: str) -> str:
 
 
 def classify_callback(fn: Callable) -> str:
-    """Stable event-type key for one dispatched simulator callback."""
+    """Stable event-type key for one dispatched simulator callback.
+
+    An event's or a process's callbacks key by its type and normalized
+    name (``process:program``, ``event:bmo-subops``, ``allof``).  A
+    plain object's key also names the method, because one object
+    schedules several different steps: ``memorycontroller._arrive``,
+    ``writequeue._accept``, ``resource:bmo-units.release``.
+    """
     owner = getattr(fn, "__self__", None)
     if owner is None:
         return f"fn:{getattr(fn, '__qualname__', repr(fn))}"
@@ -68,6 +78,11 @@ def classify_callback(fn: Callable) -> str:
     if kind == "simevent":
         kind = "event"
     name = normalize_event_name(getattr(owner, "name", "") or "")
+    if not isinstance(owner, SimEvent):
+        method = getattr(fn, "__name__", "")
+        if name and name != kind:
+            kind = f"{kind}:{name}"
+        return f"{kind}.{method}" if method else kind
     if not name or name == kind or name == "all_of":
         return kind
     return f"{kind}:{name}"
@@ -84,7 +99,7 @@ class SimProfiler:
     def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
         self.clock = clock
         self.dispatch: Dict[str, List[int]] = {}
-        self._key_cache: Dict[Tuple[type, str], str] = {}
+        self._key_cache: Dict[Tuple[type, str, str], str] = {}
         self.total_events = 0
         self.total_wall_ns = 0
 
@@ -94,7 +109,8 @@ class SimProfiler:
         if owner is None:
             key = classify_callback(fn)
         else:
-            cache_key = (type(owner), getattr(owner, "name", "") or "")
+            cache_key = (type(owner), getattr(owner, "name", "") or "",
+                         fn.__name__)
             key = self._key_cache.get(cache_key)
             if key is None:
                 key = self._key_cache[cache_key] = classify_callback(fn)

@@ -68,12 +68,18 @@ class SimEvent:
         self._exc: Optional[BaseException] = None
 
     def succeed(self, value: Any = None) -> "SimEvent":
-        """Trigger the event, delivering ``value`` to all waiters."""
+        """Trigger the event, delivering ``value`` to all waiters.
+
+        The event is dispatched only when someone waits on it: a waiter
+        added later is scheduled on its own by :meth:`add_callback`, so
+        a dispatch of an empty callback list would do nothing.
+        """
         if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self.triggered = True
         self.value = value
-        self.sim._schedule_now(self._dispatch)
+        if self._callbacks:
+            self.sim._schedule_now(self._dispatch)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -82,7 +88,8 @@ class SimEvent:
             raise SimulationError(f"event {self.name!r} already triggered")
         self.triggered = True
         self._exc = exc
-        self.sim._schedule_now(self._dispatch)
+        if self._callbacks:
+            self.sim._schedule_now(self._dispatch)
         return self
 
     def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
@@ -106,6 +113,20 @@ class SimEvent:
             return True
         except ValueError:
             return False
+
+    def then(self, waiter: "SimEvent", fn: Callable, *args) -> None:
+        """Callback-style wait: once this event fires, call
+        ``fn(*args)``, or fail ``waiter`` with this event's error.
+
+        The call takes the slot a process parked here with ``yield``
+        would have resumed in.
+        """
+        def resume(event: "SimEvent") -> None:
+            if event._exc is not None:
+                waiter.fail(event._exc)
+            else:
+                fn(*args)
+        self.add_callback(resume)
 
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
@@ -197,6 +218,32 @@ class AllOf(SimEvent):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([c.value for c in self._children])
+
+
+class Join(SimEvent):
+    """Triggers at the last of ``count`` calls of :meth:`arrive`.
+
+    The callback-side :class:`AllOf`: activities driven by callbacks
+    finish by calling ``arrive`` where a finished process would have
+    triggered, so the join fires in the slot ``AllOf`` fired in.
+    ``count`` may grow while no arrival is pending.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, sim: "Simulator", count: int = 0):
+        self.sim = sim
+        self.name = "join"
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
+        self._exc = None
+        self.count = count
+
+    def arrive(self) -> None:
+        self.count -= 1
+        if not self.count:
+            self.succeed()
 
 
 class Process(SimEvent):
@@ -520,7 +567,14 @@ class Simulator:
                 base = 0
         finally:
             self.events += dispatched + (pos - base)
-            self._batch_pos = pos
+            if pos < len(batch):
+                self._batch_pos = pos
+            else:
+                # Drop a drained batch: its (fn, args) pairs would
+                # otherwise keep their owners alive until the next
+                # batch replaces it.
+                self._batch = []
+                self._batch_pos = 0
         if until is not None and not times and not stopped:
             self.now = max(self.now, until)
         if sampler is not None and self.now >= sampler.next_ns:

@@ -27,11 +27,20 @@ def make_executor(units=4, pipeline_fraction=1.0, **cfg_overrides):
     return sim, pipeline, executor
 
 
+def refresh_and_complete(executor, ctx):
+    """Process helper: wait for the executor's callback refresh."""
+    refreshed = executor.sim.event("refreshed")
+    executor.refresh_and_complete(ctx, refreshed, refreshed.succeed)
+    yield refreshed
+
+
 def test_serialized_run_charges_serial_latency():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    proc = sim.process(executor.run_serialized(ctx))
+    done = sim.event("serialized")
+    executor.run_serialized(ctx, done, done.succeed)
     sim.run()
+    assert done.triggered and done._exc is None
     assert sim.now == pytest.approx(pipeline.serial_latency())
     assert set(ctx.completed) == set(pipeline.all_subops)
 
@@ -91,7 +100,7 @@ def test_refresh_and_complete_after_full_pre_execution_is_instant():
     t_pre = sim.now
 
     def finish():
-        yield from executor.refresh_and_complete(ctx)
+        yield from refresh_and_complete(executor, ctx)
         pipeline.commit(ctx)
 
     sim.process(finish())
@@ -111,7 +120,7 @@ def test_refresh_reruns_stale_counter_chain():
     t0 = sim.now
 
     def finish():
-        yield from executor.refresh_and_complete(victim)
+        yield from refresh_and_complete(executor, victim)
         pipeline.commit(victim)
 
     sim.process(finish())
@@ -134,8 +143,9 @@ def test_partial_subset_requires_completed_deps():
 def test_refresh_requires_addr_and_data():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40)
-    with pytest.raises(SimulationError):
-        list(executor.refresh_and_complete(ctx))
+    waiter = sim.event("refreshed")
+    executor.refresh_and_complete(ctx, waiter, waiter.succeed)
+    assert isinstance(waiter._exc, SimulationError)
 
 
 def test_concurrent_writes_contend_for_units():

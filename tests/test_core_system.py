@@ -208,3 +208,24 @@ def test_crash_flushes_adr_domain():
     assert 0xA000 in snapshot["nvm_lines"]
     engine = system.pipeline.by_name["encryption"].engine
     assert engine.decrypt(0xA000, snapshot["nvm_lines"][0xA000]) == data
+
+
+def test_drain_failure_is_not_swallowed():
+    """A write-queue drain has no waiter; an error landing its line
+    in functional NVM must still stop the run instead of vanishing
+    while ``run_programs`` returns normally."""
+    from repro.harness.crash_campaign import build
+    from repro.workloads import WorkloadParams
+
+    system, [workload] = build(
+        "queue", "serialized", WorkloadParams(n_transactions=3))
+    drains = []
+
+    def broken(entry):
+        drains.append(entry.addr)
+        raise RuntimeError(f"cannot land {entry.addr:#x}")
+
+    system.controller._drain_to_nvm = broken
+    with pytest.raises(RuntimeError, match="cannot land"):
+        system.run_programs([workload.run()])
+    assert len(drains) == 1

@@ -130,7 +130,8 @@ class TestMidBmoCrash:
 class TestRunToAccept:
     """The ``wq_*`` crash instant on the sharded machine: the stop is
     the Nth write-queue acceptance counted across every shard's
-    queue, and every queue gets its own ``accept`` back."""
+    queue, the Nth entry still sits undrained in the ADR domain, and
+    every queue loses its acceptance observer again."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_stops_at_nth_acceptance_system_wide(self, shards):
@@ -146,6 +147,9 @@ class TestRunToAccept:
         assert sum(accepted.values()) == 5
         assert [queue.accept for queue in system.write_queues] \
             == originals
+        assert all(queue.on_accept is None
+                   for queue in system.write_queues)
+        assert any(queue._pending for queue in system.write_queues)
 
 
 class TestShardedCampaign:

@@ -2,12 +2,14 @@
 process-per-sub-op executor it replaced.
 
 :class:`ReferenceExecutor` keeps the old ``run_subops``/``_run_one``
-verbatim: every sub-op of every call ran as its own simulator process
-with its own done event.  The production executor must reproduce it
-exactly — the same ready, start and finish ns for every sub-op, the
-same unit grants and accounting, the same functional results and
-metrics, the same exception at the same ns — while dispatching fewer
-events.  Same-instant ties decide unit grants, coalesced ledger
+verbatim, with ``run_subops``'s final ``yield`` turned into the return
+of :meth:`BmoExecutor.start`: every sub-op of every call ran as its
+own simulator process with its own done event, and the caller waited
+on the one process or on an ``AllOf`` over them.  The production
+executor must reproduce it exactly — the same ready, start and finish
+ns for every sub-op, the same unit grants and accounting, the same
+functional results and metrics, the same exception at the same ns —
+while dispatching fewer events.  Same-instant ties decide unit grants, coalesced ledger
 charges and commits racing sub-op reads, so "exactly" includes the
 order of everything that happens within one instant.
 """
@@ -46,11 +48,12 @@ class ReferenceExecutor(BmoExecutor):
         self._proc_names = {n: "subop:" + n
                             for n in self.pipeline.graph.subops}
 
-    def run_subops(self, ctx: BmoContext,
-                   names: Optional[Iterable[str]] = None):
-        """Process: execute ``names`` (default: all not yet completed)
-        as a dependency-respecting dataflow on the shared units.
-        Completes when every requested sub-op has run.
+    def start(self, ctx: BmoContext,
+              names: Optional[Iterable[str]] = None):
+        """Start ``names`` (default: all not yet completed) as a
+        dependency-respecting dataflow on the shared units.  Returns
+        the event the old ``run_subops`` process waited on — the one
+        sub-op process, or an ``AllOf`` over them — or ``None``.
         """
         graph = self.pipeline.graph
         if names is None:
@@ -60,7 +63,7 @@ class ReferenceExecutor(BmoExecutor):
             targets = [n for n in graph.topological_order
                        if n in set(names) and n not in ctx.completed]
         if not targets:
-            return ctx
+            return None
         target_set: Set[str] = set(targets)
         for name in targets:
             for dep in graph.subops[name].deps:
@@ -82,10 +85,8 @@ class ReferenceExecutor(BmoExecutor):
             for name in targets
         ]
         if len(children) == 1:
-            yield children[0]
-        else:
-            yield sim.all_of(children)
-        return ctx
+            return children[0]
+        return sim.all_of(children)
 
     def _run_one(self, ctx: BmoContext, name: str,
                  done: Dict[str, object]):
@@ -239,7 +240,10 @@ def drive(executor_cls, scenario: dict) -> dict:
                 yield from executor.run_pre_execution(ctx)
                 yield sim.delay(spec["gap"])
                 ctx.addr, ctx.data = spec["addr"], data
-            yield from executor.refresh_and_complete(ctx)
+            refreshed = sim.event("refreshed")
+            executor.refresh_and_complete(ctx, refreshed,
+                                          refreshed.succeed)
+            yield refreshed
         except Boom as err:
             log.append(("boom", sim.now, wid, str(err)))
             return

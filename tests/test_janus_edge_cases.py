@@ -14,6 +14,15 @@ def line(pattern: int) -> bytes:
     return bytes([pattern & 0xFF]) * 64
 
 
+def service_write(engine, thread_id, line_addr, data):
+    """Process helper: wait for the engine's callback write service;
+    returns ``(ctx, fully_pre_executed)``."""
+    served = engine.sim.event("served")
+    engine.service_write(thread_id, line_addr, data, served,
+                         lambda ctx, fully: served.succeed((ctx, fully)))
+    return (yield served)
+
+
 def make_engine(**janus_overrides):
     import dataclasses
     sim = Simulator()
@@ -87,7 +96,7 @@ def test_conflicting_pre_executions_same_line_different_objects():
     results = []
 
     def write():
-        ctx, fully = yield from engine.service_write(0, 0x3000, line(2))
+        ctx, fully = yield from service_write(engine, 0, 0x3000, line(2))
         results.append((ctx, fully))
 
     sim.process(write())
@@ -110,9 +119,9 @@ def test_interleaved_writes_same_line_stay_correct():
     done = []
 
     def writes():
-        ctx1, _ = yield from engine.service_write(0, 0x4000, line(1))
+        ctx1, _ = yield from service_write(engine, 0, 0x4000, line(1))
         pipeline.commit(ctx1)
-        ctx2, _ = yield from engine.service_write(0, 0x4000, line(2))
+        ctx2, _ = yield from service_write(engine, 0, 0x4000, line(2))
         pipeline.commit(ctx2)
         done.append(True)
 

@@ -14,6 +14,15 @@ def line(pattern: int) -> bytes:
     return bytes([pattern & 0xFF]) * 64
 
 
+def service_write(engine, thread_id, line_addr, data):
+    """Process helper: wait for the engine's callback write service;
+    returns ``(ctx, fully_pre_executed)``."""
+    served = engine.sim.event("served")
+    engine.service_write(thread_id, line_addr, data, served,
+                         lambda ctx, fully: served.succeed((ctx, fully)))
+    return (yield served)
+
+
 def make_engine(**cfg_overrides):
     sim = Simulator()
     cfg = default_config(**cfg_overrides)
@@ -49,7 +58,7 @@ def test_write_after_full_pre_execution_is_instant_and_fully_flagged():
     results = []
 
     def write():
-        ctx, fully = yield from engine.service_write(0, 0x1000, line(1))
+        ctx, fully = yield from service_write(engine, 0, 0x1000, line(1))
         results.append((ctx, fully, sim.now))
 
     sim.process(write())
@@ -67,7 +76,7 @@ def test_write_without_pre_execution_runs_parallel_bmos():
     results = []
 
     def write():
-        ctx, fully = yield from engine.service_write(0, 0x2000, line(2))
+        ctx, fully = yield from service_write(engine, 0, 0x2000, line(2))
         results.append((fully, sim.now))
 
     sim.process(write())
@@ -89,7 +98,7 @@ def test_addr_only_pre_execution_partially_helps():
     results = []
 
     def write():
-        ctx, fully = yield from engine.service_write(0, 0x1000, line(3))
+        ctx, fully = yield from service_write(engine, 0, 0x1000, line(3))
         results.append((fully, sim.now - t0))
 
     t0 = sim.now
@@ -109,7 +118,7 @@ def test_data_mismatch_reruns_data_dependent_subops():
 
     def write():
         # Different data than was pre-executed.
-        ctx, fully = yield from engine.service_write(0, 0x1000, line(9))
+        ctx, fully = yield from service_write(engine, 0, 0x1000, line(9))
         results.append((ctx, fully, sim.now - t0))
 
     sim.process(write())
@@ -132,7 +141,7 @@ def test_write_arriving_before_pre_execution_completes_waits():
         submit_both(engine, 0x1000, line(1))
         # Arrive almost immediately, long before MD5 (321 ns) is done.
         yield sim.timeout(5)
-        ctx, fully = yield from engine.service_write(0, 0x1000, line(1))
+        ctx, fully = yield from service_write(engine, 0, 0x1000, line(1))
         results.append((fully, sim.now))
 
     sim.process(racer())
@@ -199,15 +208,15 @@ def test_metadata_change_invalidation_end_to_end():
     done = []
 
     def writes():
-        ctx, _ = yield from engine.service_write(0, 0x1000, line(7))
+        ctx, _ = yield from service_write(engine, 0, 0x1000, line(7))
         pipeline.commit(ctx)
         # Overwrite the canonical copy with different data; dedup
         # metadata changes and notifies the IRB.
         submit_both(engine, 0x2000, line(7), pre_id=2)
         yield sim.timeout(2000)  # let pre-execution finish
-        ctx2, _ = yield from engine.service_write(0, 0x1000, line(8))
+        ctx2, _ = yield from service_write(engine, 0, 0x1000, line(8))
         pipeline.commit(ctx2)
-        ctx3, fully3 = yield from engine.service_write(0, 0x2000, line(7))
+        ctx3, fully3 = yield from service_write(engine, 0, 0x2000, line(7))
         action = pipeline.commit(ctx3)
         done.append((fully3, action))
 
@@ -307,7 +316,7 @@ class TestInterface:
         def prog():
             yield from api.pre_both_val(obj, 0x5000, 1, line_image=image)
             yield sim.timeout(2000)
-            ctx, fully = yield from engine.service_write(0, 0x5000, image)
+            ctx, fully = yield from service_write(engine, 0, 0x5000, image)
             assert fully
 
         proc = sim.process(prog())

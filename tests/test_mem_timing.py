@@ -95,13 +95,8 @@ def test_nvm_device_serialises_channel():
     sim = Simulator()
     dev = NvmDevice(sim, MemoryConfig(channels=1, write_service_ns=100))
     done = []
-
-    def writer(i):
-        yield from dev.write_access(i * 64)
-        done.append(sim.now)
-
     for i in range(3):
-        sim.process(writer(i))
+        dev.write(i * 64, lambda: done.append(sim.now))
     sim.run()
     assert done == [100, 200, 300]
 
@@ -110,15 +105,17 @@ def test_nvm_device_multiple_channels_parallelise():
     sim = Simulator()
     dev = NvmDevice(sim, MemoryConfig(channels=2, write_service_ns=100))
     done = []
-
-    def writer(addr):
-        yield from dev.write_access(addr)
-        done.append(sim.now)
-
-    sim.process(writer(0))     # channel 0
-    sim.process(writer(64))    # channel 1
+    dev.write(0, lambda: done.append(sim.now))     # channel 0
+    dev.write(64, lambda: done.append(sim.now))    # channel 1
     sim.run()
     assert done == [100, 100]
+
+
+def accept(wq, entry):
+    """Process helper: return once ``entry`` is accepted."""
+    accepted = wq.sim.event("accepted")
+    wq.accept(entry, accepted.succeed)
+    yield accepted
 
 
 def test_write_queue_accept_is_fast_drain_is_background():
@@ -134,7 +131,7 @@ def test_write_queue_accept_is_fast_drain_is_background():
                           on_drain=lambda e: nvm.write_line(e.addr, e.data))
 
     def producer():
-        yield from wq.accept(entry(0))
+        yield from accept(wq, entry(0))
         persist_time.append(sim.now)
 
     sim.process(producer())
@@ -153,7 +150,7 @@ def test_write_queue_backpressure_when_full():
 
     def producer():
         for i in range(4):
-            yield from wq.accept(WriteEntry(addr=i * 64, data=bytes(64)))
+            yield from accept(wq, WriteEntry(addr=i * 64, data=bytes(64)))
             accept_times.append(sim.now)
 
     sim.process(producer())
@@ -172,7 +169,7 @@ def test_drained_event_waits_for_idle():
     times = []
 
     def producer():
-        yield from wq.accept(WriteEntry(addr=0, data=bytes(64)))
+        yield from accept(wq, WriteEntry(addr=0, data=bytes(64)))
         yield wq.drained_event()
         times.append(sim.now)
 
@@ -182,3 +179,26 @@ def test_drained_event_waits_for_idle():
     # Idle queue: event fires immediately.
     ev = wq.drained_event()
     assert ev.triggered
+
+
+def test_drain_failure_propagates_out_of_run():
+    """A drain has no waiter: an error in it (here, landing the line
+    in functional NVM) must stop the run, not vanish."""
+    sim = Simulator()
+    cfg = MemoryConfig(write_service_ns=50)
+    dev = NvmDevice(sim, cfg)
+    wq = WriteQueue(sim, cfg, dev)
+
+    def broken(entry):
+        raise RuntimeError(f"cannot land {entry.addr:#x}")
+
+    def producer():
+        yield from accept(wq, WriteEntry(addr=0x40, data=bytes(64),
+                                         on_drain=broken))
+
+    sim.process(producer())
+    with pytest.raises(RuntimeError, match="cannot land 0x40"):
+        sim.run()
+    assert sim.now == 50
+    # The drain's slot was still released on the way out.
+    assert wq.outstanding == 0

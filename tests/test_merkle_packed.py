@@ -427,3 +427,43 @@ def test_commits_hash_nothing_until_the_crash_reads_the_tree(
     if mode == "janus":
         stats = system.metrics.as_flat_dict()
         assert stats["janus.fully_pre_executed"] > 0
+
+
+@pytest.mark.parametrize("arity,height", ((2, 4), (3, 3), (8, 2)))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_leaves_matches_verify_leaf_under_tampering(arity, height,
+                                                           data):
+    """The scrub's one-pass check gives :meth:`verify_leaf`'s verdict
+    for every leaf, in order, whatever was tampered: stored blocks
+    (siblings or a path's own slot), the root, or the leaf values."""
+    tree = MerkleTree(arity=arity, height=height)
+    capacity = tree.leaf_capacity
+    indices = st.integers(0, capacity - 1)
+    values = data.draw(st.dictionaries(indices, st.binary(max_size=4),
+                                       min_size=1, max_size=12))
+    for index, value in values.items():
+        tree.update_leaf(index, value)
+    tree.root  # hash the writes in
+    stored = [(level, parent) for level, (blocks, _empty)
+              in enumerate(tree._levels) for parent in blocks]
+    for _ in range(data.draw(st.integers(0, 3))):
+        level, parent = data.draw(st.sampled_from(stored))
+        blocks = tree._levels[level][0]
+        block = bytearray(blocks[parent])
+        block[data.draw(st.integers(0, len(block) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+        blocks[parent] = bytes(block)
+    if data.draw(st.booleans()):
+        tree._root = _sha1(tree._root).digest()
+    leaves = sorted(values.items())
+    for _ in range(data.draw(st.integers(0, 3))):
+        position = data.draw(st.integers(0, len(leaves) - 1))
+        index, value = leaves[position]
+        leaves[position] = (index, value + b"!")
+    extra = data.draw(st.lists(st.tuples(indices, st.binary(max_size=4)),
+                               max_size=3))
+    leaves.extend(extra)
+    expected = [index for index, value in leaves
+                if not tree.verify_leaf(index, value)]
+    assert tree.verify_leaves(leaves) == expected

@@ -179,6 +179,19 @@ class TestBaselinePicker:
         assert Path(path).name == "BENCH_2026-02-01.json"
         assert report["schema"] == record.SCHEMA
 
+    def test_second_recording_of_a_day_sorts_after_the_first(
+            self, tmp_path):
+        first = Path(record.bench_path("2026-10-18", str(tmp_path)))
+        assert first.name == "BENCH_2026-10-18.json"
+        first.write_text(json.dumps({"schema": record.SCHEMA, "n": 1}))
+        second = Path(record.bench_path("2026-10-18", str(tmp_path)))
+        assert second.name == "BENCH_2026-10-18_2.json"
+        second.write_text(json.dumps({"schema": record.SCHEMA, "n": 2}))
+        (tmp_path / "BENCH_2026-10-17.json").write_text(
+            json.dumps({"schema": record.SCHEMA, "n": 0}))
+        path, report = record.newest_baseline(str(tmp_path))
+        assert Path(path) == second and report["n"] == 2
+
     def test_only_v1_files_means_no_baseline(self, tmp_path):
         (tmp_path / "BENCH_2026-01-01.json").write_text(
             json.dumps({"schema": "repro-bench-v1"}))

@@ -499,13 +499,13 @@ class TestShardedEpochCrash:
         # Make the imbalance deterministic: the last shard's device is
         # slow, so its epoch flusher provably falls behind the others.
         slow = system.devices[-1]
-        original = slow.write_access
+        original = slow.write
 
-        def dawdling(addr):
-            yield system.sim.delay(600)
-            yield from original(addr)
+        def dawdling(addr, done, *args):
+            system.sim.timeout(600).add_callback(
+                lambda _: original(addr, done, *args))
 
-        slow.write_access = dawdling
+        slow.write = dawdling
         system.sim.process(workload.run(), name="stream")
         # Step the clock until the per-shard watermarks diverge — the
         # exact "one shard's flusher is behind" moment.

@@ -376,3 +376,75 @@ def test_events_counter_tracks_dispatches():
     sim.process(proc())
     sim.run()
     assert sim.events > 0
+
+
+class _Owner:
+    def step(self, payload):
+        payload.append(self)
+
+
+@pytest.mark.parametrize("same_instant", (False, True))
+def test_drained_run_keeps_no_dispatched_callback(same_instant):
+    """Once run() has drained its last batch, nothing the simulator
+    dispatched is still referenced from it: a callback's owner dies
+    with its last outside reference, without the cycle collector."""
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        owner = _Owner()
+        payload = []
+        if same_instant:
+            sim._schedule_now(owner.step, payload)
+        else:
+            sim._schedule(7, owner.step, payload)
+        sim.run()
+        assert payload == [owner]
+        ref = weakref.ref(owner)
+        del owner, payload
+        assert ref() is None
+        assert sim._batch == []
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_triggered_event_is_dispatched_only_when_waited_on():
+    sim = Simulator()
+    lonely = sim.event("lonely")
+    lonely.succeed(1)
+    sim.run()
+    assert sim.events == 0
+    waited = sim.event("waited")
+    seen = []
+    waited.add_callback(lambda event: seen.append(event.value))
+    waited.succeed(2)
+    # A waiter added after the trigger is still resumed, on its own.
+    lonely.add_callback(lambda event: seen.append(event.value))
+    sim.run()
+    assert seen == [2, 1]
+    assert sim.events == 2
+
+
+def test_then_continues_or_fails_and_join_fires_at_last_arrival():
+    """``then`` calls its continuation in the event's dispatch, or
+    fails its waiter with the event's error; a ``Join`` fires at its
+    last arrival."""
+    from repro.sim import Join
+
+    sim = Simulator()
+    log = []
+    join = Join(sim, 2)
+    join.then(sim.event("unused"), log.append, "joined")
+    sim._schedule(3, join.arrive)
+    sim._schedule(5, join.arrive)
+    failing = sim.event("failing")
+    waiter = sim.event("waiter")
+    failing.then(waiter, log.append, "never")
+    failing.fail(RuntimeError("boom"))
+    sim.run()
+    assert log == ["joined"] and sim.now == 5
+    assert isinstance(waiter._exc, RuntimeError)

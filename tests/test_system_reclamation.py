@@ -58,3 +58,35 @@ def test_finished_system_is_freed_without_the_cycle_collector(mode,
     finally:
         if enabled:
             gc.enable()
+
+
+def test_run_ending_on_a_data_drain_is_freed():
+    """The cells above all end on a metadata drain, whose entry holds
+    no callback.  This one (the relaxed-sharded benchmark's
+    async-epoch cell, at its size and seed) ends on a data entry,
+    whose ``on_drain`` is bound to its controller: the simulator must
+    not keep the last dispatched callback, or the controller, and
+    with it the pipeline and executor, outlive the system until the
+    cycle collector runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = NvmSystem(default_config(mode="async-epoch", shards=2,
+                                          cores=2, seed=1))
+        workloads = [
+            make_workload("queue", system, core,
+                          WorkloadParams(n_transactions=100, n_items=256))
+            for core in system.cores]
+        system.run_programs([w.run() for w in workloads])
+        queue = system.write_queues[-1]
+        assert queue.drained == queue.accepted
+        refs = {name: weakref.ref(obj) for name, obj in (
+            ("system", system), ("pipeline", system.pipeline),
+            ("executor", system.executor))}
+        del system, workloads, queue
+        alive = sorted(name for name, ref in refs.items()
+                       if ref() is not None)
+        assert not alive, f"a reference cycle keeps {alive} alive"
+    finally:
+        if enabled:
+            gc.enable()
