@@ -167,11 +167,21 @@ class JanusPolicy(SchedulingPolicy):
         self._bmos_done(wb)
 
 
+class _StopRun:
+    """The waiter of work no program waits on: its ``fail`` raises,
+    so the error stops the run (as a raising drain does)."""
+
+    @staticmethod
+    def fail(exc: BaseException) -> None:
+        raise exc
+
+
 class IdealPolicy(SchedulingPolicy):
     """Non-blocking writeback: all BMO/persist work off the critical
     path.  Same-line writes chain so commits keep program order —
     being off the critical path must not reorder a line's final
-    contents (hypothesis found exactly that bug)."""
+    contents (hypothesis found exactly that bug).  No program waits on
+    that work, so a sub-op or commit error in it stops the run."""
 
     name = "ideal"
 
@@ -198,16 +208,17 @@ class IdealPolicy(SchedulingPolicy):
         """Run one write's BMOs and persist it, after the line's
         previous background write; ``chain`` fires when it is done."""
         if previous is not None and not previous.triggered:
-            previous.then(chain, self._background, line_addr, data,
+            previous.then(_StopRun, self._background, line_addr, data,
                           critical, None, chain)
             return
         ctx = self.pipeline.make_context(addr=line_addr, data=data)
         done = self.executor.start(ctx)
         if done is None:
-            self.controller._persist(ctx, critical, chain, chain.succeed)
+            self.controller._persist(ctx, critical, _StopRun,
+                                     chain.succeed)
         else:
-            done.then(chain, self.controller._persist, ctx, critical,
-                      chain, chain.succeed)
+            done.then(_StopRun, self.controller._persist, ctx, critical,
+                      _StopRun, chain.succeed)
 
 
 class TimingPolicyMux:

@@ -27,8 +27,8 @@ replaced (``tests/writepath_reference.py`` keeps those processes;
   in-flight pre-execution, an epoch-room gate — continues through
   :meth:`repro.sim.SimEvent.then`, inside the event's dispatch, where
   the waiting process resumed; a unit grant through
-  :meth:`repro.sim.Resource.request` takes the slot of the granted
-  ``acquire``'s resumption;
+  :meth:`repro.sim.Resource.request` takes the slot a process granted
+  the unit resumed in;
 * ``_persist`` counts its acceptances down in a :class:`repro.sim.Join`:
   each :meth:`repro.mem.write_queue.WriteQueue.accept` ends with
   ``arrive`` in the slot of the finished ``accept`` process's
@@ -39,9 +39,9 @@ replaced (``tests/writepath_reference.py`` keeps those processes;
   triggers where the process finished; like any event it is
   dispatched only if an ``sfence`` already waits on it.
 
-A step that raises fails the write's :class:`Writeback` (ideal mode's
-off-path work fails its own chain event), so ``sfence`` raises where
-it raised when the write was a process.
+A step that raises fails the write's :class:`Writeback`, so
+``sfence`` raises where it raised when the write was a process.  Ideal
+mode's off-path work has no such waiter: its error stops the run.
 """
 
 import itertools

@@ -6,10 +6,10 @@ This package is the paper's primary contribution (§4):
   results at the memory controller, isolated from processor/memory
   state, with data-copy validation, metadata-change invalidation,
   aging, and drop-on-full semantics (§4.3.1, §4.6);
-* :class:`PreExecRequestQueue` / :class:`PreExecOperationQueue` and the
-  decoder between them — buffering, coalescing, and cache-line
-  splitting of pre-execution requests (§4.3.2, Fig. 7);
-* :class:`JanusEngine` — ties the queues, the IRB, and the shared BMO
+* :class:`PreExecRequestQueue` and the decoder after it — buffering,
+  coalescing, and cache-line splitting of pre-execution requests
+  (§4.3.2, Fig. 7);
+* :class:`JanusEngine` — ties the request queue, the IRB, and the shared BMO
   units together: pumps requests, pre-executes what the available
   inputs allow, and services the actual write when it arrives;
 * :class:`JanusInterface` — the software API of Table 2 (``PRE_INIT``,
@@ -24,7 +24,6 @@ from repro.janus.misuse import MisuseReport, diagnose
 from repro.janus.overhead import hardware_overhead_report
 from repro.janus.queues import (
     PreExecOperation,
-    PreExecOperationQueue,
     PreExecRequest,
     PreExecRequestQueue,
     decode_request,
@@ -38,7 +37,6 @@ __all__ = [
     "MisuseReport",
     "diagnose",
     "PreExecOperation",
-    "PreExecOperationQueue",
     "PreExecRequest",
     "PreExecRequestQueue",
     "PreObj",

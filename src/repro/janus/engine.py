@@ -4,7 +4,8 @@
 
 * :meth:`submit` (step 1) takes software pre-execution requests;
 * the pump decodes them into line-sized operations (step 2) and
-  admits them to the operation queue (step 3);
+  admits them to the operation queue (step 3), modelled by its
+  capacity: at most ``operation_queue_entries`` per core in flight;
 * each admitted operation pre-executes whatever sub-operations its
   available inputs allow, on the shared BMO units, writing results
   into an IRB entry (step 4);
@@ -26,7 +27,6 @@ from repro.common.config import JanusConfig
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
 from repro.janus.queues import (
     PreExecOperation,
-    PreExecOperationQueue,
     PreExecRequest,
     PreExecRequestQueue,
     decode_request,
@@ -57,8 +57,10 @@ class JanusEngine:
         self.owns = owns
         self.request_queue = PreExecRequestQueue(
             sim, capacity=config.scaled("request_queue_entries") * cores)
-        self.operation_queue = PreExecOperationQueue(
-            sim, capacity=config.scaled("operation_queue_entries") * cores)
+        #: Operation-queue capacity (Table 3): an operation that
+        #: arrives while this many are pre-executing is dropped.
+        self.max_inflight_ops = \
+            config.scaled("operation_queue_entries") * cores
         self.irb = IntermediateResultBuffer(
             sim, capacity=config.scaled("irb_entries") * cores,
             max_age_ns=config.irb_max_age_ns,
@@ -128,8 +130,7 @@ class JanusEngine:
             # Sharded machine: this line belongs to another shard's
             # controller; its engine admits the operation instead.
             return
-        capacity = self.operation_queue._store.capacity
-        if capacity is not None and self._inflight_ops >= capacity:
+        if self._inflight_ops >= self.max_inflight_ops:
             self._c_ops_dropped_full.add()
             return
         entry = IrbEntry(
@@ -164,7 +165,13 @@ class JanusEngine:
                 if name not in ctx.completed]
             if runnable:
                 pre_start = self.sim.now
-                yield from self.executor.run_subops(ctx, runnable)
+                try:
+                    yield from self.executor.run_subops(ctx, runnable)
+                except Exception as err:
+                    # The write that matches this entry, now or later,
+                    # fails with the sub-op's error.
+                    done_event.fail(err)
+                    return
                 self._c_subops_pre_executed.add(len(runnable))
                 if self.tracer.enabled:
                     self.tracer.complete(

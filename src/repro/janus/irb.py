@@ -35,8 +35,8 @@ scanning the buffer (the hardware analogue is a CAM; see
 The inner ``Dict[IrbEntry, None]`` buckets are insertion-ordered sets
 with O(1) add/remove (``IrbEntry`` hashes by identity).  A
 linear-scan reference implementation with identical semantics is kept
-in :mod:`repro.janus.irb_linear` for the equivalence property test,
-the fuzzer's IRB lockstep and the speed-floor test.
+in ``tests/irb_reference.py`` for the equivalence property test and
+the speed-floor test.
 """
 
 from dataclasses import dataclass, field

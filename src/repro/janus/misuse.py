@@ -121,8 +121,7 @@ def diagnose(system, waste_threshold: float = 0.25,
     # 2. useless pre-execution (paper misuse 2).
     dropped = (counter(stats, "ops_dropped_full")
                + counter(irb_stats, "dropped_full")
-               + engine.request_queue.dropped
-               + engine.operation_queue.dropped)
+               + engine.request_queue.dropped)
     if dropped:
         report.findings.append(Finding(
             kind="useless", count=dropped,

@@ -1,10 +1,12 @@
-"""Pre-execution request/operation queues and the decoder.
+"""The pre-execution request queue and the decoder.
 
 Flow (paper Fig. 7a): the processor sends :class:`PreExecRequest`
 objects into the :class:`PreExecRequestQueue` (step 1); the decoder
 splits each request into cache-line-sized :class:`PreExecOperation`
-entries (step 2) that land in the :class:`PreExecOperationQueue`
-(step 3) for the optimized BMO logic.
+entries (step 2), which the engine admits to the optimized BMO logic
+(step 3).  The operation queue between them is modelled by its
+capacity alone: :class:`repro.janus.engine.JanusEngine` caps the
+operations in flight at ``operation_queue_entries`` per core.
 
 Deferred requests (``*_BUF``) sit in the request queue until a
 ``PRE_START_BUF`` releases them; buffered requests that touch the same
@@ -15,11 +17,12 @@ correctness-neutral, it only costs performance.
 """
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 from repro.common.units import CACHE_LINE_BYTES, align_down, line_span
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 
 class PreFunc(enum.Enum):
@@ -125,37 +128,36 @@ class PreExecRequestQueue:
 
     def __init__(self, sim: Simulator, capacity: int):
         self.sim = sim
-        self._store = Store(sim, capacity=capacity,
-                            name="pre-req-queue", drop_oldest=True)
+        self.capacity = capacity
+        self._requests: Deque[PreExecRequest] = deque()
+        self.dropped = 0
         self.coalesced = 0
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._requests)
 
-    @property
-    def dropped(self) -> int:
-        return self._store.dropped
-
-    def submit(self, request: PreExecRequest) -> bool:
+    def submit(self, request: PreExecRequest) -> None:
         """Enqueue a request.
 
         Immediate requests flow straight through (the engine's pump
         consumes them).  Deferred requests wait for
         :meth:`release_deferred`; same-line deferred requests of the
-        same ``pre_id`` coalesce in place.
+        same ``pre_id`` coalesce in place.  A full queue discards its
+        oldest request to make room.
         """
         request.issued_at = self.sim.now
-        if request.deferred:
-            merged = self._try_coalesce(request)
-            if merged:
-                self.coalesced += 1
-                return True
-        return self._store.put(request)
+        if request.deferred and self._try_coalesce(request):
+            self.coalesced += 1
+            return
+        if len(self._requests) >= self.capacity:
+            self._requests.popleft()
+            self.dropped += 1
+        self._requests.append(request)
 
     def _try_coalesce(self, request: PreExecRequest) -> bool:
         if request.addr is None:
             return False
-        for buffered in self._store.peek_all():
+        for buffered in self._requests:
             if (not buffered.deferred
                     or buffered.pre_id != request.pre_id
                     or buffered.thread_id != request.thread_id
@@ -186,7 +188,7 @@ class PreExecRequestQueue:
         Returns the number of requests released.
         """
         released = 0
-        for buffered in self._store.peek_all():
+        for buffered in self._requests:
             if (buffered.deferred and buffered.pre_id == pre_id
                     and buffered.thread_id == thread_id):
                 buffered.deferred = False
@@ -195,33 +197,8 @@ class PreExecRequestQueue:
 
     def pop_ready(self) -> Optional[PreExecRequest]:
         """Dequeue the oldest non-deferred request, if any."""
-        for buffered in self._store.peek_all():
+        for buffered in self._requests:
             if not buffered.deferred:
-                self._store.remove(buffered)
+                self._requests.remove(buffered)
                 return buffered
-        return None
-
-
-class PreExecOperationQueue:
-    """Bounded FIFO of decoded line-sized operations."""
-
-    def __init__(self, sim: Simulator, capacity: int):
-        self.sim = sim
-        self._store = Store(sim, capacity=capacity,
-                            name="pre-op-queue")
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def dropped(self) -> int:
-        return self._store.dropped
-
-    def get(self):
-        return self._store.get()
-
-    def pop_ready(self) -> Optional[PreExecOperation]:
-        for op in self._store.peek_all():
-            self._store.remove(op)
-            return op
         return None

@@ -71,8 +71,8 @@ class NvmDevice:
         """Occupy the line's channel for one line write, then call
         ``done(*args)``.
 
-        The channel grant is one callback, in the slot a process's
-        ``yield channel.acquire()`` resumed in; it holds the channel
+        The channel grant is one callback, in the slot a process
+        granted the channel resumed in; it holds the channel
         for ``write_service_ns``, and the callback at the end releases
         it and calls ``done`` in the same dispatch.
         """

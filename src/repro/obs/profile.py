@@ -46,7 +46,7 @@ _EPS = 1e-6
 def normalize_event_name(name: str) -> str:
     """Collapse a process/event name to a bounded-cardinality key.
 
-    Strips call-site arguments (``timeout(15.0)`` -> ``timeout``),
+    Strips call-site arguments (``name(15.0)`` -> ``name``),
     drops pure-numeric path segments (``clwb:0x180`` -> ``clwb``) and
     trailing instance digits (``program0`` -> ``program``), so keys
     aggregate across addresses/cores instead of exploding per line.

@@ -1,27 +1,28 @@
 """A small discrete-event simulation kernel (simpy-flavoured).
 
-The simulator models time in nanoseconds.  Concurrent activities are
-Python generators ("processes") that yield *waitables*:
+The simulator models time in nanoseconds.  There is one way to wait in
+each context.  Concurrent activities are Python generators
+("processes") that yield *waitables*:
 
-* :class:`Timeout` — resume after a fixed delay,
+* ``sim.delay(ns)`` — resume after a fixed delay (a pooled
+  :class:`Delay` marker),
 * :class:`SimEvent` — resume when someone calls :meth:`SimEvent.succeed`,
 * :class:`Process` — resume when another process finishes,
 * :class:`AllOf` — resume when every child waitable has fired.
 
 Hot paths that need no generator (the write path, the BMO executor)
 run as plain callbacks instead: :meth:`Resource.request`,
-:meth:`SimEvent.then` and :class:`Join` are the callback-side
-counterparts of ``yield resource.acquire()``, ``yield event`` and
-:class:`AllOf`, each dispatching in the slot its process form would.
+:meth:`SimEvent.then` and :class:`Join` wait for a unit, an event or a
+group of activities, each dispatching in the slot a process parked on
+the same wait would resume in.
 
 Shared hardware (memory channels, BMO units) is modelled with
-:class:`Resource` (capacity-limited FIFO server) and :class:`Store`
-(FIFO queue of items).
+:class:`Resource`, a capacity-limited FIFO server.
 """
 
 from repro.sim.engine import (AllOf, Delay, Join, Process, SimEvent,
-                              Simulator, Timeout, quantize_ns)
-from repro.sim.resources import Resource, Store
+                              Simulator, quantize_ns)
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -31,7 +32,5 @@ __all__ = [
     "Resource",
     "SimEvent",
     "Simulator",
-    "Store",
-    "Timeout",
     "quantize_ns",
 ]

@@ -17,13 +17,11 @@ which is exactly the order a per-event ``(time, seq)`` heap produces.
 ``tests/test_scheduler_equivalence.py`` keeps that heap as a
 reference oracle and checks the two in lockstep.
 
-:meth:`Simulator.delay` is the trampoline-bypass fast path for the
-dominant "yield a timeout nobody else can see" pattern: it returns a
-pooled :class:`Delay` marker that :meth:`Process._step` recognizes and
-turns into a direct re-schedule of the process — no :class:`Timeout`
-allocation, no callback registration, no dispatch round-trip, yet the
-same single dispatched callback and the same ordering as
-``yield sim.timeout(ns)``.
+:meth:`Simulator.delay` is how a process sleeps: it returns a pooled
+:class:`Delay` marker that :meth:`Process._step` recognizes and turns
+into a direct re-schedule of the process — no event allocation, no
+callback registration, no dispatch round-trip, just one dispatched
+callback when the sleep ends.
 """
 
 from heapq import heappop, heappush
@@ -100,20 +98,6 @@ class SimEvent:
         else:
             self._callbacks.append(fn)
 
-    def remove_callback(self, fn: Callable[["SimEvent"], None]) -> bool:
-        """Deregister a waiter added with :meth:`add_callback`.
-
-        Returns ``True`` if the callback was found and removed.  Used
-        by cancellation (:meth:`Process.interrupt`,
-        :meth:`repro.sim.resources.Resource.cancel`) so a dead waiter
-        is never resumed.
-        """
-        try:
-            self._callbacks.remove(fn)
-            return True
-        except ValueError:
-            return False
-
     def then(self, waiter: "SimEvent", fn: Callable, *args) -> None:
         """Callback-style wait: once this event fires, call
         ``fn(*args)``, or fail ``waiter`` with this event's error.
@@ -136,38 +120,6 @@ class SimEvent:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<SimEvent {self.name!r} {state}>"
-
-
-class Timeout(SimEvent):
-    """An event that triggers itself after ``delay`` nanoseconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        # SimEvent.__init__, flattened: timeouts are allocated on the
-        # write path's hot loops.
-        self.sim = sim
-        self.name = f"timeout({delay})"
-        self._callbacks = []
-        self.triggered = False
-        self.value = None
-        self._exc = None
-        self.delay = delay
-        sim._schedule(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        if self.triggered:
-            # succeed()/fail() completed this timeout while it was
-            # pending (early wake).  The waiters were already resumed
-            # with that result; dispatching again would double-trigger
-            # them, so the scheduled firing becomes a no-op.  A second
-            # succeed()/fail() still raises via SimEvent.
-            return
-        self.triggered = True
-        self.value = value
-        self._dispatch()
 
 
 class Delay:
@@ -250,17 +202,12 @@ class Process(SimEvent):
     """Runs a generator as a concurrent activity.
 
     The process itself is an event that triggers with the generator's
-    return value, so processes can wait on each other.
-
-    ``_target`` is the event the process is currently parked on (or
-    ``None`` while running / sleeping on a :class:`Delay`); ``_epoch``
-    counts resumptions.  Together they make :meth:`interrupt` safe: a
-    stale wake-up — the original event firing after the process was
-    interrupted away from it, or a pooled delay resume out-raced by an
-    interrupt — is recognized and dropped.
+    return value, so processes can wait on each other.  A process is
+    resumed only by what it yielded, so it never steps once it has
+    triggered.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_target", "_epoch")
+    __slots__ = ("_gen", "_send", "_throw")
 
     def __init__(self, sim: "Simulator",
                  gen: Generator[SimEvent, Any, Any], name: str = ""):
@@ -277,40 +224,25 @@ class Process(SimEvent):
         # every process — the hottest call site in the kernel.
         self._send = gen.send
         self._throw = gen.throw
-        self._target: Optional[SimEvent] = None
-        self._epoch = 0
         sim._schedule_now(self._step, None, None)
 
-    def _step(self, value: Any,
-              exc: Optional[BaseException], epoch: int = -1) -> None:
-        if epoch >= 0 and epoch != self._epoch:
-            # Stale scheduled resume (delay out-raced by interrupt, or
-            # a superseded interrupt): the process has moved on.
-            return
-        self._epoch += 1
-        self._target = None
+    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         try:
             if exc is not None:
                 target = self._throw(exc)
             else:
                 target = self._send(value)
         except StopIteration as stop:
-            if not self.triggered:
-                self.succeed(stop.value)
+            self.succeed(stop.value)
             return
         except BaseException as err:
-            if not self.triggered:
-                self.fail(err)
-                return
-            raise
+            self.fail(err)
+            return
         if target.__class__ is Delay:
-            # Fast path: resume directly after the delay — no Timeout
-            # object, no callback list, no event dispatch.  Still one
-            # dispatched callback at the same (time, order) slot the
-            # equivalent Timeout._fire would have occupied.
+            # Resume directly after the delay: no event object, no
+            # callback list, one dispatched callback when it ends.
             sim = self.sim
-            sim._schedule(target.ns, self._step,
-                          target.value, None, self._epoch)
+            sim._schedule(target.ns, self._step, target.value, None)
             target.value = None
             pool = sim._delay_pool
             if len(pool) < 64:
@@ -320,40 +252,13 @@ class Process(SimEvent):
             self._step(None, SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"))
             return
-        self._target = target
         target.add_callback(self._resume)
 
     def _resume(self, event: SimEvent) -> None:
-        if self._target is not event:
-            # Interrupted away from this event before it fired.
-            return
         if event._exc is not None:
             self._step(None, event._exc)
         else:
             self._step(event.value, None)
-
-    def interrupt(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the process at its current wait point.
-
-        The process resumes on the next tick with ``exc`` raised at
-        its ``yield``; whatever it was parked on is forgotten (the
-        event may still fire — the wake-up is dropped).  The target of
-        the interrupt is expected to clean up via ``try/except`` (see
-        :meth:`repro.sim.resources.Resource.use`).  Interrupting an
-        already-finished process is an error.
-        """
-        if self.triggered:
-            raise SimulationError(
-                f"interrupt of finished process {self.name!r}")
-        target = self._target
-        if target is not None:
-            self._target = None
-            target.remove_callback(self._resume)
-        # Invalidate any in-flight delay resume, then deliver the
-        # exception under the *new* epoch so a later interrupt (or
-        # resumption) supersedes this one.
-        self._epoch += 1
-        self.sim._schedule_now(self._step, None, exc, self._epoch)
 
 
 class Simulator:
@@ -362,7 +267,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0
         #: Callbacks dispatched so far (one per resumed process step,
-        #: event dispatch, or fired timeout).
+        #: event dispatch, or scheduled callback).
         self.events: int = 0
         #: Optional :class:`repro.obs.profile.SimProfiler`.  Attach by
         #: assignment before :meth:`run`; it times every callback.
@@ -426,18 +331,12 @@ class Simulator:
         """Create a fresh pending event."""
         return SimEvent(self, name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay`` ns."""
-        return Timeout(self, delay, value)
-
     def delay(self, ns, value: Any = None) -> Delay:
-        """Fast-path sleep: ``yield sim.delay(ns)`` inside a process.
+        """Sleep: ``yield sim.delay(ns)`` inside a process resumes it
+        after ``ns`` (quantized like any delay) with ``value``.
 
-        Semantically identical to ``yield sim.timeout(ns)`` — same
-        quantization, same dispatch count, same ordering — but the
-        process is resumed directly instead of through a Timeout event
-        and its callback list.  Use only for delays nobody else waits
-        on; the returned marker must be yielded immediately and never
+        The process is resumed directly, by one dispatched callback.
+        The returned marker must be yielded immediately and never
         reused.
         """
         pool = self._delay_pool

@@ -5,7 +5,6 @@ and the seeded stateful fuzz harness (``repro run --check`` /
 
 from repro.validate.invariants import InvariantChecker, InvariantViolation
 from repro.validate.oracles import (
-    IrbLockstep,
     OracleMismatch,
     check_recovery_idempotent,
     diff_images,
@@ -15,7 +14,6 @@ from repro.validate.oracles import (
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "IrbLockstep",
     "OracleMismatch",
     "check_recovery_idempotent",
     "diff_images",

@@ -6,9 +6,8 @@ Pipeline:
 1. **Generate** — :func:`generate_cases` derives a deterministic case
    list from one root seed: ``api`` cases (random op sequences over
    the :mod:`repro.validate.oracles` vocabulary — stale hints, split
-   requests, thread clears, swaps), ``irb`` cases (random traces
-   through the indexed-vs-linear lockstep), and ``workload`` cases
-   (small kernels run serialized-vs-janus to a recovered digest).
+   requests, thread clears, swaps) and ``workload`` cases (small
+   kernels run serialized-vs-janus to a recovered digest).
 2. **Execute** — every case runs under the
    :class:`~repro.validate.invariants.InvariantChecker` *and* the
    differential oracles; any ``InvariantViolation``, any
@@ -40,7 +39,6 @@ from repro.validate.oracles import (
     OracleMismatch,
     check_mode_equivalence,
     check_workload_equivalence,
-    run_random_irb_trace,
 )
 
 SCHEMA_REPRO = "repro-fuzz-repro-v1"
@@ -71,7 +69,7 @@ _OP_WEIGHTS = (
 class FuzzCase:
     """One deterministic fuzz input (JSON round-trippable)."""
 
-    kind: str            # "api" | "irb" | "workload"
+    kind: str            # "api" | "workload"
     seed: int
     ops: List[tuple] = field(default_factory=list)  # api cases only
     params: Dict = field(default_factory=dict)
@@ -130,10 +128,10 @@ def generate_cases(seed: int, count: int, max_ops: int = 16,
                    shards: int = 1) -> List[FuzzCase]:
     """The deterministic case list for one root seed.
 
-    Diet: mostly ``api`` cases, one ``irb`` lockstep trace per 5
-    cases, and one small ``workload`` kernel per 7 (round-robin over
-    ``workloads``; pass an empty sequence to disable).  Differential
-    cases rotate their candidate mode through :data:`MODE_ROTATION`.
+    Diet: mostly ``api`` cases and one small ``workload`` kernel per
+    7 (round-robin over ``workloads``; pass an empty sequence to
+    disable).  Cases rotate their candidate mode through
+    :data:`MODE_ROTATION`.
 
     ``shards != 1`` runs every differential case's *candidate* on an
     N-way sharded machine against the unsharded serialized reference
@@ -141,16 +139,9 @@ def generate_cases(seed: int, count: int, max_ops: int = 16,
     files stay byte-identical to pre-sharding campaigns.
     """
     cases: List[FuzzCase] = []
-    diffed = 0
     for index in range(count):
         case_seed = seed * 1_000_003 + index
-        if index % 5 == 4:
-            cases.append(FuzzCase(
-                kind="irb", seed=case_seed,
-                params={"steps": 150, "addr_p": 0.55, "pre_ids": 3}))
-            continue
-        modes = MODE_ROTATION[diffed % len(MODE_ROTATION)]
-        diffed += 1
+        modes = MODE_ROTATION[index % len(MODE_ROTATION)]
         if workloads and index % 7 == 6:
             name = workloads[(index // 7) % len(workloads)]
             cases.append(FuzzCase(
@@ -213,12 +204,6 @@ def run_case(case: FuzzCase) -> Optional[Dict]:
                 seed=case.seed % 1009, check=True,
                 threads=case.params.get("threads", 1),
                 shards=shards)
-        elif case.kind == "irb":
-            rng = DeterministicRng(case.seed).stream("fuzz-irb")
-            run_random_irb_trace(
-                rng, steps=case.params.get("steps", 150),
-                pre_ids=case.params.get("pre_ids", 3),
-                addr_p=case.params.get("addr_p", 0.55))
         elif case.kind == "workload":
             check_workload_equivalence(
                 case.params["workload"], seed=case.seed % 1009,

@@ -52,7 +52,7 @@ invariant name, the owning layer, and a minimal state snapshot
 (JSON-able) for the failure report.  The checker deliberately reads
 private fields of the structures it audits — it is the second
 implementation that makes index desync observable, in the same spirit
-as :mod:`repro.janus.irb_linear`.
+as the linear-scan IRB in ``tests/irb_reference.py``.
 
 The Merkle rebuild is O(leaves x height) hashes; it runs every
 ``merkle_every`` commits (and always in :meth:`check_all` with

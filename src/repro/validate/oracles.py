@@ -1,23 +1,17 @@
 """Reusable differential oracles.
 
-Two lockstep comparisons back the repo's equivalence arguments:
+The **mode oracle** backs the repo's equivalence arguments: run one
+op sequence under serialized (the reference), janus, and any other
+design point; crash, recover through ciphertext + metadata, and diff
+the final NVM images.  The paper's requirement 1 (§3.2) in its
+strongest form: pre-execution and DAG parallelization are *latency*
+optimizations, so recovered contents must be byte-identical to the
+serialized baseline for arbitrary programs.  Promoted from
+``tests/test_mode_equivalence``.
 
-* **Mode oracle** — run one op sequence under serialized (the
-  reference), janus, and any other design point; crash, recover
-  through ciphertext + metadata, and diff the final NVM images.  The
-  paper's requirement 1 (§3.2) in its strongest form: pre-execution
-  and DAG parallelization are *latency* optimizations, so recovered
-  contents must be byte-identical to the serialized baseline for
-  arbitrary programs.  Promoted from ``tests/test_mode_equivalence``.
-
-* **IRB lockstep** — drive the indexed
-  :class:`~repro.janus.irb.IntermediateResultBuffer` and the
-  :class:`~repro.janus.irb_linear.LinearScanIrb` reference with the
-  same operation stream and compare observable state after every
-  step.  Promoted from ``tests/test_irb_equivalence``.
-
-Both raise :class:`OracleMismatch` (never a bare ``AssertionError``)
-so the fuzz harness can classify divergences as structured failures.
+The oracles raise :class:`OracleMismatch` (never a bare
+``AssertionError``) so the fuzz harness can classify divergences as
+structured failures.
 
 Op vocabulary (shared with :mod:`repro.validate.fuzz`) — each op is a
 tuple; ``slot`` indexes a small line arena, ``v`` indexes
@@ -42,7 +36,7 @@ every design point.
 """
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.config import default_config
 from repro.common.errors import RecoveryCrash, ReproError
@@ -50,9 +44,6 @@ from repro.consistency import recover
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core import NvmSystem
 from repro.harness.crash_campaign import build, recover_image
-from repro.janus.irb import IntermediateResultBuffer, IrbEntry
-from repro.janus.irb_linear import LinearScanIrb
-from repro.sim import Simulator
 from repro.workloads import WorkloadParams
 
 LINE = 64
@@ -381,182 +372,3 @@ def check_recovery_idempotent(snapshot: dict,
                 f"{step}/{n_steps}",
                 diff=[("reference", ref_digest), ("got", got)])
     return n_steps
-
-
-# ---------------------------------------------------------------------------
-# IRB lockstep: indexed implementation vs linear-scan reference
-# ---------------------------------------------------------------------------
-LINES = [LINE * i for i in range(12)]
-PAYLOADS = [bytes([b]) * LINE for b in (0x11, 0x22, 0x33)]
-THREADS = (0, 1, 2)
-
-
-def canon_entry(entry) -> tuple:
-    """Identity-free view of an entry for cross-implementation
-    comparison."""
-    return (entry.pre_id, entry.thread_id, entry.transaction_id,
-            -1 if entry.line_addr is None else entry.line_addr,
-            entry.data or b"", entry.data_seq, entry.created_at,
-            tuple(sorted(entry.ctx.completed)))
-
-
-def canon(irb) -> list:
-    return sorted(canon_entry(e) for e in irb.entries())
-
-
-def clone(entry: IrbEntry) -> IrbEntry:
-    return IrbEntry(
-        pre_id=entry.pre_id, thread_id=entry.thread_id,
-        transaction_id=entry.transaction_id,
-        line_addr=entry.line_addr, data=entry.data,
-        data_seq=entry.data_seq)
-
-
-def random_entry(rng, lines=LINES, pre_ids: int = 6, txns: int = 2,
-                 addr_p: float = 0.7) -> IrbEntry:
-    has_addr = rng.random() < addr_p
-    has_data = rng.random() < 0.6 or not has_addr
-    return IrbEntry(
-        pre_id=rng.randrange(pre_ids),
-        thread_id=rng.choice(THREADS),
-        transaction_id=rng.randrange(txns),
-        line_addr=rng.choice(lines) if has_addr else None,
-        data=rng.choice(PAYLOADS) if has_data else None,
-        data_seq=rng.randrange(2))
-
-
-class IrbLockstep:
-    """Indexed IRB and linear reference driven as one, verified after
-    every operation.
-
-    Every mutator applies the operation to both implementations,
-    compares the per-op result, then :meth:`verify`-s the full
-    observable state (resident entries, occupancy, stats bag).
-    Divergence raises :class:`OracleMismatch` tagged with the op.
-    """
-
-    def __init__(self, capacity: int = 10, max_age_ns: float = 500.0):
-        self.sim_a, self.sim_b = Simulator(), Simulator()
-        self.indexed = IntermediateResultBuffer(
-            self.sim_a, capacity=capacity, max_age_ns=max_age_ns)
-        self.linear = LinearScanIrb(
-            self.sim_b, capacity=capacity, max_age_ns=max_age_ns)
-        self.steps = 0
-
-    def advance(self, dt: float) -> None:
-        """Move both clocks forward in lockstep."""
-        self.sim_a.now += dt
-        self.sim_b.now += dt
-
-    def _mismatch(self, op: str, detail: str) -> OracleMismatch:
-        return OracleMismatch(
-            f"IRB lockstep diverged at step {self.steps} ({op}): "
-            f"{detail}",
-            diff=[("indexed", canon(self.indexed)),
-                  ("linear", canon(self.linear))])
-
-    def _compare_pair(self, op: str, got_a, got_b) -> None:
-        if (got_a is None) != (got_b is None):
-            raise self._mismatch(
-                op, f"indexed -> {got_a is not None}, "
-                    f"linear -> {got_b is not None}")
-        if got_a is not None and canon_entry(got_a) != canon_entry(got_b):
-            raise self._mismatch(op, "returned entries differ")
-
-    def insert(self, entry: IrbEntry):
-        got_a = self.indexed.insert(entry)
-        got_b = self.linear.insert(clone(entry))
-        self._compare_pair("insert", got_a, got_b)
-        self.verify("insert")
-        return got_a
-
-    def match(self, thread_id: int, line_addr: int, data: bytes):
-        got_a = self.indexed.match_write(thread_id, line_addr, data)
-        got_b = self.linear.match_write(thread_id, line_addr, data)
-        self._compare_pair("match", got_a, got_b)
-        self.verify("match")
-        return got_a
-
-    def consume_nth(self, index: int) -> None:
-        """Consume the same logical entry (canon order) on both sides."""
-        resident_a = sorted(self.indexed.entries(), key=canon_entry)
-        resident_b = sorted(self.linear.entries(), key=canon_entry)
-        if not resident_a:
-            return
-        index %= len(resident_a)
-        self.indexed.consume(resident_a[index])
-        self.linear.consume(resident_b[index])
-        self.verify("consume")
-
-    def invalidate_line(self, line_addr: int) -> int:
-        count_a = self.indexed.invalidate_line(line_addr)
-        count_b = self.linear.invalidate_line(line_addr)
-        if count_a != count_b:
-            raise self._mismatch("invalidate_line",
-                                 f"{count_a} != {count_b}")
-        self.verify("invalidate_line")
-        return count_a
-
-    def invalidate_range(self, lo: int, hi: int) -> int:
-        count_a = self.indexed.invalidate_range(lo, hi)
-        count_b = self.linear.invalidate_range(lo, hi)
-        if count_a != count_b:
-            raise self._mismatch("invalidate_range",
-                                 f"{count_a} != {count_b}")
-        self.verify("invalidate_range")
-        return count_a
-
-    def clear_thread(self, thread_id: int) -> int:
-        count_a = self.indexed.clear_thread(thread_id)
-        count_b = self.linear.clear_thread(thread_id)
-        if count_a != count_b:
-            raise self._mismatch("clear_thread",
-                                 f"{count_a} != {count_b}")
-        self.verify("clear_thread")
-        return count_a
-
-    def verify(self, op: str = "verify") -> None:
-        """Full observable-state comparison; raises on divergence."""
-        self.steps += 1
-        if len(self.indexed) != len(self.linear):
-            raise self._mismatch(
-                op, f"occupancy {len(self.indexed)} != "
-                    f"{len(self.linear)}")
-        if canon(self.indexed) != canon(self.linear):
-            raise self._mismatch(op, "resident entries differ")
-        if self.indexed.stats.as_dict() != self.linear.stats.as_dict():
-            raise self._mismatch(op, "stats bags differ")
-
-
-def run_random_irb_trace(rng, steps: int = 400, capacity: int = 10,
-                         max_age_ns: float = 500.0, lines=LINES,
-                         pre_ids: int = 6, txns: int = 2,
-                         addr_p: float = 0.7,
-                         lockstep: Optional[IrbLockstep] = None) -> None:
-    """Drive a seeded random operation trace through the lockstep.
-
-    ``rng`` is any ``random.Random``-like stream (the callers use
-    ``repro.common.rng`` named streams so traces replay exactly).
-    Raises :class:`OracleMismatch` on the first divergence.
-    """
-    pair = lockstep if lockstep is not None else IrbLockstep(
-        capacity=capacity, max_age_ns=max_age_ns)
-    for _ in range(steps):
-        # Jumps large enough to trigger aging on both clocks.
-        pair.advance(rng.choice([0, 0, 1, 5, 40, 200]))
-        roll = rng.random()
-        if roll < 0.45:
-            pair.insert(random_entry(rng, lines=lines, pre_ids=pre_ids,
-                                     txns=txns, addr_p=addr_p))
-        elif roll < 0.70:
-            pair.match(rng.choice(THREADS), rng.choice(lines),
-                       rng.choice(PAYLOADS))
-        elif roll < 0.80:
-            pair.consume_nth(rng.randrange(1 << 16))
-        elif roll < 0.88:
-            pair.invalidate_line(rng.choice(lines))
-        elif roll < 0.94:
-            pair.clear_thread(rng.choice(THREADS))
-        else:
-            lo = rng.choice(lines)
-            pair.invalidate_range(lo, lo + LINE * rng.randrange(1, 4))

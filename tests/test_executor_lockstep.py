@@ -34,6 +34,7 @@ from repro.obs.tracer import Tracer
 from repro.sim import Resource, Simulator
 from repro.sim.engine import Process, SimEvent
 from repro.workloads import WORKLOADS, WorkloadParams
+from tests.writepath_reference import acquire, cancel
 
 DAG_MODES = ("parallel", "janus", "ideal", "coalesced", "async-epoch")
 
@@ -105,11 +106,11 @@ class ReferenceExecutor(BmoExecutor):
             total, occupancy = self.timing_policy.adjust_timing(
                 name, ctx, total, occupancy)
         if op.latency_ns > 0:
-            grant = self.units.acquire()
+            grant = acquire(self.units)
             try:
                 yield grant
             except BaseException:
-                self.units.cancel(grant)
+                cancel(self.units, grant)
                 raise
             exec_start = sim.now
             sim._schedule(occupancy, self.units.release)

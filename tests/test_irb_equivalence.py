@@ -1,21 +1,20 @@
 """Property test: the indexed IRB behaves identically to the
 linear-scan reference under randomized operation sequences.
 
-The lockstep pair itself lives in :mod:`repro.validate.oracles`
-(:class:`IrbLockstep`, also driven by ``repro fuzz``); these tests
-run the seeded random traces and pin down the lockstep's own failure
-reporting.
+The lockstep pair itself lives in ``tests/irb_reference.py``
+(:class:`IrbLockstep`); these tests run the seeded random traces and
+pin down the lockstep's own failure reporting.
 """
 
 import pytest
 
 from repro.common.rng import DeterministicRng
 from repro.janus.irb import IrbEntry
-from repro.validate.oracles import (
+from repro.validate.oracles import OracleMismatch
+from tests.irb_reference import (
     LINES,
     PAYLOADS,
     IrbLockstep,
-    OracleMismatch,
     run_random_irb_trace,
 )
 

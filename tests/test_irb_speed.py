@@ -1,7 +1,8 @@
 """Speed floor of the indexed IRB over the linear-scan reference.
 
 :class:`~repro.janus.irb.IntermediateResultBuffer` replaced the O(n)
-scans of :class:`~repro.janus.irb_linear.LinearScanIrb` with indexes.
+scans of the linear-scan reference (``tests/irb_reference.py``) with
+indexes.
 Both are driven with one deterministic, write-path-shaped operation
 stream at high occupancy; the indexed buffer must stay at least 2x
 faster.  The ratio is host-speed independent (8-12x on a 2-vCPU Intel
@@ -13,7 +14,7 @@ from typing import List, Tuple
 
 from repro.common.rng import DeterministicRng
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
-from repro.janus.irb_linear import LinearScanIrb
+from tests.irb_reference import LinearScanIrb
 from repro.sim import Simulator
 
 MIN_SPEEDUP = 2.0

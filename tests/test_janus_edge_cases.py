@@ -72,8 +72,7 @@ def test_request_queue_overflow_discards_oldest_buffered():
         submit(engine, i + 1, 0x1000 * (i + 1), line(i),
                deferred=True)
     assert engine.request_queue.dropped == 1
-    remaining = {r.pre_id for r in engine.request_queue._store
-                 .peek_all()}
+    remaining = {r.pre_id for r in engine.request_queue._requests}
     assert remaining == {2, 3}
 
 
@@ -141,7 +140,7 @@ def test_interface_buffered_without_start_is_detectable():
 
     def prog():
         yield from api.pre_both_buf(obj, 0x5000, line(1), 64)
-        yield sim.timeout(100)
+        yield sim.delay(100)
 
     sim.process(prog())
     sim.run()
@@ -166,7 +165,7 @@ def test_irb_aging_reclaims_abandoned_entries():
     assert len(engine.irb) == 1
 
     def later():
-        yield sim.timeout(1000)
+        yield sim.delay(1000)
 
     sim.process(later())
     sim.run()

@@ -140,7 +140,7 @@ def test_write_arriving_before_pre_execution_completes_waits():
     def racer():
         submit_both(engine, 0x1000, line(1))
         # Arrive almost immediately, long before MD5 (321 ns) is done.
-        yield sim.timeout(5)
+        yield sim.delay(5)
         ctx, fully = yield from service_write(engine, 0, 0x1000, line(1))
         results.append((fully, sim.now))
 
@@ -189,7 +189,7 @@ def test_admit_pre_executes_the_merged_entry():
     def prog():
         yield from api.pre_data(obj, line(4))
         yield from api.pre_addr(obj, 0x3000, 64)
-        yield sim.timeout(2000)
+        yield sim.delay(2000)
 
     sim.process(prog())
     sim.run()
@@ -213,7 +213,7 @@ def test_metadata_change_invalidation_end_to_end():
         # Overwrite the canonical copy with different data; dedup
         # metadata changes and notifies the IRB.
         submit_both(engine, 0x2000, line(7), pre_id=2)
-        yield sim.timeout(2000)  # let pre-execution finish
+        yield sim.delay(2000)  # let pre-execution finish
         ctx2, _ = yield from service_write(engine, 0, 0x1000, line(8))
         pipeline.commit(ctx2)
         ctx3, fully3 = yield from service_write(engine, 0, 0x2000, line(7))
@@ -257,7 +257,7 @@ class TestInterface:
             yield from api.pre_addr(obj, 0x1000, 64)
             yield from api.pre_data(obj, line(1))
             yield from api.pre_start_buf(obj)
-            yield sim.timeout(1)
+            yield sim.delay(1)
 
         sim.process(prog())
         sim.run()
@@ -280,7 +280,7 @@ class TestInterface:
         def prog():
             yield from api.pre_data(obj, line(4))
             yield from api.pre_addr(obj, 0x3000, 64)
-            yield sim.timeout(2000)
+            yield sim.delay(2000)
 
         sim.process(prog())
         sim.run()
@@ -298,7 +298,7 @@ class TestInterface:
             yield from api.pre_both_buf(obj, 0x4000, b"\xAA" * 32, 32)
             yield from api.pre_both_buf(obj, 0x4020, b"\xBB" * 32, 32)
             yield from api.pre_start_buf(obj)
-            yield sim.timeout(2000)
+            yield sim.delay(2000)
 
         sim.process(prog())
         sim.run()
@@ -315,7 +315,7 @@ class TestInterface:
 
         def prog():
             yield from api.pre_both_val(obj, 0x5000, 1, line_image=image)
-            yield sim.timeout(2000)
+            yield sim.delay(2000)
             ctx, fully = yield from service_write(engine, 0, 0x5000, image)
             assert fully
 

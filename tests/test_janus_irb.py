@@ -2,7 +2,7 @@
 
 from repro.bmo.base import BmoContext
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
-from repro.janus.irb_linear import LinearScanIrb
+from tests.irb_reference import LinearScanIrb
 from repro.sim import Simulator
 
 
@@ -131,7 +131,7 @@ def test_entries_age_out():
     irb.insert(entry(pre_id=1, addr=0))
 
     def later():
-        yield sim.timeout(200)
+        yield sim.delay(200)
 
     sim.process(later())
     sim.run()
@@ -147,7 +147,7 @@ def test_data_only_match_most_recent_wins():
     irb.insert(first)
 
     def later():
-        yield sim.timeout(10)
+        yield sim.delay(10)
         second = entry(pre_id=2, addr=None, data=b"\x05" * 64)
         irb.insert(second)
 
@@ -166,7 +166,7 @@ def test_address_match_beats_data_only_match():
     irb.insert(addressed)
 
     def later():
-        yield sim.timeout(10)
+        yield sim.delay(10)
         data_only = entry(pre_id=2, addr=None, data=payload)
         irb.insert(data_only)
 
@@ -273,7 +273,7 @@ def test_most_recent_entry_wins_on_duplicate_addr():
     irb.insert(first)
 
     def later():
-        yield sim.timeout(10)
+        yield sim.delay(10)
         second = entry(pre_id=2, addr=0)
         irb.insert(second)
 

@@ -115,5 +115,5 @@ class TestRequestQueue:
         assert len(queue) == 2
         queue.release_deferred(2, 0)
         # pre_id 0 was the oldest and got dropped.
-        remaining = {r.pre_id for r in queue._store.peek_all()}
+        remaining = {r.pre_id for r in queue._requests}
         assert remaining == {1, 2}

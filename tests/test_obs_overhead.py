@@ -25,7 +25,7 @@ class TestDisabledPathStructure:
 
         sim = Simulator()
         sim.profile = SimProfiler()
-        sim.timeout(1.0)
+        sim._schedule(1.0, lambda: None)
         sim.run()
         assert sim.profile.total_events == 1
 

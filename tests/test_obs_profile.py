@@ -38,17 +38,21 @@ class TestNormalization:
         assert normalize_event_name("x:") == "x"
 
     def test_classify_timeout_and_process(self):
+        """A sleep resumes its process directly, so the timeout is
+        classified under the process; an event keys by its name."""
         sim = Simulator()
-        timeout = sim.timeout(5.0)
-        key = classify_callback(timeout._fire)
-        assert key == "timeout"
+        event = sim.event("bmo-subops")
+        assert classify_callback(event._dispatch) == "event:bmo-subops"
 
         def gen():
-            yield sim.timeout(1.0)
+            yield sim.delay(1.0)
 
         proc = sim.process(gen(), name="program0")
         assert classify_callback(proc._step) == "process:program"
+        sim.profile = SimProfiler()
         sim.run()
+        assert {row["key"]: row["count"]
+                for row in sim.profile.rows()} == {"process:program": 2}
 
 
 class TestSimProfiler:
@@ -58,17 +62,16 @@ class TestSimProfiler:
 
         def gen():
             for _ in range(5):
-                yield sim.timeout(1.0)
+                yield sim.delay(1.0)
 
         sim.process(gen(), name="worker1")
         sim.run()
         assert sim.profile.total_events == sim.events
         counts = {row["key"]: row["count"]
                   for row in sim.profile.rows()}
-        assert counts["timeout"] == 5
-        # initial step + 5 resumes via _resume -> _step is bound to
-        # the process; classified under one stable key.
-        assert counts["process:worker"] >= 1
+        # The initial step and 5 delay resumes are bound to the
+        # process; classified under one stable key.
+        assert counts == {"process:worker": 6}
 
     def test_rows_ranked_by_count_then_key(self):
         profiler = SimProfiler()
@@ -79,7 +82,7 @@ class TestSimProfiler:
         sim = Simulator()
         ticks = iter(range(0, 1000, 10))
         sim.profile = SimProfiler(clock=lambda: next(ticks))
-        sim.timeout(1.0)
+        sim._schedule(1.0, lambda: None)
         sim.run()
         assert sim.profile.total_wall_ns > 0
 

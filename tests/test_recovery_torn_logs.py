@@ -502,8 +502,7 @@ class TestShardedEpochCrash:
         original = slow.write
 
         def dawdling(addr, done, *args):
-            system.sim.timeout(600).add_callback(
-                lambda _: original(addr, done, *args))
+            system.sim._schedule(600, original, addr, done, *args)
 
         slow.write = dawdling
         system.sim.process(workload.run(), name="stream")

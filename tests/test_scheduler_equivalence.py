@@ -19,7 +19,7 @@ import repro.core.machine
 from repro.common.errors import ReproError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.harness.runner import run_point
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Join, Resource, Simulator
 from repro.sim.engine import SimEvent
 from repro.validate import OracleMismatch
 
@@ -75,8 +75,8 @@ class HeapSimulator(Simulator):
 
 # -- lockstep program oracle ------------------------------------------------
 class SchedulerPoke(ReproError):
-    """Exception thrown into scheduler-lockstep workers by the
-    ``interrupt`` op — a stand-in for fault-injection kills."""
+    """Error a ``fail`` op triggers a shared event with — a stand-in
+    for a sub-op that raises."""
 
 
 def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
@@ -86,42 +86,45 @@ def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
     The program is pure data (one op script per worker), so the exact
     same script can drive any number of :class:`Simulator` instances —
     that is what makes the scheduler comparison a true lockstep rather
-    than two independently random runs.  The vocabulary deliberately
-    covers every scheduling primitive the kernel exposes: timeouts,
-    pooled delays (integer *and* float, to exercise quantization),
-    one-shot event signal/wait, ``all_of`` joins, resource ``use``,
-    store put/take, same-instant zero-delay bursts, process spawns,
-    and cross-worker interrupts (which drive the cancellation paths).
+    than two independently random runs.  The vocabulary covers every
+    way the kernel lets an activity wait.  Process side: pooled delays
+    (integer *and* float, to exercise quantization), one-shot event
+    signal/fail/wait, ``all_of`` joins, process spawns and same-instant
+    zero-delay bursts.  Callback side, as the write path runs them:
+    ``Resource.request`` with a release after a seeded service time
+    (zero included, so hand-overs land in the instant they are
+    granted), ``SimEvent.then`` on a shared event that may have
+    failed, and a ``Join`` whose arrivals are scheduled at seeded
+    delays.
     """
     program: List[List[tuple]] = []
     for _ in range(workers):
         script: List[tuple] = []
         for _ in range(steps):
             roll = rng.random()
-            if roll < 0.20:
-                script.append(
-                    ("timeout", rng.choice([0, 1, 2, 3, 5, 7.5, 12])))
-            elif roll < 0.38:
+            if roll < 0.22:
                 script.append(("delay", rng.choice([0, 1, 2.5, 4, 9])))
-            elif roll < 0.48:
+            elif roll < 0.32:
                 script.append(("signal", rng.randrange(shared_events)))
-            elif roll < 0.56:
+            elif roll < 0.36:
+                script.append(("fail", rng.randrange(shared_events)))
+            elif roll < 0.43:
                 script.append(("wait", rng.randrange(shared_events)))
-            elif roll < 0.68:
-                script.append(("use", rng.choice([1.5, 3, 6])))
-            elif roll < 0.75:
-                script.append(("put", rng.randrange(100)))
-            elif roll < 0.81:
-                script.append(("take",))
-            elif roll < 0.87:
+            elif roll < 0.60:
+                script.append(("request", rng.choice([0, 1.5, 3, 6])))
+            elif roll < 0.70:
+                script.append(("then", rng.randrange(shared_events)))
+            elif roll < 0.80:
+                script.append(("join", tuple(
+                    rng.choice([0, 1, 2, 4, 6.5])
+                    for _ in range(rng.randrange(1, 4)))))
+            elif roll < 0.86:
                 script.append(("all_of", tuple(
                     rng.choice([1, 2, 4, 6.5])
                     for _ in range(rng.randrange(2, 4)))))
-            elif roll < 0.91:
+            elif roll < 0.92:
                 script.append(("spawn", rng.choice([0, 1, 3]),
                                rng.choice([2, 5.5])))
-            elif roll < 0.96:
-                script.append(("interrupt", rng.randrange(workers)))
             else:
                 script.append(("burst", rng.randrange(2, 5)))
         program.append(script)
@@ -132,14 +135,15 @@ def run_scheduler_program(sim_cls,
                           program: Sequence[Sequence[tuple]]) -> dict:
     """Execute a pre-generated program on a fresh ``sim_cls``; return
     the full observable outcome: the dispatch-ordered trace of
-    completed ops (worker, step, sim-time, op kind), the final clock,
-    the dispatched-event count, and the store's leftover items."""
+    completed ops and callbacks (worker, step, sim-time, what), the
+    final clock, the dispatched-event count, and the resource's end
+    state."""
     sim = sim_cls()
     n_shared = 1 + max((op[1] for script in program for op in script
-                        if op[0] in ("signal", "wait")), default=0)
+                        if op[0] in ("signal", "fail", "wait", "then")),
+                       default=0)
     shared = [sim.event(f"shared{i}") for i in range(n_shared)]
     resource = Resource(sim, capacity=2, name="lockstep-unit")
-    store = Store(sim, name="lockstep-store")
     procs: dict = {}
     trace: List[tuple] = []
 
@@ -147,50 +151,65 @@ def run_scheduler_program(sim_cls,
         yield sim.delay(delay)
         return delay
 
+    def note(wid, step, what):
+        trace.append((wid, step, sim.now, what))
+
+    def granted(wid, step, service):
+        note(wid, step, "granted")
+        sim._schedule(service, released, wid, step)
+
+    def released(wid, step):
+        resource.release()
+        note(wid, step, "released")
+
+    def waiter(wid, step):
+        event = sim.event("waiter")
+        event.add_callback(lambda ev: note(wid, step, "failed"))
+        return event
+
     def worker(wid: int, script):
         for step, op in enumerate(script):
             kind = op[0]
             try:
-                if kind == "timeout":
-                    yield sim.timeout(op[1])
-                elif kind == "delay":
+                if kind == "delay":
                     yield sim.delay(op[1])
-                elif kind == "signal":
+                elif kind in ("signal", "fail"):
                     ev = shared[op[1]]
                     if not ev.triggered:
-                        ev.succeed((wid, step))
+                        if kind == "signal":
+                            ev.succeed((wid, step))
+                        else:
+                            ev.fail(SchedulerPoke(f"w{wid} step {step}"))
                 elif kind == "wait":
                     yield shared[op[1]]
-                elif kind == "use":
-                    yield from resource.use(op[1])
-                elif kind == "put":
-                    store.put((wid, step, op[1]))
-                elif kind == "take":
-                    got = yield from store.take()
-                    trace.append((wid, step, sim.now, "took", got))
-                    continue
+                elif kind == "request":
+                    resource.request(granted, wid, step, op[1])
+                elif kind == "then":
+                    shared[op[1]].then(waiter(wid, step), note, wid, step,
+                                       "then")
+                elif kind == "join":
+                    join = Join(sim, len(op[1]))
+                    for delay in op[1]:
+                        sim._schedule(delay, join.arrive)
+                    join.then(waiter(wid, step), note, wid, step, "joined")
+                    yield join
                 elif kind == "all_of":
-                    yield sim.all_of([sim.timeout(d) for d in op[1]])
+                    yield sim.all_of([sim.process(child(d), name="child")
+                                      for d in op[1]])
                 elif kind == "spawn":
                     children = [sim.process(child(op[2]), name="spawned")
                                 for _ in range(op[1])]
                     if children:
                         yield sim.all_of(children)
-                elif kind == "interrupt":
-                    other = procs.get(op[1])
-                    if other is not None and other is not procs[wid] \
-                            and not other.triggered:
-                        other.interrupt(
-                            SchedulerPoke(f"poke from w{wid}"))
                 elif kind == "burst":
                     for _ in range(op[1]):
                         yield sim.delay(0)
                 else:  # pragma: no cover - vocabulary guard
                     raise ValueError(f"unknown scheduler op {op!r}")
             except SchedulerPoke:
-                trace.append((wid, step, sim.now, "poked"))
+                note(wid, step, "poked")
                 continue
-            trace.append((wid, step, sim.now, kind))
+            note(wid, step, kind)
 
     for wid, script in enumerate(program):
         procs[wid] = sim.process(worker(wid, script), name=f"w{wid}")
@@ -199,8 +218,8 @@ def run_scheduler_program(sim_cls,
         "trace": trace,
         "final_now": sim.now,
         "events": sim.events,
-        "store_leftover": store.peek_all(),
-        "resource_in_use": resource.in_use,
+        "resource": (resource.in_use, resource.queue_length,
+                     resource.total_acquires),
         "finished": sorted(wid for wid, p in procs.items()
                            if p.triggered),
     }
@@ -219,8 +238,8 @@ def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
         got = run_scheduler_program(Simulator, program)
         if ref == got:
             continue
-        for key in ("trace", "final_now", "events", "store_leftover",
-                    "resource_in_use", "finished"):
+        for key in ("trace", "final_now", "events", "resource",
+                    "finished"):
             if ref[key] != got[key]:
                 detail = f"{key}: heap={ref[key]!r} bucket={got[key]!r}"
                 if key == "trace":
@@ -247,9 +266,10 @@ SIMULATORS = pytest.mark.parametrize(
 
 
 def test_random_programs_run_in_lockstep():
-    """Six seeded random programs over every kernel primitive —
-    timeouts, delays, signals, joins, resources, stores, spawns and
-    interrupts — must behave identically under both schedulers."""
+    """Six seeded random programs over every way to wait — delays,
+    signals and failures, process and callback joins, unit requests,
+    ``then`` continuations and spawns — must behave identically under
+    both schedulers."""
     rng = DeterministicRng(1234).stream("sched-lockstep")
     check_scheduler_equivalence(rng, workers=6, steps=24, rounds=6)
 
@@ -294,7 +314,7 @@ def test_until_and_stop_event_semantics(sim_cls):
     sim = sim_cls()
 
     def proc():
-        yield sim.timeout(5)
+        yield sim.delay(5)
 
     sim.process(proc())
     sim.run(until=30, stop_event=sim.event("never"))
@@ -304,9 +324,9 @@ def test_until_and_stop_event_semantics(sim_cls):
     stop = sim2.event()
 
     def stopper():
-        yield sim2.timeout(5)
+        yield sim2.delay(5)
         stop.succeed()
-        yield sim2.timeout(100)
+        yield sim2.delay(100)
 
     sim2.process(stopper())
     sim2.run(stop_event=stop)
@@ -322,13 +342,12 @@ def test_events_counter_identical(sim_cls):
 
     def worker():
         for _ in range(10):
-            yield sim.timeout(1)
+            yield sim.delay(1)
             yield sim.delay(0)
 
     sim.process(worker())
     sim.process(worker())
     sim.run()
-    # Per worker: its first step, 10 timeout firings and 10 delay
-    # resumes.  Nobody waits on a finished worker, so the process
+    # Per worker: its first step and 20 delay resumes.  Nobody waits on a finished worker, so the process
     # event itself is not dispatched.
     assert sim.events == 2 * (1 + 10 + 10)

@@ -1,104 +1,17 @@
-"""Regression tests for cancellation-safe simulation primitives.
+"""Cancellation of a process-side grant from the lockstep references.
 
-Two real bugs motivated these:
-
-* a process killed while parked on :meth:`Resource.acquire` used to
-  stay in the waiter queue, so the next ``release()`` granted the slot
-  to a dead event that could never release it — a permanent capacity
-  leak that starved every later acquirer;
-* a process killed while parked on :meth:`Store.get` left its getter
-  event queued, so a later ``put`` handed the item to the dead event
-  and it silently vanished from the pipeline.
-
-Both now withdraw the pending request via ``cancel()`` (driven by the
-``use``/``take`` helpers), including the same-instant race where the
-grant/item was already handed over when the kill landed.
+The kernel grants units to callbacks only; the generator references
+in ``tests/writepath_reference.py`` wait on :func:`acquire` and, when
+a waiting process dies, withdraw the request with :func:`cancel`.  A
+withdrawn waiter must never be granted a slot nobody releases, and a
+slot handed over in the instant its waiter died must come back.
 """
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Resource, Simulator, Store
-
-
-class Kill(Exception):
-    """Fault-injection-flavoured kill delivered via Process.interrupt."""
-
-
-# -- Resource --------------------------------------------------------------
-def test_interrupt_while_waiting_for_slot_does_not_leak_capacity():
-    """A dead waiter must not be granted the slot: before the fix the
-    queued grant went to the killed process, nobody released it, and
-    the late acquirer deadlocked."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1, name="unit")
-    done = []
-
-    def holder():
-        yield from res.use(20)
-        done.append(("holder", sim.now))
-
-    def victim():
-        try:
-            yield from res.use(5)
-            done.append(("victim-finished", sim.now))
-        except Kill:
-            done.append(("victim-killed", sim.now))
-
-    def late():
-        yield sim.timeout(10)
-        yield from res.use(5)
-        done.append(("late", sim.now))
-
-    sim.process(holder())
-    v = sim.process(victim())
-    sim.process(late())
-
-    def killer():
-        yield sim.timeout(3)
-        v.interrupt(Kill())
-
-    sim.process(killer())
-    sim.run()
-    assert ("victim-killed", 3) in done
-    assert ("holder", 20) in done
-    # The late acquirer gets the slot the moment the holder releases —
-    # not never (pre-fix deadlock behind the dead waiter).
-    assert ("late", 25) in done
-    assert res.in_use == 0
-    assert res.queue_length == 0
-
-
-def test_interrupt_during_service_releases_exactly_once():
-    """Killing a process *holding* a slot must release it through the
-    ``use`` finally — and only once (no release-of-idle error)."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1, name="unit")
-    done = []
-
-    def victim():
-        try:
-            yield from res.use(50)
-        except Kill:
-            done.append(("killed", sim.now))
-
-    def next_up():
-        yield sim.timeout(5)
-        yield from res.use(5)
-        done.append(("next", sim.now))
-
-    v = sim.process(victim())
-    sim.process(next_up())
-
-    def killer():
-        yield sim.timeout(10)
-        v.interrupt(Kill())
-
-    sim.process(killer())
-    sim.run()
-    assert ("killed", 10) in done
-    assert ("next", 15) in done
-    assert res.in_use == 0
+from repro.sim import Resource, Simulator
+from tests.writepath_reference import acquire, cancel
 
 
 def test_cancel_after_grant_fired_returns_slot():
@@ -106,17 +19,21 @@ def test_cancel_after_grant_fired_returns_slot():
     the waiter was killed.  ``cancel`` must give it back."""
     sim = Simulator()
     res = Resource(sim, capacity=1, name="unit")
-    a = res.acquire()
+    a = acquire(res)
+    sim.run()
     assert a.triggered
-    b = res.acquire()
+    b = acquire(res)
+    sim.run()
     assert not b.triggered
     res.release()  # hands the slot directly to b
+    sim.run()
     assert b.triggered
-    res.cancel(b)  # ...but b's owner is dead: slot comes back
+    cancel(res, b)  # ...but b's owner is dead: slot comes back
     assert res.in_use == 0
-    # The resource is healthy: a fresh acquire succeeds immediately
-    # and a stray extra release still fails loudly.
-    c = res.acquire()
+    # The resource is healthy: a fresh acquire is granted at once and
+    # a stray extra release still fails loudly.
+    c = acquire(res)
+    sim.run()
     assert c.triggered
     res.release()
     with pytest.raises(SimulationError):
@@ -126,80 +43,13 @@ def test_cancel_after_grant_fired_returns_slot():
 def test_cancel_untriggered_waiter_is_removed_from_queue():
     sim = Simulator()
     res = Resource(sim, capacity=1, name="unit")
-    res.acquire()
-    waiting = res.acquire()
+    acquire(res)
+    waiting = acquire(res)
     assert res.queue_length == 1
-    res.cancel(waiting)
+    cancel(res, waiting)
     assert res.queue_length == 0
     # Release now frees the slot instead of waking the dead waiter.
     res.release()
-    assert res.in_use == 0
-
-
-# -- Store -----------------------------------------------------------------
-def test_interrupt_while_getting_item_is_not_lost():
-    """A put must never hand its item to a dead getter: before the fix
-    the item vanished and the live consumer starved."""
-    sim = Simulator()
-    store = Store(sim, name="queue")
-    got = []
-
-    def victim():
-        try:
-            item = yield from store.take()
-            got.append(("victim", item))
-        except Kill:
-            got.append(("killed", sim.now))
-
-    def survivor():
-        yield sim.timeout(5)
-        item = yield from store.take()
-        got.append(("survivor", item, sim.now))
-
-    v = sim.process(victim())
-    sim.process(survivor())
-
-    def killer():
-        yield sim.timeout(1)
-        v.interrupt(Kill())
-
-    def producer():
-        yield sim.timeout(10)
-        store.put("payload")
-
-    sim.process(killer())
-    sim.process(producer())
     sim.run()
-    assert ("killed", 1) in got
-    assert ("survivor", "payload", 10) in got
-
-
-def test_store_cancel_after_delivery_redelivers_item():
-    """Same-instant race: the item was already delivered when the
-    getter died.  It re-delivers to the next live getter, or returns
-    to the front of the queue."""
-    sim = Simulator()
-    store = Store(sim, name="queue")
-    g1 = store.get()
-    g2 = store.get()
-    store.put("x")
-    assert g1.triggered and not g2.triggered
-    store.cancel(g1)
-    assert g2.triggered and g2.value == "x"
-    # With no live getter left, the item goes back to the front.
-    g3 = store.get()
-    store.put("y")
-    assert g3.triggered
-    store.cancel(g3)
-    assert store.peek_all() == ["y"]
-
-
-def test_store_cancel_untriggered_getter_removed():
-    sim = Simulator()
-    store = Store(sim, name="queue")
-    dead = store.get()
-    live = store.get()
-    store.cancel(dead)
-    store.put("only")
-    assert not dead.triggered
-    assert live.triggered and live.value == "only"
+    assert res.in_use == 0
+    assert not waiting.triggered

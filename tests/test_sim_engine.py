@@ -13,8 +13,8 @@ def test_timeout_advances_clock():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(10)
-        yield sim.timeout(5)
+        yield sim.delay(10)
+        yield sim.delay(5)
         return sim.now
 
     p = sim.process(proc())
@@ -30,10 +30,10 @@ def test_float_delays_quantize_to_integer_ns():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(10)
-        yield sim.timeout(5.5)   # -> 6
-        yield sim.timeout(0.25)  # -> 0
-        yield sim.timeout(0.5)   # -> 1
+        yield sim.delay(10)
+        yield sim.delay(5.5)   # -> 6
+        yield sim.delay(0.25)  # -> 0
+        yield sim.delay(0.5)   # -> 1
         return sim.now
 
     p = sim.process(proc())
@@ -47,7 +47,7 @@ def test_zero_timeout_runs_same_time():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(0)
+        yield sim.delay(0)
         return sim.now
 
     p = sim.process(proc())
@@ -56,9 +56,15 @@ def test_zero_timeout_runs_same_time():
 
 
 def test_negative_timeout_rejected():
+    """A negative sleep fails loud when the process yields it."""
     sim = Simulator()
+
+    def proc():
+        yield sim.delay(-1)
+
+    sim.process(proc())
     with pytest.raises(SimulationError):
-        sim.timeout(-1)
+        sim.run()
 
 
 def test_processes_interleave_in_time_order():
@@ -66,7 +72,7 @@ def test_processes_interleave_in_time_order():
     order = []
 
     def worker(name, delay):
-        yield sim.timeout(delay)
+        yield sim.delay(delay)
         order.append((name, sim.now))
 
     sim.process(worker("slow", 20))
@@ -86,7 +92,7 @@ def test_event_succeed_wakes_waiter_with_value():
         got.append((value, sim.now))
 
     def signaller():
-        yield sim.timeout(7)
+        yield sim.delay(7)
         ev.succeed("payload")
 
     sim.process(waiter())
@@ -110,7 +116,7 @@ def test_wait_on_already_triggered_event():
     got = []
 
     def late_waiter():
-        yield sim.timeout(3)
+        yield sim.delay(3)
         value = yield ev
         got.append(value)
 
@@ -123,7 +129,7 @@ def test_process_waits_on_process_return_value():
     sim = Simulator()
 
     def child():
-        yield sim.timeout(4)
+        yield sim.delay(4)
         return "done"
 
     def parent():
@@ -138,8 +144,13 @@ def test_process_waits_on_process_return_value():
 def test_all_of_waits_for_every_child():
     sim = Simulator()
 
+    def child(delay, value):
+        yield sim.delay(delay)
+        return value
+
     def parent():
-        values = yield sim.all_of([sim.timeout(3, "a"), sim.timeout(9, "b")])
+        values = yield sim.all_of([sim.process(child(3, "a")),
+                                   sim.process(child(9, "b"))])
         return (values, sim.now)
 
     p = sim.process(parent())
@@ -166,11 +177,11 @@ def test_all_of_propagates_child_failure():
     caught = []
 
     def failing_child():
-        yield sim.timeout(1)
+        yield sim.delay(1)
         raise ValueError("child exploded")
 
     def ok_child():
-        yield sim.timeout(5)
+        yield sim.delay(5)
 
     def parent():
         try:
@@ -217,7 +228,7 @@ def test_run_until_limit_stops_clock():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(100)
+        yield sim.delay(100)
 
     sim.process(proc())
     sim.run(until=30)
@@ -229,8 +240,8 @@ def test_run_until_before_the_clock_is_rejected():
     ``now`` fails loud, like a negative delay, and the queue stays
     intact."""
     sim = Simulator()
-    sim.timeout(10)
-    sim.timeout(20)
+    sim._schedule(10, lambda: None)
+    sim._schedule(20, lambda: None)
     sim.run(until=10)
     assert sim.now == 10
     with pytest.raises(SimulationError):
@@ -279,9 +290,9 @@ def test_run_with_stop_event():
     stop = sim.event()
 
     def proc():
-        yield sim.timeout(5)
+        yield sim.delay(5)
         stop.succeed()
-        yield sim.timeout(100)
+        yield sim.delay(100)
 
     sim.process(proc())
     sim.run(stop_event=stop)
@@ -296,7 +307,7 @@ def test_run_until_with_untriggered_stop_event_advances_clock():
         sim = Simulator()
 
         def proc():
-            yield sim.timeout(5)
+            yield sim.delay(5)
 
         sim.process(proc())
         return sim
@@ -313,9 +324,9 @@ def test_run_until_with_triggered_stop_event_keeps_stop_time():
     stop = sim.event()
 
     def proc():
-        yield sim.timeout(5)
+        yield sim.delay(5)
         stop.succeed()
-        yield sim.timeout(100)
+        yield sim.delay(100)
 
     sim.process(proc())
     sim.run(until=300, stop_event=stop)
@@ -326,27 +337,6 @@ def test_schedule_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim._schedule(-0.5, lambda: None)
-
-
-def test_timeout_succeeded_early_is_not_double_triggered():
-    """succeed() racing a pending timeout completes the event exactly
-    once: waiters see the early value, the later timer firing is a
-    silent no-op (early wake is legitimate), and a second succeed()
-    still raises."""
-    sim = Simulator()
-    timer = sim.timeout(5, value="late")
-    got = []
-
-    def waiter():
-        got.append((yield timer))
-
-    sim.process(waiter())
-    timer.succeed("early")
-    sim.run()
-    assert got == ["early"]
-    assert timer.value == "early"  # the no-op firing kept the value
-    with pytest.raises(SimulationError):
-        timer.succeed("again")
 
 
 def test_all_of_over_already_failed_child():
@@ -370,8 +360,8 @@ def test_events_counter_tracks_dispatches():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(1)
-        yield sim.timeout(1)
+        yield sim.delay(1)
+        yield sim.delay(1)
 
     sim.process(proc())
     sim.run()

@@ -1,9 +1,9 @@
-"""Tests for resources and stores."""
+"""Tests for resources."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def test_resource_serialises_beyond_capacity():
@@ -11,12 +11,15 @@ def test_resource_serialises_beyond_capacity():
     res = Resource(sim, capacity=2, name="units")
     finish = []
 
-    def job(name):
-        yield from res.use(10)
+    def served(name):
+        sim._schedule(10, done, name)
+
+    def done(name):
+        res.release()
         finish.append((name, sim.now))
 
     for i in range(4):
-        sim.process(job(i))
+        res.request(served, i)
     sim.run()
     # Two jobs run in [0,10], the next two in [10,20].
     assert finish == [(0, 10), (1, 10), (2, 20), (3, 20)]
@@ -27,18 +30,15 @@ def test_resource_release_wakes_fifo_order():
     res = Resource(sim, capacity=1)
     order = []
 
-    def job(name, think):
-        yield sim.timeout(think)
-        yield res.acquire()
+    def granted(name):
         order.append(name)
-        yield sim.timeout(5)
-        res.release()
+        sim._schedule(5, res.release)
 
-    sim.process(job("a", 0))
-    sim.process(job("b", 1))
-    sim.process(job("c", 2))
+    for name, think in (("a", 0), ("b", 1), ("c", 2)):
+        sim._schedule(think, res.request, granted, name)
     sim.run()
     assert order == ["a", "b", "c"]
+    assert sim.now == 15
 
 
 def test_resource_release_idle_is_error():
@@ -58,82 +58,28 @@ def test_resource_utilisation_accounting():
     sim = Simulator()
     res = Resource(sim, capacity=1)
 
-    def job():
-        yield from res.use(50)
-        yield sim.timeout(50)
+    def granted():
+        sim._schedule(50, res.release)
 
-    sim.process(job())
+    res.request(granted)
+    sim._schedule(100, lambda: None)
     sim.run()
     assert res.utilisation() == pytest.approx(0.5)
 
 
-def test_store_fifo_order():
+def test_request_grant_is_queued_where_the_slot_frees():
+    """A free slot is granted behind the callbacks already queued at
+    this instant; a waiter is granted where the release that frees
+    its slot ran."""
     sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer():
-        yield sim.timeout(1)
-        store.put("x")
-        store.put("y")
-        yield sim.timeout(1)
-        store.put("z")
-
-    sim.process(consumer())
-    sim.process(producer())
+    res = Resource(sim, capacity=1, name="unit")
+    log = []
+    sim._schedule_now(log.append, "before")
+    res.request(log.append, "first")
+    res.request(log.append, "second")
+    assert res.queue_length == 1
+    sim._schedule_now(res.release)
+    sim._schedule_now(log.append, "after")
     sim.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer():
-        yield store.get()
-        times.append(sim.now)
-
-    def producer():
-        yield sim.timeout(42)
-        store.put(1)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times == [42]
-
-
-def test_bounded_store_drops_new_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.put(1)
-    assert store.put(2)
-    assert not store.put(3)
-    assert store.dropped == 1
-    assert store.peek_all() == [1, 2]
-
-
-def test_bounded_store_drop_oldest_policy():
-    sim = Simulator()
-    store = Store(sim, capacity=2, drop_oldest=True)
-    store.put(1)
-    store.put(2)
-    assert store.put(3)
-    assert store.peek_all() == [2, 3]
-    assert store.dropped == 1
-
-
-def test_store_remove_specific_item():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("a")
-    store.put("b")
-    assert store.remove("a")
-    assert not store.remove("missing")
-    assert store.peek_all() == ["b"]
+    assert log == ["before", "first", "after", "second"]
+    assert res.in_use == 1 and res.total_acquires == 2

@@ -147,19 +147,34 @@ def test_raising_subop_matches_reference(monkeypatch, mode, variant,
     assert got["error"].startswith("RuntimeError: ")
 
 
-def test_failed_background_write_matches_reference(monkeypatch):
-    """An ideal-mode write's background BMOs have no waiter but the
-    line's next background write: the run completes, and recovery
-    finds the lost write on both paths."""
-    got = assert_lockstep(monkeypatch, "queue", "ideal", cores=2,
-                          boom=("I2", 3))
-    assert got["error"] is None
-    assert got["digest"].startswith("RecoveryError: ")
+def test_failed_background_write_stops_the_run():
+    """No program waits on an ideal-mode write's background BMOs and
+    persist, so a sub-op or commit error there stops the run with
+    that error instead of surfacing as a lost write at recovery.  The
+    reference's ``ideal-bg`` process swallows it: no lockstep here."""
+    got = run_cell("queue", "ideal", cores=2, boom=("I2", 3))
+    assert got["error"] == "RuntimeError: I2 #3 at 873"
+
+    system, workloads = build("queue", "ideal",
+                              WorkloadParams(n_transactions=2, n_items=8),
+                              cores=2)
+    commit, commits = system.pipeline.commit, []
+
+    def failing_commit(ctx):
+        commits.append(ctx)
+        if len(commits) == 3:
+            raise RuntimeError("commit #3")
+        return commit(ctx)
+
+    system.pipeline.commit = failing_commit
+    with pytest.raises(RuntimeError, match="commit #3"):
+        system.run_programs([w.run() for w in workloads])
 
 
 def test_failed_pre_execution_matches_reference(monkeypatch):
-    """A pre-execution process that raises has no waiter: the write
-    that waits for its IRB entry never resumes, on either path."""
+    """A pre-execution sub-op that raises fails its IRB entry's
+    in-flight event, so the write that waits for the entry fails with
+    the sub-op's error, on either path."""
     got = assert_lockstep(monkeypatch, "queue", "janus", cores=2,
                           boom=("D2", 4))
-    assert got["error"].startswith("SimulationError: programs deadlocked")
+    assert got["error"] == "RuntimeError: D2 #4 at 669"

@@ -14,6 +14,10 @@ over the production methods, the way
 ``tests/test_executor_lockstep.py`` patches its reference executor
 in; ``tests/test_writepath_lockstep.py`` then checks that both write
 paths produce the same run, dispatch for dispatch.
+
+The kernel grants units to callbacks only (``Resource.request``);
+:func:`acquire`, :func:`cancel` and :func:`use` give these processes
+the grant they yielded on.
 """
 
 from repro.bmo.base import BmoContext, ExternalInput
@@ -33,6 +37,53 @@ from repro.core.machine import Core, MemoryController
 from repro.janus.engine import JanusEngine
 from repro.mem.nvm_device import NvmDevice
 from repro.mem.write_queue import WriteEntry, WriteQueue
+from repro.sim import SimEvent
+
+
+def _grant(event: SimEvent) -> None:
+    """Trigger ``event`` and resume its waiters in this dispatch."""
+    event.triggered = True
+    event._dispatch()
+
+
+def acquire(resource) -> SimEvent:
+    """An event that fires once ``resource`` grants a slot.
+
+    The grant is one callback that triggers the event and resumes its
+    waiter in the same dispatch.  A process that yields the event at
+    once therefore resumes where these references need it to: behind
+    the callbacks already queued at this instant when a slot is free,
+    or in the slot of the ``release`` that hands one over.
+    """
+    event = SimEvent(resource.sim, f"{resource.name}.acquire")
+    resource.request(_grant, event)
+    return event
+
+
+def cancel(resource, grant: SimEvent) -> None:
+    """Withdraw an :func:`acquire` whose waiter died: drop it from the
+    queue, or give back a slot it was already granted."""
+    if grant.triggered:
+        resource.release()
+        return
+    try:
+        resource._waiters.remove((_grant, (grant,)))
+    except ValueError:
+        pass
+
+
+def use(resource, service_ns):
+    """Process helper: acquire, hold for ``service_ns``, release."""
+    grant = acquire(resource)
+    try:
+        yield grant
+    except BaseException:
+        cancel(resource, grant)
+        raise
+    try:
+        yield resource.sim.delay(service_ns)
+    finally:
+        resource.release()
 
 
 # Core.clwb
@@ -137,13 +188,13 @@ def wq_accept(self, entry: WriteEntry):
     device write continues in the background.
     """
     arrival = self.sim.now
-    grant = self._slots.acquire()
+    grant = acquire(self._slots)
     try:
         yield grant
     except BaseException:
         # Killed while stalled on a full queue: withdraw the slot
         # request so the dead waiter can't leak capacity.
-        self._slots.cancel(grant)
+        cancel(self._slots, grant)
         raise
     self.accepted += 1
     self._c_accepted.add()
@@ -199,7 +250,7 @@ def nvm_write_access(self, addr: int):
     self.stats.counter("writes").add()
     self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
     channel = self._channels[self._channel_index(addr)]
-    yield from channel.use(self.cfg.write_service_ns)
+    yield from use(channel, self.cfg.write_service_ns)
 
 
 # BmoExecutor.run_serialized
@@ -217,11 +268,11 @@ def executor_run_serialized(self, ctx: BmoContext):
     # (no per-leg rounding).
     total = self._serial_total
     occupancy = self._serial_occupancy
-    grant = self.units.acquire()
+    grant = acquire(self.units)
     try:
         yield grant
     except BaseException:
-        self.units.cancel(grant)
+        cancel(self.units, grant)
         raise
     # The unit frees itself exactly at the end of the initiation
     # interval via a scheduled callback; the process sleeps once
