@@ -156,8 +156,6 @@ class MemoryController:
         self._c_dedup_cancelled = \
             self.stats.counter("writes_cancelled_by_dedup")
         #: The system-wide span tracer (``repro.obs.tracer.Tracer``).
-        #: Legacy per-write tracing is a sink on it — see
-        #: :class:`repro.harness.trace.WriteTracer`.
         self.tracer = system.tracer
         # Counter cache (Table 3: 512 KB, shared): on a read miss from
         # the device, a cached counter lets the OTP generation overlap
@@ -228,8 +226,8 @@ class MemoryController:
         if not tracer.enabled:
             return
         track = ("write-path", f"core{thread_id}")
-        # The enclosing write span carries the full phase breakdown in
-        # its args — sinks (WriteTracer) reconstruct records from it.
+        # The enclosing write span is the per-write record: its args
+        # carry the full phase breakdown.
         tracer.complete(
             "write", "write", track, start_ns=start,
             dur_ns=persisted - start,

@@ -80,16 +80,14 @@ class RetryPolicy:
 class DegradedModeManager:
     """Bounded retry + backoff, ECC healing, line poisoning."""
 
-    def __init__(self, system, injector=None, max_retries: int = 2,
+    def __init__(self, system, injector=None,
                  policy: Optional[RetryPolicy] = None,
                  quarantine: Optional[Set[int]] = None):
         self.system = system
         self.injector = injector if injector is not None \
             else getattr(system, "injector", None)
         self.policy = (policy if policy is not None
-                       else RetryPolicy(max_retries=max_retries)
-                       ).validate()
-        self.max_retries = self.policy.max_retries
+                       else RetryPolicy()).validate()
         #: Lines quarantined after exhausting retries.  When the
         #: caller passes a shared set, poisoning survives this
         #: manager (soak cycles carry one quarantine across crashes).

@@ -113,19 +113,3 @@ def speedup_over(baseline: ExperimentResult,
     if candidate.elapsed_ns <= 0:
         return float("inf")
     return baseline.elapsed_ns / candidate.elapsed_ns
-
-
-def fully_pre_executed_fraction(result: ExperimentResult) -> float:
-    """Fraction of IRB-matched writes whose BMOs were completely
-    pre-executed.
-
-    The denominator is writes that matched an IRB entry (fully plus
-    partially pre-executed), not every writeback.  The paper's 45.13%
-    (§5.2.2) and Fig. 10 divide by all writebacks, so this ratio runs
-    higher than theirs: writes with no pre-execution request never
-    enter it.
-    """
-    full = result.stats.get("janus.fully_pre_executed", 0)
-    partial = result.stats.get("janus.partially_pre_executed", 0)
-    total = full + partial
-    return full / total if total else 0.0

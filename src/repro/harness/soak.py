@@ -196,14 +196,13 @@ def _wear_victims(carry: Dict, system, footprint: List[int],
     second one)."""
     wear: StartGap = carry["wear"]
     before = wear.moves
-    total_writes = sum(device.writes for device in system.devices)
-    for _ in range(total_writes):
-        wear.record_write()
-    new_victims = []
     counts: Dict[int, int] = {}
     for device in system.devices:
         for line, n in device.write_counts.items():
             counts[line] = counts.get(line, 0) + n
+    for _ in range(sum(counts.values())):
+        wear.record_write()
+    new_victims = []
     hottest = sorted((line for line in footprint
                       if line not in carry["stuck"]),
                      key=lambda line: (-counts.get(line, 0), line))

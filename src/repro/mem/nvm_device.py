@@ -37,7 +37,6 @@ class NvmDevice:
 
     def __init__(self, sim: Simulator, config: MemoryConfig,
                  stats: Optional[MetricsScope] = None,
-                 channels: Optional[int] = None,
                  shard_id: int = 0,
                  local_addr=None):
         self.sim = sim
@@ -50,14 +49,11 @@ class NvmDevice:
         #: densifying map.  ``None`` (unsharded) hashes the address
         #: as-is.
         self._local_addr = local_addr
-        n_channels = channels if channels is not None \
-            else config.channels
         self._channels = [
             Resource(sim, capacity=1, name=f"nvm-s{shard_id}ch{i}"
                      if shard_id else f"nvm-ch{i}")
-            for i in range(n_channels)
+            for i in range(config.channels)
         ]
-        self.writes = 0
         #: line address -> number of device writes (cell wear).
         self.write_counts: Dict[int, int] = {}
         self.stats = stats if stats is not None else MetricsScope("nvm")
@@ -76,7 +72,6 @@ class NvmDevice:
         for ``write_service_ns``, and the callback at the end releases
         it and calls ``done`` in the same dispatch.
         """
-        self.writes += 1
         self.stats.counter("writes").add()
         self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
         channel = self._channels[self._channel_index(addr)]

@@ -70,8 +70,6 @@ class WriteQueue:
         self.device = device
         self._slots = Resource(sim, capacity=config.write_queue_entries,
                                name="write-queue")
-        self.accepted = 0
-        self.drained = 0
         self._idle_waiters: List = []
         #: Entries accepted (durable under ADR) but not yet drained.
         self._pending: List[WriteEntry] = []
@@ -107,7 +105,6 @@ class WriteQueue:
                 args) -> None:
         sim = self.sim
         now = sim.now
-        self.accepted += 1
         self._c_accepted.add()
         self._h_occupancy.observe(self.outstanding)
         if arrival < now:
@@ -134,7 +131,6 @@ class WriteQueue:
                     entry.on_drain(entry)
                 if self.injector is not None:
                     self.injector.on_device_write(entry)
-            self.drained += 1
             self._c_drained.add()
             if entry.accepted_at is None:
                 raise SimulationError(

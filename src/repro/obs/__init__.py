@@ -3,7 +3,7 @@
 * :mod:`repro.obs.metrics` — hierarchical :class:`MetricsRegistry` of
   counters and exact histograms (one count per distinct value, so
   memory grows with distinct values, not observations), with
-  snapshots, snapshot deltas, and JSON/CSV export;
+  snapshots and snapshot deltas;
 * :mod:`repro.obs.tracer` — structured span/event :class:`Tracer`
   with a no-op :data:`NULL_TRACER` for near-zero disabled overhead;
 * :mod:`repro.obs.chrome_trace` — Chrome trace-event (Perfetto) JSON

@@ -1,10 +1,10 @@
-"""Central metrics registry: counters, histograms, snapshots, exports.
+"""Central metrics registry: counters, histograms, snapshots.
 
 One hierarchy for every statistic the simulator produces.  Components
 register a :class:`MetricsScope` (``registry.scope("irb")``) and create
 counters/histograms inside it; the registry can then take a
-point-in-time :meth:`MetricsRegistry.snapshot`, diff two snapshots
-with :meth:`MetricsRegistry.delta`, and export everything as CSV.  A
+point-in-time :meth:`MetricsRegistry.snapshot` (the ``--stats`` JSON)
+and diff two snapshots with :meth:`MetricsRegistry.delta`.  A
 component built without a registry gets a free-standing
 ``MetricsScope(name)`` with the same ``.counters`` / ``.histograms``
 dicts and ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
@@ -28,8 +28,6 @@ stats.counter("hits")``) and call ``.add()`` / ``.observe()`` on the
 cached handle; see ``docs/performance.md``.
 """
 
-import csv
-import io
 import math
 from typing import Dict, Optional
 
@@ -167,7 +165,7 @@ class MetricsScope:
 
 
 class MetricsRegistry:
-    """The hierarchical root: dotted-path scopes, snapshots, exports."""
+    """The hierarchical root: dotted-path scopes and snapshots."""
 
     def __init__(self) -> None:
         self._scopes: Dict[str, MetricsScope] = {}
@@ -235,20 +233,3 @@ class MetricsRegistry:
             }
         return {"schema": "repro-stats-delta-v1",
                 "counters": counters, "histograms": histograms}
-
-    # -- exports --------------------------------------------------------
-    def to_csv(self, path: Optional[str] = None) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["metric", "field", "value"])
-        snap = self.snapshot()
-        for name, value in snap["counters"].items():
-            writer.writerow([name, "count", value])
-        for name, summary in snap["histograms"].items():
-            for field in sorted(summary):
-                writer.writerow([name, field, summary[field]])
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w") as handle:
-                handle.write(text)
-        return text

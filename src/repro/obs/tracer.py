@@ -20,13 +20,9 @@ human-readable names.  ``repro.obs.chrome_trace`` maps tracks to the
 integer ``pid``/``tid`` the Chrome trace-event format wants and emits
 the matching metadata records, so the same events open directly in
 ``ui.perfetto.dev``.
-
-Sinks (``add_sink``) observe every event as it is emitted — that is
-how the legacy ``repro.harness.trace.WriteTracer`` consumes write
-spans without owning its own instrumentation.
 """
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Track = Tuple[str, str]
 
@@ -41,11 +37,6 @@ class NullTracer:
     enabled = False
     events: List[dict] = []  # always empty; shared intentionally
 
-    def enable(self) -> None:  # pragma: no cover - defensive
-        raise RuntimeError(
-            "NULL_TRACER is shared and cannot be enabled; construct a "
-            "Tracer() and install it on the system instead")
-
     def complete(self, *args, **kwargs) -> None:
         pass
 
@@ -54,9 +45,6 @@ class NullTracer:
 
     def counter(self, *args, **kwargs) -> None:
         pass
-
-    def add_sink(self, sink) -> None:  # pragma: no cover - defensive
-        raise RuntimeError("cannot attach a sink to NULL_TRACER")
 
     def __len__(self) -> int:
         return 0
@@ -69,40 +57,19 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects normalized span/instant/counter events.
 
-    A tracer starts *disabled*; flip it on with :meth:`enable` (the
-    CLI does this when ``--trace`` is given, ``WriteTracer.attach``
-    does it for the legacy API).  Sinks receive every event dict as it
-    is emitted, even ones filtered from storage by ``store=False``.
+    A tracer records from construction with ``Tracer(enabled=True)``
+    (the CLI builds one when ``--trace`` is given); ``Tracer()``
+    records nothing.
     """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.events: List[dict] = []
-        self._sinks: List[Callable[[dict], None]] = []
-
-    # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def add_sink(self, sink: Callable[[dict], None]) -> None:
-        self._sinks.append(sink)
-        self.enabled = True
 
     def __len__(self) -> int:
         return len(self.events)
 
     # -- emission -------------------------------------------------------
-    def _emit(self, event: dict) -> None:
-        self.events.append(event)
-        for sink in self._sinks:
-            sink(event)
-
     def complete(self, name: str, cat: str, track: Track,
                  start_ns: float, dur_ns: float,
                  args: Optional[Dict] = None) -> None:
@@ -114,7 +81,7 @@ class Tracer:
                  "ts": start_ns, "dur": dur_ns, "track": track}
         if args:
             event["args"] = args
-        self._emit(event)
+        self.events.append(event)
 
     def instant(self, name: str, cat: str, track: Track, ts_ns: float,
                 args: Optional[Dict] = None) -> None:
@@ -125,15 +92,16 @@ class Tracer:
                  "ts": ts_ns, "track": track}
         if args:
             event["args"] = args
-        self._emit(event)
+        self.events.append(event)
 
     def counter(self, name: str, track: Track, ts_ns: float,
                 values: Dict[str, float]) -> None:
         """A sampled counter series (write-queue occupancy, ...)."""
         if not self.enabled:
             return
-        self._emit({"name": name, "cat": "counter", "ph": "C",
-                    "ts": ts_ns, "track": track, "args": dict(values)})
+        self.events.append({"name": name, "cat": "counter", "ph": "C",
+                            "ts": ts_ns, "track": track,
+                            "args": dict(values)})
 
     # -- queries --------------------------------------------------------
     def spans(self, cat: Optional[str] = None,

@@ -25,10 +25,6 @@ class Resource:
         self._in_use = 0
         #: Pending grants: ``(fn, args)`` from :meth:`request`, FIFO.
         self._waiters: Deque[Tuple[Callable, tuple]] = deque()
-        # Utilisation accounting.
-        self._busy_time = 0.0
-        self._last_change = 0.0
-        self.total_acquires = 0
 
     @property
     def in_use(self) -> int:
@@ -37,10 +33,6 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
-
-    def _account(self) -> None:
-        self._busy_time += self._in_use * (self.sim.now - self._last_change)
-        self._last_change = self.sim.now
 
     def request(self, fn: Callable, *args) -> None:
         """Once a slot is granted, the simulator dispatches
@@ -51,14 +43,8 @@ class Resource:
         request waits FIFO for a :meth:`release`, which queues ``fn``
         in its own slot.  The holder must :meth:`release` the slot.
         """
-        # _account(), inlined: this is the write path's hottest
-        # resource call.
-        now = self.sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.total_acquires += 1
             self.sim._schedule_now(fn, *args)
         else:
             self._waiters.append((fn, args))
@@ -67,20 +53,9 @@ class Resource:
         """Free one slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        now = self.sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
         if self._waiters:
             # Hand the slot directly to the next waiter.
-            self.total_acquires += 1
             fn, args = self._waiters.popleft()
             self.sim._schedule_now(fn, *args)
         else:
             self._in_use -= 1
-
-    def utilisation(self) -> float:
-        """Time-averaged fraction of capacity in use so far."""
-        self._account()
-        if self.sim.now <= 0:
-            return 0.0
-        return self._busy_time / (self.sim.now * self.capacity)

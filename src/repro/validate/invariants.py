@@ -17,8 +17,9 @@ invariant               layer / statement
                         ``created_at`` never decreases in buffer order;
                         occupancy respects capacity.
 ``wq-epoch-order``      mem: accepted-but-undrained entries are ordered
-                        by acceptance time, and
-                        ``accepted - drained == outstanding``.
+                        by acceptance time, and the ``wq.accepted``
+                        minus ``wq.drained`` counters equal the pending
+                        entries and never exceed the slots in use.
 ``merkle-root``         crypto: a Merkle tree rebuilt from scratch over
                         the committed leaves reproduces the live root
                         (the secure register matches the metadata it
@@ -266,7 +267,9 @@ class InvariantChecker:
         sharded = len(system.controllers) > 1
         for controller in system.controllers:
             write_queue = controller.write_queue
-            undrained = write_queue.accepted - write_queue.drained
+            accepted = write_queue._c_accepted.value
+            drained = write_queue._c_drained.value
+            undrained = accepted - drained
             # Unlike the commit-point check, a fence can observe an
             # accept between its slot grant and its resumption, so
             # ``outstanding`` may transiently exceed the accepted
@@ -280,8 +283,7 @@ class InvariantChecker:
                     f"accounting inconsistent at sfence "
                     f"(core {core_id})",
                     {"core": core_id, "shard": controller.shard_id,
-                     "accepted": write_queue.accepted,
-                     "drained": write_queue.drained,
+                     "accepted": accepted, "drained": drained,
                      "pending": len(write_queue._pending),
                      "outstanding": write_queue.outstanding})
             policy = controller.policy
@@ -317,7 +319,9 @@ class InvariantChecker:
                      "accepted_at": entry.accepted_at,
                      "previous_accepted_at": last})
             last = entry.accepted_at
-        undrained = wq.accepted - wq.drained
+        accepted = wq._c_accepted.value
+        drained = wq._c_drained.value
+        undrained = accepted - drained
         # ``outstanding`` (slots in use) may transiently exceed the
         # accepted count: a concurrent accept holds its slot from the
         # grant instant, but only counts as accepted when its process
@@ -326,10 +330,10 @@ class InvariantChecker:
         if len(wq._pending) != undrained or undrained > wq.outstanding:
             raise InvariantViolation(
                 "wq-epoch-order", "mem",
-                f"accepted({wq.accepted}) - drained({wq.drained}) "
+                f"accepted({accepted}) - drained({drained}) "
                 f"inconsistent with pending({len(wq._pending)}) / "
                 f"outstanding({wq.outstanding})",
-                {"accepted": wq.accepted, "drained": wq.drained,
+                {"accepted": accepted, "drained": drained,
                  "pending": len(wq._pending),
                  "outstanding": wq.outstanding})
 

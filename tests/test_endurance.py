@@ -102,4 +102,5 @@ def test_dedup_reduces_total_device_writes():
     without.run_programs([repetitive(without.cores[0], base2, 16)])
     without.run()
 
-    assert with_dedup.device.writes < without.device.writes
+    assert with_dedup.metrics.as_flat_dict()["nvm.writes"] \
+        < without.metrics.as_flat_dict()["nvm.writes"]

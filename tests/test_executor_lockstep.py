@@ -7,7 +7,7 @@ of :meth:`BmoExecutor.start`: every sub-op of every call ran as its
 own simulator process with its own done event, and the caller waited
 on the one process or on an ``AllOf`` over them.  The production
 executor must reproduce it exactly — the same ready, start and finish
-ns for every sub-op, the same unit grants and accounting, the same
+ns for every sub-op, the same unit grants and releases, the same
 functional results and metrics, the same exception at the same ns —
 while dispatching fewer events.  Same-instant ties decide unit grants, coalesced ledger
 charges and commits racing sub-op reads, so "exactly" includes the
@@ -253,20 +253,29 @@ def drive(executor_cls, scenario: dict) -> dict:
 
     for wid, spec in enumerate(scenario["writes"]):
         sim.process(writer(wid, spec), name=f"writer{wid}")
-    # Record every histogram observation in order: the summaries alone
-    # do not show the order within an instant.
+    # Record every histogram observation and every unit release in
+    # order: the summaries and the final unit state alone do not show
+    # the order within an instant, nor when each unit was freed.
     observed = []
     observe = Histogram.observe
+    released = []
+    release = Resource.release
 
     def recording_observe(hist, value):
         observed.append((hist.name, value))
         observe(hist, value)
 
+    def recording_release(resource):
+        release(resource)
+        released.append((sim.now, resource.in_use, resource.queue_length))
+
     Histogram.observe = recording_observe
+    Resource.release = recording_release
     try:
         sim.run()
     finally:
         Histogram.observe = observe
+        Resource.release = release
     stats = executor.stats
     assert len(observed) == sum(h.count for h in stats.histograms.values())
     return {
@@ -277,8 +286,8 @@ def drive(executor_cls, scenario: dict) -> dict:
         "values": [(sorted(c.completed), sorted(c.values.items(),
                                                 key=lambda kv: kv[0]))
                    for c in contexts],
-        "units": (units.total_acquires, units.utilisation(),
-                  units.in_use, units.queue_length),
+        "units": (units.in_use, units.queue_length),
+        "released": released,
         "counters": [(k, c.value) for k, c in stats.counters.items()],
         "histograms": [(k, h.summary())
                        for k, h in stats.histograms.items()],

@@ -16,11 +16,7 @@ from repro.harness.experiments import (
     overhead_analysis,
     table1_bmo_catalog,
 )
-from repro.harness.runner import (
-    fully_pre_executed_fraction,
-    run_point,
-    speedup_over,
-)
+from repro.harness.runner import run_point, speedup_over
 from repro.workloads import WorkloadParams
 
 FAST = WorkloadParams(n_items=16, value_size=64, n_transactions=5)
@@ -45,11 +41,6 @@ class TestRunner:
         jan = run_point("array_swap", mode="janus", params=FAST)
         assert speedup_over(ser, jan) > 1.0
         assert speedup_over(ser, ser) == pytest.approx(1.0)
-
-    def test_fully_pre_executed_fraction_bounds(self):
-        jan = run_point("array_swap", mode="janus", params=FAST)
-        frac = fully_pre_executed_fraction(jan)
-        assert 0.0 <= frac <= 1.0
 
     def test_unknown_workload_rejected(self):
         from repro.common.errors import ConfigError

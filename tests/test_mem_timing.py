@@ -137,7 +137,7 @@ def test_write_queue_accept_is_fast_drain_is_background():
     sim.process(producer())
     sim.run()
     assert persist_time[0] < 100  # accepted before the device write
-    assert wq.drained == 1
+    assert wq.stats.counters["drained"].value == 1
     assert nvm.read_line(0) == b"\x01" * 64
 
 
@@ -158,7 +158,7 @@ def test_write_queue_backpressure_when_full():
     # First two accepted immediately; the rest wait for drains.
     assert accept_times[0] == 0 and accept_times[1] == 0
     assert accept_times[2] >= 100
-    assert wq.drained == 4
+    assert wq.stats.counters["drained"].value == 4
 
 
 def test_drained_event_waits_for_idle():

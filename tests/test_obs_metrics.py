@@ -162,13 +162,6 @@ class TestRegistry:
         delta = MetricsRegistry.delta(a, reg.snapshot())
         assert delta["counters"]["x.c"] == 4
 
-    def test_csv_export(self, tmp_path):
-        reg = self.build()
-        csv_text = reg.to_csv(str(tmp_path / "stats.csv"))
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "metric,field,value"
-        assert any(line.startswith("irb.hits,count,7") for line in lines)
-
 
 class TestExactAggregates:
     def test_summary_carries_exact_sum_min_max(self):
@@ -181,13 +174,14 @@ class TestExactAggregates:
         assert s["count"] == 2000
 
     def test_csv_export_carries_sum_and_percentiles(self):
+        # Both exports (the --stats JSON and --prom) read the
+        # snapshot's summary: it carries the exact sum and every
+        # percentile.
         registry = MetricsRegistry()
         h = registry.scope("wq").histogram("residency_ns")
         for i in range(2000):
             h.observe(float(i))
-        rows = registry.to_csv().splitlines()
-        fields = {tuple(r.split(",")[:2]) for r in rows[1:]}
-        assert ("wq.residency_ns", "sum") in fields
-        assert ("wq.residency_ns", "p99") in fields
-        assert {field for _name, field in fields} == {
+        summary = registry.snapshot()["histograms"]["wq.residency_ns"]
+        assert summary["sum"] == sum(range(2000))
+        assert set(summary) == {
             "count", "mean", "sum", "min", "max", "p50", "p95", "p99"}

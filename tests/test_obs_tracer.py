@@ -1,11 +1,8 @@
 """Tests for the span tracer and its integration with the system."""
 
-import pytest
-
 from repro.common.config import default_config
 from repro.core import NvmSystem
 from repro.harness.runner import run_point
-from repro.harness.trace import WriteTracer
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads import WorkloadParams, make_workload
 
@@ -40,23 +37,11 @@ class TestTracerBasics:
         assert span["track"] == ("bmo", "encryption")
         assert tracer.spans(cat="bmo", name="aes") == [span]
 
-    def test_sink_sees_events_and_enables(self):
-        tracer = Tracer()
-        seen = []
-        tracer.add_sink(seen.append)
-        assert tracer.enabled  # attaching a consumer turns tracing on
-        tracer.complete("x", "c", ("p", "t"), 0.0, 1.0)
-        assert len(seen) == 1
-
     def test_null_tracer_is_inert(self):
         NULL_TRACER.complete("x", "c", ("p", "t"), 0.0, 1.0)
         NULL_TRACER.instant("x", "c", ("p", "t"), 0.0)
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.enabled is False
-        with pytest.raises(RuntimeError):
-            NULL_TRACER.add_sink(lambda e: None)
-        with pytest.raises(RuntimeError):
-            NULL_TRACER.enable()
 
 
 class TestSystemIntegration:
@@ -134,26 +119,3 @@ class TestSystemIntegration:
         assert flat["wq.accepted"] > 0
         assert flat["wq.occupancy.count"] == flat["wq.accepted"]
         assert flat["wq.residency_ns.mean"] > 0
-
-
-class TestWriteTracerShim:
-    def test_attach_consumes_write_spans(self):
-        system = NvmSystem(default_config(mode="serialized"))
-        tracer = WriteTracer.attach(system)
-        assert system.tracer.enabled  # attach flipped tracing on
-        workload = make_workload(
-            "array_swap", system, system.cores[0],
-            WorkloadParams(n_items=8, value_size=64, n_transactions=4))
-        system.run_programs([workload.run()])
-        assert len(tracer) > 0
-        writebacks = system.controller.stats.counters["writebacks"].value
-        assert len(tracer) == writebacks
-        for record in tracer.records:
-            assert record.start_ns <= record.mc_arrival_ns \
-                <= record.bmo_done_ns <= record.persisted_ns
-
-    def test_shim_ignores_non_write_events(self):
-        tracer = WriteTracer()
-        tracer.on_event({"ph": "i", "cat": "irb", "ts": 0.0})
-        tracer.on_event({"ph": "X", "cat": "bmo", "ts": 0.0, "dur": 1.0})
-        assert len(tracer) == 0

@@ -218,8 +218,7 @@ def run_scheduler_program(sim_cls,
         "trace": trace,
         "final_now": sim.now,
         "events": sim.events,
-        "resource": (resource.in_use, resource.queue_length,
-                     resource.total_acquires),
+        "resource": (resource.in_use, resource.queue_length),
         "finished": sorted(wid for wid, p in procs.items()
                            if p.triggered),
     }

@@ -54,19 +54,6 @@ def test_resource_zero_capacity_rejected():
         Resource(sim, capacity=0)
 
 
-def test_resource_utilisation_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def granted():
-        sim._schedule(50, res.release)
-
-    res.request(granted)
-    sim._schedule(100, lambda: None)
-    sim.run()
-    assert res.utilisation() == pytest.approx(0.5)
-
-
 def test_request_grant_is_queued_where_the_slot_frees():
     """A free slot is granted behind the callbacks already queued at
     this instant; a waiter is granted where the release that frees
@@ -82,4 +69,4 @@ def test_request_grant_is_queued_where_the_slot_frees():
     sim._schedule_now(log.append, "after")
     sim.run()
     assert log == ["before", "first", "after", "second"]
-    assert res.in_use == 1 and res.total_acquires == 2
+    assert res.in_use == 1 and res.queue_length == 0

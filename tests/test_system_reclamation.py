@@ -79,7 +79,8 @@ def test_run_ending_on_a_data_drain_is_freed():
             for core in system.cores]
         system.run_programs([w.run() for w in workloads])
         queue = system.write_queues[-1]
-        assert queue.drained == queue.accepted
+        assert queue.stats.counters["drained"].value \
+            == queue.stats.counters["accepted"].value
         refs = {name: weakref.ref(obj) for name, obj in (
             ("system", system), ("pipeline", system.pipeline),
             ("executor", system.executor))}

@@ -1,77 +1,97 @@
-"""Tests for the per-write latency tracer."""
+"""The memory controller's ``write`` span is the per-write record: one
+span per writeback, whose args split its critical-path latency into
+transfer, BMO and persist phases (the paper's Fig. 1 question)."""
 
 import pytest
 
 from repro.common.config import default_config
 from repro.core import NvmSystem
-from repro.harness.trace import WriteTracer
+from repro.harness.runner import run_point
+from repro.obs.tracer import Tracer
 from repro.workloads import WorkloadParams, make_workload
 
+MODES = ("serialized", "parallel", "janus", "ideal", "coalesced",
+         "async-epoch")
 
-def traced_run(mode="serialized", variant="baseline", n_txns=6):
-    system = NvmSystem(default_config(mode=mode))
-    tracer = WriteTracer.attach(system)
+
+def write_spans(mode="serialized", variant="baseline", n_txns=6):
+    tracer = Tracer(enabled=True)
+    system = NvmSystem(default_config(mode=mode), tracer=tracer)
     workload = make_workload(
         "array_swap", system, system.cores[0],
         WorkloadParams(n_items=16, value_size=64,
                        n_transactions=n_txns),
         variant=variant)
     system.run_programs([workload.run()])
-    return tracer
+    return tracer.spans(cat="write")
+
+
+def bmo_ns(span):
+    return span["args"]["bmo_done_ns"] - span["args"]["mc_arrival_ns"]
+
+
+def mean(values):
+    values = list(values)
+    return sum(values) / len(values)
 
 
 def test_tracer_records_every_writeback():
-    tracer = traced_run()
-    assert len(tracer) > 0
-    for record in tracer.records:
-        assert record.start_ns <= record.mc_arrival_ns \
-            <= record.bmo_done_ns <= record.persisted_ns
+    spans = write_spans()
+    assert spans
+    for span in spans:
+        args = span["args"]
+        assert span["ts"] <= args["mc_arrival_ns"] \
+            <= args["bmo_done_ns"] <= args["persisted_ns"]
 
 
 def test_serialized_bmo_phase_dominates():
-    tracer = traced_run(mode="serialized")
-    means = tracer.phase_means()
-    assert means["bmo"] > means["transfer"]
-    assert means["bmo"] > 500  # the ~794 ns serial chain
-    assert means["transfer"] == pytest.approx(15.0)
+    spans = write_spans(mode="serialized")
+    transfer = mean(s["args"]["mc_arrival_ns"] - s["ts"] for s in spans)
+    bmo = mean(bmo_ns(s) for s in spans)
+    assert bmo > transfer
+    assert bmo > 500  # the ~794 ns serial chain
+    assert transfer == pytest.approx(15.0)
 
 
 def test_janus_run_has_zero_bmo_writes():
-    tracer = traced_run(mode="janus", variant="manual")
+    spans = write_spans(mode="janus", variant="manual")
     # Fully pre-executed writes spend ~0 ns in BMOs at the MC.
-    assert tracer.zero_bmo_fraction() > 0.2
+    assert mean(bmo_ns(s) < 1.0 for s in spans) > 0.2
 
 
 def test_ideal_mode_charges_no_bmo_time():
-    tracer = traced_run(mode="ideal")
-    assert tracer.phase_means()["bmo"] == pytest.approx(0.0)
+    assert mean(bmo_ns(s) for s in write_spans(mode="ideal")) \
+        == pytest.approx(0.0)
 
 
 def test_mode_ordering_visible_in_trace():
-    ser = traced_run(mode="serialized")["bmo"] if False else \
-        traced_run(mode="serialized").phase_means()["bmo"]
-    jan = traced_run(mode="janus", variant="manual").phase_means()["bmo"]
+    ser = mean(bmo_ns(s) for s in write_spans(mode="serialized"))
+    jan = mean(bmo_ns(s)
+               for s in write_spans(mode="janus", variant="manual"))
     assert jan < ser
 
 
-def test_csv_export_roundtrip(tmp_path):
-    tracer = traced_run()
-    path = tmp_path / "trace.csv"
-    text = tracer.to_csv(str(path))
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("thread,line_addr")
-    assert len(lines) == len(tracer) + 1
-    assert path.read_text() == text
-
-
 def test_commit_records_marked_critical():
-    tracer = traced_run()
-    critical = [r for r in tracer.records if r.critical]
+    critical = [s for s in write_spans() if s["args"]["critical"]]
     assert len(critical) == 6  # one commit record per transaction
 
 
-def test_empty_tracer_summary_safe():
-    tracer = WriteTracer()
-    assert tracer.zero_bmo_fraction() == 0.0
-    assert "0 writes traced" in tracer.summary()
-    assert tracer.phase_means()["total"] == 0.0
+@pytest.mark.parametrize("cores,shards", [(1, 1), (2, 2)],
+                         ids=["1c1s", "2c2s"])
+@pytest.mark.parametrize("mode", MODES)
+def test_write_spans_match_writebacks(mode, cores, shards):
+    tracer = Tracer(enabled=True)
+    result = run_point("hash_table", mode=mode, cores=cores,
+                       shards=shards,
+                       params=WorkloadParams(n_transactions=6),
+                       tracer=tracer)
+    spans = tracer.spans(cat="write")
+    writebacks = sum(value for name, value in result.stats.items()
+                     if name.startswith("mc")
+                     and name.endswith(".writebacks"))
+    assert len(spans) == writebacks > 0
+    for span in spans:
+        args = span["args"]
+        assert span["ts"] <= args["mc_arrival_ns"] \
+            <= args["bmo_done_ns"] <= args["persisted_ns"] \
+            == span["ts"] + span["dur"], span

@@ -111,7 +111,8 @@ def test_irb_bijection_catches_index_desync():
 def test_wq_accounting_identity_checked():
     system = _checked_system()
     _run_small_program(system)
-    system.write_queue.drained += 1  # books no longer balance
+    # The books no longer balance.
+    system.write_queue.stats.counter("drained").add()
     with pytest.raises(InvariantViolation) as excinfo:
         system.checker.check_all()
     assert excinfo.value.invariant == "wq-epoch-order"
@@ -201,7 +202,7 @@ def test_violation_is_structured_and_jsonable():
 def test_violations_are_counted_in_metrics():
     system = _checked_system()
     _run_small_program(system)
-    system.write_queue.drained += 1
+    system.write_queue.stats.counter("drained").add()
     with pytest.raises(InvariantViolation):
         system.checker.check_all()
     flat = system.metrics.as_flat_dict()

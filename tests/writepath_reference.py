@@ -196,7 +196,6 @@ def wq_accept(self, entry: WriteEntry):
         # request so the dead waiter can't leak capacity.
         cancel(self._slots, grant)
         raise
-    self.accepted += 1
     self._c_accepted.add()
     self._h_occupancy.observe(self.outstanding)
     if arrival < self.sim.now:
@@ -220,7 +219,6 @@ def wq_drain(self, entry: WriteEntry):
                 entry.on_drain(entry)
             if self.injector is not None:
                 self.injector.on_device_write(entry)
-        self.drained += 1
         self._c_drained.add()
         if entry.accepted_at is None:
             raise SimulationError(
@@ -246,7 +244,6 @@ def wq_drain(self, entry: WriteEntry):
 # NvmDevice.write_access
 def nvm_write_access(self, addr: int):
     """Process: occupy the line's channel for one line write."""
-    self.writes += 1
     self.stats.counter("writes").add()
     self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
     channel = self._channels[self._channel_index(addr)]
