@@ -22,7 +22,7 @@ CSV_HEADER = ("thread,line_addr,start_ns,transfer_ns,bmo_ns,persist_ns,"
 
 def traced_run(mode, variant):
     """The ``write`` spans of one B-Tree run, in emission order."""
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     system = NvmSystem(default_config(mode=mode), tracer=tracer)
     workload = make_workload(
         "btree", system, system.cores[0],

@@ -69,6 +69,10 @@ _PLAN_CACHE_SIZE = 64
 class CallPlan(NamedTuple):
     """The dependency structure of one target set, restricted to it."""
 
+    #: Each target's ``(total, occupancy, timed, run)``: its quantized
+    #: latency and unit occupancy, whether it takes a unit (a positive
+    #: latency), and its functional action (``None`` when timing-only).
+    steps: Dict[str, Tuple[int, int, bool, Optional[Callable]]]
     #: Each target's dependencies inside the call.
     deps: Dict[str, Tuple[str, ...]]
     #: Each target's dependents inside the call, in topological order.
@@ -185,16 +189,23 @@ class BmoExecutor:
         nothing is left to run.
         """
         completed = ctx.completed
+        plans = self._plans
         if names is None:
-            targets = tuple([n for n in self._order
-                             if n not in completed])
+            targets = self._order
+            if completed:
+                targets = tuple([n for n in targets if n not in completed])
         else:
-            wanted = set(names)
-            targets = tuple([n for n in self._order
-                             if n in wanted and n not in completed])
+            targets = tuple(names)
+            # A cached plan's key is already a set of names in
+            # topological order: with nothing completed it is the
+            # target tuple as given.
+            if completed or targets not in plans:
+                wanted = set(targets)
+                targets = tuple([n for n in self._order
+                                 if n in wanted and n not in completed])
         if not targets:
             return None
-        plan = self._plans.get(targets)
+        plan = plans.get(targets)
         if plan is None:
             plan = self._plan(targets)
         if not plan.outside <= completed:
@@ -215,6 +226,11 @@ class BmoExecutor:
         target_set = set(targets)
         graph = self.pipeline.graph
         subops = self._subops
+        timing = self._op_timing
+        # Actions are read when the plan is made, not when the
+        # executor is: a caller may replace sub-op entries in between.
+        steps = {n: timing[n] + (subops[n].latency_ns > 0, subops[n].run)
+                 for n in targets}
         deps = {n: tuple(d for d in subops[n].deps if d in target_set)
                 for n in targets}
         # Successors come in topological order: the order in which a
@@ -225,7 +241,7 @@ class BmoExecutor:
         waiting = {n: len(d) for n, d in deps.items() if len(d) > 1}
         outside = frozenset(d for n in targets for d in subops[n].deps
                             if d not in target_set)
-        plan = CallPlan(deps, dependents, waiting, outside)
+        plan = CallPlan(steps, deps, dependents, waiting, outside)
         if len(self._plans) < _PLAN_CACHE_SIZE:
             self._plans[targets] = plan
         return plan
@@ -270,8 +286,7 @@ class BmoExecutor:
             if stale:
                 self._c_stale_rerun.add(len(stale))
                 self.pipeline.invalidate(ctx, stale)
-            remaining = [n for n in self._order if n not in ctx.completed]
-            done = self.start(ctx, remaining) if remaining else None
+            done = self.start(ctx)
         except Exception as err:
             waiter.fail(err)
             return
@@ -291,7 +306,7 @@ class SubopSchedule:
     two or more; ``left`` counts targets not yet finished.
     """
 
-    __slots__ = ("executor", "sim", "ctx", "targets", "deps",
+    __slots__ = ("executor", "sim", "ctx", "targets", "steps", "deps",
                  "dependents", "waiting", "left", "done", "failed")
 
     def __init__(self, executor: BmoExecutor, ctx: BmoContext,
@@ -301,6 +316,7 @@ class SubopSchedule:
         self.sim = executor.sim
         self.ctx = ctx
         self.targets = targets
+        self.steps = plan.steps
         self.deps = plan.deps
         self.dependents = plan.dependents
         self.waiting = dict(plan.waiting)
@@ -346,22 +362,24 @@ class SubopSchedule:
         """Dependencies satisfied: time the sub-op and request a unit,
         or run it now if it has no latency.  Returns whether it
         finished here."""
-        executor = self.executor
         ready = self.sim.now
-        total, occupancy = executor._op_timing[name]
+        total, occupancy, timed, run = self.steps[name]
         try:
-            if total and executor.timing_policy is not None:
-                total, occupancy = executor.timing_policy.adjust_timing(
-                    name, self.ctx, total, occupancy)
-            op = executor._subops[name]
-            if op.latency_ns > 0:
-                executor.units.request(self._start, name, ready, total,
-                                       occupancy)
+            if total:
+                policy = self.executor.timing_policy
+                if policy is not None:
+                    total, occupancy = policy.adjust_timing(
+                        name, self.ctx, total, occupancy)
+            if timed:
+                self.executor.units.request(self._start, name, ready,
+                                            total, occupancy)
                 return False
-            op.execute(self.ctx)
+            if run is not None:
+                run(self.ctx)
         except Exception as err:
             self._fail(err)
             return False
+        self.ctx.completed.add(name)
         self._finished(name, ready, notify)
         return True
 
@@ -370,29 +388,33 @@ class SubopSchedule:
         """Unit granted: free it after the initiation interval, finish
         after the full latency."""
         sim = self.sim
-        sim._schedule(occupancy, self.executor.units.release)
-        sim._schedule(total, self._finish, name, ready, sim.now)
+        now = sim.now
+        sim._at(now + occupancy, self.executor.units.release, ())
+        sim._at(now + total, self._finish, (name, ready, now))
 
     def _finish(self, name: str, ready: int, exec_start: int) -> None:
-        executor = self.executor
-        op = executor._subops[name]
-        try:
-            op.execute(self.ctx)
-        except Exception as err:
-            self._fail(err)
-            return
-        if executor.tracer.enabled:
-            executor.tracer.complete(
-                name, "bmo", ("bmo", op.bmo),
+        run = self.steps[name][3]
+        ctx = self.ctx
+        if run is not None:
+            try:
+                run(ctx)
+            except Exception as err:
+                self._fail(err)
+                return
+        ctx.completed.add(name)
+        tracer = self.executor.tracer
+        if tracer.enabled:
+            tracer.complete(
+                name, "bmo", ("bmo", self.executor._subops[name].bmo),
                 start_ns=exec_start, dur_ns=self.sim.now - exec_start,
-                args={"addr": self.ctx.addr,
+                args={"addr": ctx.addr,
                       "unit_wait_ns": exec_start - ready})
         self._finished(name, ready)
 
     def _finished(self, name: str, ready: int, notify: bool = True) -> None:
         executor = self.executor
         sim = self.sim
-        executor._c_subops_executed.add()
+        executor._c_subops_executed.value += 1
         hist = executor._h_subop.get(name)
         if hist is None:
             hist = executor._h_subop[name] = \

@@ -43,6 +43,8 @@ class DependencyGraph:
                         if name in self.subops[succ].deps)
             for name in self._order}
         self._closure = self._external_closure()
+        #: ``runnable_with`` results, one per distinct input set.
+        self._runnable: Dict[FrozenSet[ExternalInput], Tuple[str, ...]] = {}
 
     # -- structure ---------------------------------------------------------
     def _topological_order(self) -> List[str]:
@@ -121,10 +123,14 @@ class DependencyGraph:
                       inputs: FrozenSet[ExternalInput]) -> List[str]:
         """Sub-ops whose entire requirement is covered by ``inputs`` —
         the pre-executable region for a request carrying ``inputs``.
-        Returned in topological order.
+        Returned in topological order, as a fresh list.
         """
-        return [name for name in self._order
-                if self._closure[name] <= inputs]
+        runnable = self._runnable.get(inputs)
+        if runnable is None:
+            runnable = self._runnable[inputs] = tuple(
+                name for name in self._order
+                if self._closure[name] <= inputs)
+        return list(runnable)
 
     def can_parallelise(self, group_a: Iterable[str],
                         group_b: Iterable[str]) -> bool:

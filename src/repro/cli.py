@@ -443,7 +443,7 @@ def cmd_run(args) -> int:
     tracer = None
     if args.trace or args.timeseries:
         from repro.obs import Tracer
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
     sampler = _sampler(args)
     try:
         result = run_point(args.workload, tracer=tracer,
@@ -515,7 +515,7 @@ def cmd_profile(args) -> int:
 
     if args.quick:
         args.txns = min(args.txns, 8)
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     profiler = SimProfiler()
     sampler = _sampler(args)
     result = run_point(args.workload, tracer=tracer, profiler=profiler,

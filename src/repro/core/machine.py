@@ -65,7 +65,7 @@ from repro.mem.nvm_device import NvmDevice
 from repro.mem.shard import ShardRouter
 from repro.mem.write_queue import WriteEntry, WriteQueue
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import Join, Resource, SimEvent, Simulator
 
 
@@ -519,10 +519,10 @@ class NvmSystem:
         self.sim = Simulator()
         self.rng = DeterministicRng(config.seed)
         #: Unified observability: one registry + one tracer for every
-        #: component.  The tracer starts disabled (near-zero overhead)
-        #: unless an enabled one is injected (CLI ``--trace``).
+        #: component.  Tracing is off (:data:`NULL_TRACER`) unless a
+        #: :class:`Tracer` is injected (CLI ``--trace``).
         self.metrics = MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         capacity = config.memory.capacity_bytes
         self.nvm = FunctionalMemory(capacity)
         self.volatile = FunctionalMemory(capacity)

@@ -50,7 +50,7 @@ def run_point(workload: str,
     """Simulate one design point and return its result.
 
     The point is built by :func:`repro.harness.crash_campaign.build`,
-    which also picks the paper's default ``variant``.  Pass an enabled
+    which also picks the paper's default ``variant``.  Pass a
     :class:`Tracer` to capture the run's span timeline (export with
     :func:`repro.obs.export_chrome_trace`), a
     :class:`repro.obs.profile.SimProfiler` to attribute dispatch

@@ -159,10 +159,11 @@ class JanusEngine:
             done_event = self.sim.event("irb-entry-complete")
             entry.inflight = done_event
             ctx = entry.ctx
-            runnable = [
-                name for name in
-                self.pipeline.graph.runnable_with(ctx.available_inputs)
-                if name not in ctx.completed]
+            runnable = self.pipeline.graph.runnable_with(
+                ctx.available_inputs)
+            if ctx.completed:
+                runnable = [name for name in runnable
+                            if name not in ctx.completed]
             if runnable:
                 pre_start = self.sim.now
                 try:

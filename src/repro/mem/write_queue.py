@@ -33,7 +33,7 @@ A drain that raises propagates out of :meth:`Simulator.run`.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.config import MemoryConfig
 from repro.common.errors import SimulationError
@@ -43,9 +43,13 @@ from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator
 
 
-@dataclass
+@dataclass(eq=False)
 class WriteEntry:
-    """One line-sized write heading to the device."""
+    """One line-sized write heading to the device.
+
+    Compared and hashed by identity: the queue keys its pending
+    entries by the entry itself.
+    """
 
     addr: int
     data: bytes
@@ -71,8 +75,11 @@ class WriteQueue:
         self._slots = Resource(sim, capacity=config.write_queue_entries,
                                name="write-queue")
         self._idle_waiters: List = []
-        #: Entries accepted (durable under ADR) but not yet drained.
-        self._pending: List[WriteEntry] = []
+        #: Entries accepted (durable under ADR) but not yet drained,
+        #: in acceptance order: an insertion-ordered dict used as a
+        #: set, so a drain retires its entry in O(1) whatever order
+        #: the channels finish in.
+        self._pending: Dict[WriteEntry, None] = {}
         self.stats = stats if stats is not None else MetricsScope("wq")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional ``repro.faults.FaultInjector``: consulted after
@@ -111,7 +118,7 @@ class WriteQueue:
             # Back-pressure: the queue was full and this write stalled.
             self._h_full_stall.observe(now - arrival)
         entry.accepted_at = now
-        self._pending.append(entry)
+        self._pending[entry] = None
         if self.tracer.enabled:
             self.tracer.counter("wq-occupancy", self.TRACK, now,
                                 {"outstanding": self.outstanding})
@@ -126,7 +133,7 @@ class WriteQueue:
     def _drained(self, entry: WriteEntry) -> None:
         try:
             if entry in self._pending:  # not already ADR-flushed
-                self._pending.remove(entry)
+                del self._pending[entry]
                 if entry.on_drain is not None:
                     entry.on_drain(entry)
                 if self.injector is not None:
@@ -163,7 +170,7 @@ class WriteQueue:
         Dropped and torn lines model ADR failure — downstream layers
         (log CRCs, MACs) must detect them, never consume them.
         """
-        pending, self._pending = self._pending, []
+        pending, self._pending = self._pending, {}
         flushed = 0
         for entry in pending:
             fate = "flush" if self.injector is None \

@@ -29,6 +29,7 @@ cached handle; see ``docs/performance.md``.
 """
 
 import math
+from collections import defaultdict
 from typing import Dict, Optional
 
 
@@ -49,84 +50,102 @@ class Counter:
 
 
 class Histogram:
-    """Exact streaming summary: count, sum, min, max and one count per
-    distinct observed value.
+    """Exact streaming summary: one count per distinct observed value.
 
-    :meth:`percentile` interpolates over the sorted observations as if
-    every one were kept, so a summary does not depend on the order the
-    values arrived in.
+    :meth:`observe` is a single dict update.  Count, sum, min and max
+    are derived from the counts when read, and :meth:`percentile`
+    interpolates over the sorted observations as if every one were
+    kept, so a summary does not depend on the order the values
+    arrived in.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_counts")
+    __slots__ = ("name", "_counts")
 
     def __init__(self, name: str):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._counts: Dict[float, int] = {}
+        self._counts: Dict[float, int] = defaultdict(int)
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        # Inline compares: two builtin min/max calls per observation
-        # showed up in write-path dispatch profiles.
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        counts = self._counts
-        counts[value] = counts.get(value, 0) + 1
+        self._counts[value] += 1
+
+    @property
+    def count(self) -> int:
+        return sum(self._counts.values())
+
+    @property
+    def total(self) -> float:
+        # Integer observations (every sim-ns histogram) sum exactly,
+        # so the result is the running float sum's, in any order.
+        total = 0.0
+        for value, n in self._counts.items():
+            total += value * n
+        return total
+
+    @property
+    def min(self) -> float:
+        return min(self._counts) if self._counts else math.inf
+
+    @property
+    def max(self) -> float:
+        return max(self._counts) if self._counts else -math.inf
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     def percentile(self, p: float) -> float:
         """Linear interpolation at rank ``p/100 * (count - 1)`` of the
         sorted observations; ``0.0`` when nothing was observed."""
-        if not self.count:
-            return 0.0
-        if self.count == 1:
-            # The observation itself: an int stays an int in exports.
-            return self.max
-        rank = (p / 100.0) * (self.count - 1)
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, self.count - 1)
-        frac = rank - lo
-        # Walk the distinct values in order: ``seen`` observations lie
-        # at or below ``value``, so ranks ``< seen`` read ``value``.
-        counts = self._counts
-        low = high = None
-        seen = 0
-        for value in sorted(counts):
-            seen += counts[value]
-            if low is None and lo < seen:
-                low = value
-            if hi < seen:
-                high = value
-                break
-        return low * (1 - frac) + high * frac
+        return _percentile(sorted(self._counts.items()), self.count, p)
 
     def summary(self) -> Dict[str, float]:
-        """Count, mean, sum, min, max and, once something was
+        """Count, mean, sum, min and max and, once something was
         observed, p50/p95/p99; all exact."""
-        out = {
-            "count": self.count,
-            "mean": self.mean,
-            "sum": self.total,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
+        count = self.count
+        if not count:
+            # No percentiles: an empty histogram would otherwise
+            # report p50 = 0.0, reading as a latency.
+            return {"count": 0, "mean": 0.0, "sum": 0.0,
+                    "min": 0.0, "max": 0.0}
+        ordered = sorted(self._counts.items())
+        total = self.total
+        return {
+            "count": count,
+            "mean": total / count,
+            "sum": total,
+            "min": ordered[0][0],
+            "max": ordered[-1][0],
+            "p50": _percentile(ordered, count, 50),
+            "p95": _percentile(ordered, count, 95),
+            "p99": _percentile(ordered, count, 99),
         }
-        # Percentiles only once something was observed: an empty
-        # histogram would otherwise report p50 = 0.0, reading as a
-        # latency.
-        if self.count:
-            out["p50"] = self.percentile(50)
-            out["p95"] = self.percentile(95)
-            out["p99"] = self.percentile(99)
-        return out
+
+
+def _percentile(ordered, count: int, p: float) -> float:
+    """Percentile ``p`` of ``count`` observations given as sorted
+    ``(value, n)`` pairs."""
+    if not count:
+        return 0.0
+    if count == 1:
+        # The observation itself: an int stays an int in exports.
+        return ordered[0][0]
+    rank = (p / 100.0) * (count - 1)
+    lo = int(math.floor(rank))
+    hi = min(lo + 1, count - 1)
+    frac = rank - lo
+    # Walk the distinct values in order: ``seen`` observations lie at
+    # or below ``value``, so ranks ``< seen`` read ``value``.
+    low = high = None
+    seen = 0
+    for value, n in ordered:
+        seen += n
+        if low is None and lo < seen:
+            low = value
+        if hi < seen:
+            high = value
+            break
+    return low * (1 - frac) + high * frac
 
 
 class MetricsScope:

@@ -57,13 +57,13 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects normalized span/instant/counter events.
 
-    A tracer records from construction with ``Tracer(enabled=True)``
-    (the CLI builds one when ``--trace`` is given); ``Tracer()``
-    records nothing.
+    A tracer records from construction (the CLI builds one when
+    ``--trace`` is given); tracing off is :data:`NULL_TRACER`.
     """
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    enabled = True
+
+    def __init__(self) -> None:
         self.events: List[dict] = []
 
     def __len__(self) -> int:
@@ -75,8 +75,6 @@ class Tracer:
                  args: Optional[Dict] = None) -> None:
         """A span: work named ``name`` occupied ``track`` for
         ``[start_ns, start_ns + dur_ns)``."""
-        if not self.enabled:
-            return
         event = {"name": name, "cat": cat, "ph": "X",
                  "ts": start_ns, "dur": dur_ns, "track": track}
         if args:
@@ -86,8 +84,6 @@ class Tracer:
     def instant(self, name: str, cat: str, track: Track, ts_ns: float,
                 args: Optional[Dict] = None) -> None:
         """A zero-duration marker (IRB hit/miss, invalidation, ...)."""
-        if not self.enabled:
-            return
         event = {"name": name, "cat": cat, "ph": "i",
                  "ts": ts_ns, "track": track}
         if args:
@@ -97,8 +93,6 @@ class Tracer:
     def counter(self, name: str, track: Track, ts_ns: float,
                 values: Dict[str, float]) -> None:
         """A sampled counter series (write-queue occupancy, ...)."""
-        if not self.enabled:
-            return
         self.events.append({"name": name, "cat": "counter", "ph": "C",
                             "ts": ts_ns, "track": track,
                             "args": dict(values)})

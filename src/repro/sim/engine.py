@@ -25,6 +25,7 @@ callback when the sleep ends.
 """
 
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.common.errors import SimulationError
@@ -261,6 +262,16 @@ class Process(SimEvent):
             self._step(event.value, None)
 
 
+class _Never:
+    """The stop event of a run given none: never triggered."""
+
+    __slots__ = ()
+    triggered = False
+
+
+_NEVER = _Never()
+
+
 class Simulator:
     """The event loop: a calendar queue drained by :meth:`run`."""
 
@@ -326,6 +337,24 @@ class Simulator:
         else:
             bucket.append((fn, args))
 
+    def _at(self, time: int, fn: Callable, args: tuple) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time``, an int already
+        on the grid and not before the clock.
+
+        :meth:`_schedule` for a caller that already holds such a time,
+        with no quantization and no ``now + delay``: a sub-op grant
+        schedules its unit's release and its own finish this way.
+        """
+        if time == self._batch_time:
+            self._batch.append((fn, args))
+            return
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(fn, args)]
+            heappush(self._times, time)
+        else:
+            bucket.append((fn, args))
+
     # -- public factory helpers ----------------------------------------
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh pending event."""
@@ -365,83 +394,103 @@ class Simulator:
         was passed.  An ``until`` before the clock raises
         :class:`SimulationError`, like a negative delay.
 
-        A run ended by ``stop_event`` or by a raising callback keeps
-        its place in the current batch: the next call resumes after
-        the last dispatched callback.
+        ``stop_event`` is read at entry and after every callback, so
+        the run stops right after the callback that triggered it.  A
+        run ended by ``stop_event`` or by a raising callback keeps its
+        place in the current batch: the next call resumes after the
+        last dispatched callback.
 
-        Observability hooks are read once per call and consulted once
-        per batch, never per callback: with a :attr:`profile` the
-        batch takes a timed drain, and a :attr:`sampler` is driven at
-        each clock advance (before the batch at the new time
-        dispatches, so samples reflect state *at* the boundary) and
-        once more at the end.
+        With no observability hook attached the batches drain through
+        a plain loop; a :attr:`profile` or :attr:`sampler` selects
+        :meth:`_run_hooked`, which times every callback and drives the
+        sampler at each clock advance.
         """
         if until is not None and until < self.now:
             raise SimulationError(
                 f"run(until={until}) is before the clock ({self.now})")
+        if self.profile is not None or self.sampler is not None:
+            return self._run_hooked(until, stop_event)
+        stop = _NEVER if stop_event is None else stop_event
+        buckets = self._buckets
+        times = self._times
+        batch = self._batch
+        pos = self._batch_pos
+        # Callbacks dispatched by this call: the entries of every batch
+        # it finished, less those a previous call had already run,
+        # plus the cursor of the batch it ends in.
+        dispatched = -pos
+        stopped = stop.triggered
+        try:
+            if not stopped:
+                # C-level list iteration with the cursor maintained by
+                # enumerate.  The iterator re-checks the length each
+                # step, so same-instant callbacks appended during
+                # dispatch are picked up; ``pos`` is assigned before
+                # the call, so a raising callback counts as dispatched
+                # and is not replayed on resume.
+                if pos:
+                    steps = enumerate(islice(batch, pos, None), pos + 1)
+                else:
+                    steps = enumerate(batch, 1)
+                while True:
+                    for pos, (fn, args) in steps:
+                        fn(*args)
+                        if stop.triggered:
+                            stopped = True
+                            break
+                    if stopped or not times:
+                        break
+                    time = times[0]
+                    if until is not None and time > until:
+                        self.now = until
+                        break
+                    heappop(times)
+                    dispatched += pos
+                    self.now = self._batch_time = time
+                    batch = self._batch = buckets.pop(time)
+                    pos = 0
+                    steps = enumerate(batch, 1)
+        finally:
+            self._end_run(dispatched + pos, batch, pos)
+        if until is not None and not times and not stopped:
+            self.now = max(self.now, until)
+        return self.now
+
+    def _run_hooked(self, until: Optional[float],
+                    stop_event: Optional[SimEvent]) -> float:
+        """:meth:`run` with observability hooks, read once per call.
+
+        With a :attr:`profile` every callback is timed; a
+        :attr:`sampler` is driven at each clock advance (before the
+        batch at the new time dispatches, so samples reflect state
+        *at* the boundary) and once more at the end.  The stop event
+        is read before every callback: the same stops as the plain
+        loop, checked in a different place.
+        """
         profile = self.profile
         sampler = self.sampler
         if profile is not None:
             clock = profile.clock
             record = profile.record
+        stop = _NEVER if stop_event is None else stop_event
         buckets = self._buckets
         times = self._times
         batch = self._batch
         pos = self._batch_pos
-        # Entries of the live batch already dispatched (and counted) by
-        # a previous run(); ``pos - base`` is this run's contribution.
-        base = pos
-        dispatched = 0
+        dispatched = -pos
         stopped = False
         try:
             while True:
-                if pos < len(batch):
-                    if stop_event is not None and stop_event.triggered:
-                        stopped = True
-                        break
-                    if profile is not None:
-                        while pos < len(batch):
-                            if stop_event is not None \
-                                    and stop_event.triggered:
-                                stopped = True
-                                break
-                            fn, args = batch[pos]
-                            pos += 1
-                            start = clock()
-                            fn(*args)
-                            record(fn, clock() - start)
-                        if stopped:
-                            break
-                    elif stop_event is None:
-                        if pos:
-                            # Resuming mid-batch: index from the cursor.
-                            while pos < len(batch):
-                                fn, args = batch[pos]
-                                pos += 1
-                                fn(*args)
-                        else:
-                            # Hot path: C-level list iteration with the
-                            # cursor maintained by enumerate.  The
-                            # iterator re-checks length each step, so
-                            # same-time events appended during dispatch
-                            # are picked up, exactly like the indexed
-                            # loop; ``pos`` is assigned before the call,
-                            # so a raising callback counts as dispatched
-                            # and is not replayed on resume.
-                            for pos, (fn, args) in enumerate(batch, 1):
-                                fn(*args)
+                while pos < len(batch) and not stop.triggered:
+                    fn, args = batch[pos]
+                    pos += 1
+                    if profile is None:
+                        fn(*args)
                     else:
-                        while pos < len(batch):
-                            if stop_event.triggered:
-                                stopped = True
-                                break
-                            fn, args = batch[pos]
-                            pos += 1
-                            fn(*args)
-                        if stopped:
-                            break
-                    continue
-                if stop_event is not None and stop_event.triggered:
+                        start = clock()
+                        fn(*args)
+                        record(fn, clock() - start)
+                if stop.triggered:
                     stopped = True
                     break
                 if not times:
@@ -451,9 +500,7 @@ class Simulator:
                     self.now = until
                     break
                 heappop(times)
-                if time < self.now:
-                    raise SimulationError("time went backwards")
-                dispatched += pos - base
+                dispatched += pos
                 self.now = time
                 # Time only advances between batches, so one boundary
                 # check per batch sees every crossing a per-event check
@@ -463,19 +510,22 @@ class Simulator:
                 self._batch_time = time
                 batch = self._batch = buckets.pop(time)
                 pos = 0
-                base = 0
         finally:
-            self.events += dispatched + (pos - base)
-            if pos < len(batch):
-                self._batch_pos = pos
-            else:
-                # Drop a drained batch: its (fn, args) pairs would
-                # otherwise keep their owners alive until the next
-                # batch replaces it.
-                self._batch = []
-                self._batch_pos = 0
+            self._end_run(dispatched + pos, batch, pos)
         if until is not None and not times and not stopped:
             self.now = max(self.now, until)
         if sampler is not None and self.now >= sampler.next_ns:
             sampler.on_advance(self.now)
         return self.now
+
+    def _end_run(self, dispatched: int, batch: List, pos: int) -> None:
+        """Count a run's dispatches and park its batch cursor."""
+        self.events += dispatched
+        if pos < len(batch):
+            self._batch_pos = pos
+        else:
+            # Drop a drained batch: its (fn, args) pairs would
+            # otherwise keep their owners alive until the next batch
+            # replaces it.
+            self._batch = []
+            self._batch_pos = 0

@@ -45,7 +45,8 @@ class Resource:
         """
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim._schedule_now(fn, *args)
+            sim = self.sim
+            sim._at(sim.now, fn, args)
         else:
             self._waiters.append((fn, args))
 
@@ -56,6 +57,7 @@ class Resource:
         if self._waiters:
             # Hand the slot directly to the next waiter.
             fn, args = self._waiters.popleft()
-            self.sim._schedule_now(fn, *args)
+            sim = self.sim
+            sim._at(sim.now, fn, args)
         else:
             self._in_use -= 1

@@ -10,7 +10,7 @@ from repro.workloads import WorkloadParams, make_workload
 
 
 def traced_janus_run(n_txns=6):
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     system = NvmSystem(default_config(mode="janus"), tracer=tracer)
     workload = make_workload(
         "hash_table", system, system.cores[0],
@@ -37,7 +37,7 @@ class TestSchema:
                 assert event["dur"] >= 0.0
 
     def test_ns_to_us_conversion(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("x", "c", ("p", "t"), start_ns=2000.0,
                         dur_ns=500.0)
         doc = to_chrome_trace(tracer.events)
@@ -56,7 +56,7 @@ class TestSchema:
         assert "irb" in threads and "core0" in threads
 
     def test_stable_track_ids(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         for i in range(3):
             tracer.complete("x", "c", ("p", "t"), float(i), 1.0)
         doc = to_chrome_trace(tracer.events)
@@ -156,7 +156,7 @@ class TestObsV2Events:
         assert "wq.accepted" in sample["args"]
 
     def test_violation_instant_round_trips(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.instant("violation:wq-duplicate", "validate",
                        ("validate", "mem"), ts_ns=120.0,
                        args={"invariant": "wq-duplicate"})

@@ -203,7 +203,7 @@ def drive(executor_cls, scenario: dict) -> dict:
         **{field: 0.0 for field in scenario["zero"]}))
     pipeline = build_pipeline(cfg)
     units = Resource(sim, capacity=scenario["units"], name="units")
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     executor = executor_cls(sim, pipeline, units,
                             pipeline_fraction=scenario["fraction"],
                             tracer=tracer)

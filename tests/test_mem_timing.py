@@ -1,6 +1,7 @@
 """Tests for cache latency model, NVM device, and write queue."""
 
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from repro.common.config import CacheConfig, MemoryConfig
 from repro.mem import CacheModel, FunctionalMemory, NvmDevice, WriteQueue
 from repro.mem.cache import _SetAssocArray
 from repro.mem.write_queue import WriteEntry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
+from repro.validate.invariants import InvariantChecker
 
 
 def test_cache_first_touch_misses_then_hits():
@@ -179,6 +182,52 @@ def test_drained_event_waits_for_idle():
     # Idle queue: event fires immediately.
     ev = wq.drained_event()
     assert ev.triggered
+
+
+def test_out_of_order_drains_then_adr_flush_keep_acceptance_order():
+    """Drains finish out of acceptance order across channels; each
+    retires its own entry, and an ADR flush then lands exactly the
+    undrained entries, oldest first."""
+    sim = Simulator()
+    cfg = MemoryConfig(write_service_ns=100, write_queue_entries=8,
+                       channels=2)
+    wq = WriteQueue(sim, cfg, NvmDevice(sim, cfg))
+    landed = []
+    # Lines 0, 2, 4 share channel 0; lines 1 and 3 share channel 1.
+    # The two entries for line 2 are equal by value: the queue must
+    # still tell them apart.
+    lines = [0, 2, 1, 4, 3, 2]
+    entries = [WriteEntry(addr=64 * line, data=bytes(64),
+                          on_drain=landed.append) for line in lines]
+
+    def producer():
+        for entry in entries:
+            yield from accept(wq, entry)
+        # Every entry was accepted at t=0, in list order.
+
+    sim.process(producer())
+    sim.run(until=150)
+    # t=100: the heads of both channels drained, the first and the
+    # third accepted.
+    assert landed == [entries[0], entries[2]]
+    pending = [entries[1], entries[3], entries[4], entries[5]]
+    assert list(wq._pending) == pending
+    checker = InvariantChecker(SimpleNamespace(metrics=MetricsRegistry()))
+    checker.check_write_queue(wq)
+    sim.run(until=250)
+    # t=200: channel 0's second entry and channel 1's second entry.
+    assert landed[2:] == [entries[1], entries[4]]
+    assert list(wq._pending) == [entries[3], entries[5]]
+    checker.check_write_queue(wq)
+    assert wq.adr_flush() == 2
+    assert landed[4:] == [entries[3], entries[5]]
+    assert not wq._pending
+    # The flushed entries' device writes still retire, without
+    # landing the lines a second time.
+    sim.run()
+    assert len(landed) == len(entries)
+    assert wq.stats.counters["drained"].value == len(entries)
+    assert wq.outstanding == 0
 
 
 def test_drain_failure_propagates_out_of_run():

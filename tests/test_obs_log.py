@@ -139,7 +139,7 @@ class TestWiring:
         from repro.validate.invariants import InvariantChecker
 
         log = runlog.configure(run_id="v", seed=0)
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         system = NvmSystem(default_config(mode="janus"), tracer=tracer)
         checker = InvariantChecker(system)
 

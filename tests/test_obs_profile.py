@@ -154,7 +154,7 @@ class TestFoldSpans:
 
 class TestProfileReport:
     def _run(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         profiler = SimProfiler()
         result = run_point(
             "queue", mode="janus", profiler=profiler, tracer=tracer,

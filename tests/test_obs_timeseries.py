@@ -58,7 +58,7 @@ class TestSampler:
 
     def test_counter_tracks_emitted_to_tracer(self):
         registry, counter = _registry()
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         sampler = TimeSeriesSampler(50.0, registry=registry,
                                     tracer=tracer,
                                     counter_tracks=("wq.accepted",))

@@ -18,15 +18,8 @@ def run_system(mode="janus", variant="manual", tracer=None, n_txns=6):
 
 
 class TestTracerBasics:
-    def test_disabled_by_default_records_nothing(self):
-        tracer = Tracer()
-        tracer.complete("x", "cat", ("p", "t"), 0.0, 10.0)
-        tracer.instant("y", "cat", ("p", "t"), 5.0)
-        tracer.counter("z", ("p", "t"), 5.0, {"v": 1})
-        assert len(tracer) == 0
-
     def test_enabled_records_normalized_events(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("aes", "bmo", ("bmo", "encryption"), 10.0, 40.0,
                         args={"addr": 64})
         tracer.instant("hit", "irb", ("janus", "irb"), 12.0)
@@ -56,12 +49,12 @@ class TestSystemIntegration:
         traced = run_point("hash_table", mode="janus",
                            params=WorkloadParams(n_items=16, value_size=64,
                                                  n_transactions=6),
-                           tracer=Tracer(enabled=True))
+                           tracer=Tracer())
         assert traced.elapsed_ns == plain.elapsed_ns
         assert traced.stats == plain.stats
 
     def test_spans_cover_the_whole_write_path(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         system = run_system(tracer=tracer)
         cats = {e["cat"] for e in tracer.events}
         # BMO sub-ops, write phases, IRB activity, write-queue
@@ -72,7 +65,7 @@ class TestSystemIntegration:
         assert len(system.tracer) == len(tracer)
 
     def test_bmo_spans_carry_track_and_wait(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         run_system(tracer=tracer, mode="parallel", variant="baseline")
         bmo_spans = tracer.spans(cat="bmo")
         assert bmo_spans
@@ -81,7 +74,7 @@ class TestSystemIntegration:
         assert all(s["track"][0] == "bmo" for s in bmo_spans)
 
     def test_serialized_mode_emits_monolithic_block(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         run_system(tracer=tracer, mode="serialized", variant="baseline")
         blocks = tracer.spans(name="serialized-bmos")
         assert blocks

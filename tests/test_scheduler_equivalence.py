@@ -19,6 +19,7 @@ import repro.core.machine
 from repro.common.errors import ReproError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.harness.runner import run_point
+from repro.obs.profile import SimProfiler
 from repro.sim import Join, Resource, Simulator
 from repro.sim.engine import SimEvent
 from repro.validate import OracleMismatch
@@ -50,6 +51,10 @@ class HeapSimulator(Simulator):
     def _schedule_now(self, fn, *args) -> None:
         self._seq += 1
         heappush(self._heap, (self.now, self._seq, fn, args))
+
+    def _at(self, time, fn, args) -> None:
+        self._seq += 1
+        heappush(self._heap, (time, self._seq, fn, args))
 
     def run(self, until: Optional[float] = None,
             stop_event: Optional[SimEvent] = None) -> float:
@@ -131,14 +136,87 @@ def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
     return program
 
 
-def run_scheduler_program(sim_cls,
-                          program: Sequence[Sequence[tuple]]) -> dict:
+class SchedulerBomb(Exception):
+    """Raised out of :meth:`Simulator.run` by a unit-release callback
+    a ``raise`` segment picks."""
+
+
+class Countdown:
+    """Fires once, at the ``n``-th :meth:`tick` after :meth:`arm`."""
+
+    def __init__(self) -> None:
+        self.left = 0
+        self.fire = None
+
+    def arm(self, n: int, fire) -> None:
+        self.left, self.fire = n, fire
+
+    def tick(self) -> None:
+        if self.fire is not None:
+            self.left -= 1
+            if not self.left:
+                fire, self.fire = self.fire, None
+                fire()
+
+
+def run_segments(sim, segments, trace, stopper: Countdown,
+                 bomber: Countdown) -> List[bool]:
+    """Drive ``sim`` through ``run()`` calls, one per segment, then
+    run it to the end; note each call's return in ``trace``.
+
+    Segments: ``("stop", k)`` stops right after the ``k``-th noted
+    step from now; ``("entry",)`` passes a stop event that has already
+    triggered; ``("until", dt, k)`` is ``("stop", k)`` with ``until``
+    ``dt`` past the clock besides; ``("raise", k)`` makes the ``k``-th
+    unit release from now raise out of the run.  Returns, per segment,
+    whether its call entered mid-batch (a cursor left by the previous
+    call).
+    """
+    mid_batch = []
+
+    def bomb():
+        raise SchedulerBomb()
+
+    for segment in segments:
+        kind = segment[0]
+        mid_batch.append(sim._batch_pos > 0)
+        stop = sim.event("stop")
+        stopper.arm(0, None)
+        bomber.arm(0, None)
+        try:
+            if kind == "stop":
+                stopper.arm(segment[1], stop.succeed)
+                sim.run(stop_event=stop)
+            elif kind == "entry":
+                stop.succeed()
+                sim.run(stop_event=stop)
+            elif kind == "until":
+                stopper.arm(segment[2], stop.succeed)
+                sim.run(until=sim.now + segment[1], stop_event=stop)
+            elif kind == "raise":
+                bomber.arm(segment[1], bomb)
+                sim.run()
+            else:  # pragma: no cover - vocabulary guard
+                raise ValueError(f"unknown run segment {segment!r}")
+        except SchedulerBomb:
+            kind = "raised"
+        trace.append(("run", kind, stop.triggered, sim.now, sim.events))
+    stopper.arm(0, None)
+    bomber.arm(0, None)
+    sim.run()
+    return mid_batch
+
+
+def run_scheduler_program(sim_cls, program: Sequence[Sequence[tuple]],
+                          segments: Sequence[tuple] = ()) -> dict:
     """Execute a pre-generated program on a fresh ``sim_cls``; return
     the full observable outcome: the dispatch-ordered trace of
-    completed ops and callbacks (worker, step, sim-time, what), the
-    final clock, the dispatched-event count, and the resource's end
-    state."""
+    completed ops and callbacks (worker, step, sim-time, what) and of
+    the returns of the :func:`run_segments` calls, the final clock, the
+    dispatched-event count, and the resource's end state.  With no
+    ``segments`` the program runs in one ``run()``."""
     sim = sim_cls()
+    stopper, bomber = Countdown(), Countdown()
     n_shared = 1 + max((op[1] for script in program for op in script
                         if op[0] in ("signal", "fail", "wait", "then")),
                        default=0)
@@ -153,6 +231,7 @@ def run_scheduler_program(sim_cls,
 
     def note(wid, step, what):
         trace.append((wid, step, sim.now, what))
+        stopper.tick()
 
     def granted(wid, step, service):
         note(wid, step, "granted")
@@ -161,6 +240,7 @@ def run_scheduler_program(sim_cls,
     def released(wid, step):
         resource.release()
         note(wid, step, "released")
+        bomber.tick()
 
     def waiter(wid, step):
         event = sim.event("waiter")
@@ -213,8 +293,9 @@ def run_scheduler_program(sim_cls,
 
     for wid, script in enumerate(program):
         procs[wid] = sim.process(worker(wid, script), name=f"w{wid}")
-    sim.run()
+    mid_batch = run_segments(sim, segments, trace, stopper, bomber)
     return {
+        "mid_batch": mid_batch,
         "trace": trace,
         "final_now": sim.now,
         "events": sim.events,
@@ -224,38 +305,57 @@ def run_scheduler_program(sim_cls,
     }
 
 
+def profiled_simulator() -> Simulator:
+    """The production kernel with a profiler attached, which runs it
+    on its hooked loop."""
+    sim = Simulator()
+    sim.profile = SimProfiler()
+    return sim
+
+
+#: The production kernel's two loops, each checked against the heap.
+LOOPS = (("bucket", Simulator), ("hooked", profiled_simulator))
+
+
 def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
-                                rounds: int = 1) -> None:
-    """Raise :class:`OracleMismatch` unless the calendar queue
-    reproduces the reference heap's behaviour — same dispatch order,
-    same clocks, same dispatched-event count — on ``rounds`` random
-    programs drawn from ``rng``."""
+                                rounds: int = 1, segments=None) -> None:
+    """Raise :class:`OracleMismatch` unless both loops of the calendar
+    queue reproduce the reference heap's behaviour — same dispatch
+    order, same clocks, same dispatched-event count — on ``rounds``
+    random programs drawn from ``rng``.  ``segments(rng)``, when
+    given, draws each round's :func:`run_segments` plan."""
     for round_no in range(rounds):
         program = build_scheduler_program(rng, workers=workers,
                                           steps=steps)
-        ref = run_scheduler_program(HeapSimulator, program)
-        got = run_scheduler_program(Simulator, program)
-        if ref == got:
-            continue
-        for key in ("trace", "final_now", "events", "resource",
-                    "finished"):
-            if ref[key] != got[key]:
-                detail = f"{key}: heap={ref[key]!r} bucket={got[key]!r}"
-                if key == "trace":
-                    for i, (a, b) in enumerate(zip(ref["trace"],
-                                                   got["trace"])):
-                        if a != b:
-                            detail = (f"trace[{i}]: heap={a!r} "
-                                      f"bucket={b!r}")
-                            break
-                    else:
-                        detail = (f"trace length "
-                                  f"{len(ref['trace'])} != "
-                                  f"{len(got['trace'])}")
-                raise OracleMismatch(
-                    f"scheduler lockstep diverged on round {round_no}: "
-                    f"{detail}",
-                    diff=[("heap", ref), ("bucket", got)])
+        plan = segments(rng) if segments is not None else ()
+        ref = run_scheduler_program(HeapSimulator, program, plan)
+        # The heap has no batches: where a call entered is the bucket
+        # loops' own business.
+        ref.pop("mid_batch")
+        for label, sim_cls in LOOPS:
+            got = run_scheduler_program(sim_cls, program, plan)
+            got.pop("mid_batch")
+            if ref == got:
+                continue
+            for key in ("trace", "final_now", "events", "resource",
+                        "finished"):
+                if ref[key] != got[key]:
+                    detail = f"{key}: heap={ref[key]!r} {label}={got[key]!r}"
+                    if key == "trace":
+                        for i, (a, b) in enumerate(zip(ref["trace"],
+                                                       got["trace"])):
+                            if a != b:
+                                detail = (f"trace[{i}]: heap={a!r} "
+                                          f"{label}={b!r}")
+                                break
+                        else:
+                            detail = (f"trace length "
+                                      f"{len(ref['trace'])} != "
+                                      f"{len(got['trace'])}")
+                    raise OracleMismatch(
+                        f"scheduler lockstep diverged on round "
+                        f"{round_no} ({plan}): {detail}",
+                        diff=[("heap", ref), (label, got)])
 
 
 # -- tests ------------------------------------------------------------------
@@ -278,6 +378,64 @@ def test_dense_same_time_programs_run_in_lockstep():
     interleaving, the part of the bucket loop with no heap analogue."""
     rng = DeterministicRng(99).stream("sched-lockstep-dense")
     check_scheduler_equivalence(rng, workers=10, steps=40, rounds=3)
+
+
+#: Seeded ``run()`` plans, one per way a run can end early: a stop
+#: event triggered by a step (the next call resumes mid-batch), a stop
+#: event already triggered at entry, ``until`` with a stop event, and
+#: a callback raising out of the run.
+STOP_PLANS = {
+    "stop-mid-batch": lambda rng: [("stop", rng.randrange(1, 40))
+                                   for _ in range(3)],
+    "triggered-at-entry": lambda rng: [("stop", rng.randrange(1, 40)),
+                                       ("entry",), ("entry",),
+                                       ("stop", rng.randrange(1, 40)),
+                                       ("entry",)],
+    "until-and-stop": lambda rng: [("until", rng.choice([0, 1, 3, 8]),
+                                    rng.randrange(1, 60))
+                                   for _ in range(4)],
+    "raise-mid-batch": lambda rng: [("raise", rng.randrange(1, 8))
+                                    for _ in range(3)],
+}
+
+
+@pytest.mark.parametrize("plan", sorted(STOP_PLANS))
+def test_stopped_and_resumed_runs_in_lockstep(plan):
+    """Runs cut short and resumed dispatch the same callbacks at the
+    same times, count the same events and leave the same clocks on
+    the heap, the plain loop and the hooked loop, at every cut."""
+    rng = DeterministicRng(7).stream(f"sched-stop-{plan}")
+    check_scheduler_equivalence(rng, workers=10, steps=40, rounds=6,
+                                segments=STOP_PLANS[plan])
+
+
+def test_stop_plans_reach_their_cases():
+    """The lockstep's runs end the way their plans are named for, and
+    calls after a cut resume from a same-instant batch cursor."""
+    ends, mid_batch = {}, {}
+    for plan, draw in STOP_PLANS.items():
+        # The programs and plans the lockstep test draws.
+        rng = DeterministicRng(7).stream(f"sched-stop-{plan}")
+        ends[plan], mid_batch[plan] = [], []
+        for _ in range(6):
+            program = build_scheduler_program(rng, workers=10, steps=40)
+            result = run_scheduler_program(Simulator, program, draw(rng))
+            ends[plan].append([entry[1:] for entry in result["trace"]
+                               if entry[0] == "run"])
+            mid_batch[plan].extend(result["mid_batch"])
+    for plan in ("stop-mid-batch", "triggered-at-entry",
+                 "raise-mid-batch"):
+        assert any(mid_batch[plan]), plan
+    assert {kind for calls in ends["raise-mid-batch"]
+            for kind, _, _, _ in calls} == {"raised"}
+    # A stop triggered at entry dispatches nothing and keeps the clock.
+    for calls in ends["triggered-at-entry"]:
+        for before, (kind, _, now, events) in zip(calls, calls[1:]):
+            if kind == "entry":
+                assert (now, events) == before[2:]
+    # ``until`` ends some calls, the stop event others.
+    assert {stopped for calls in ends["until-and-stop"]
+            for _, stopped, _, _ in calls} == {False, True}
 
 
 def _run_queue(monkeypatch, sim_cls, mode: str) -> tuple:

@@ -15,7 +15,7 @@ MODES = ("serialized", "parallel", "janus", "ideal", "coalesced",
 
 
 def write_spans(mode="serialized", variant="baseline", n_txns=6):
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     system = NvmSystem(default_config(mode=mode), tracer=tracer)
     workload = make_workload(
         "array_swap", system, system.cores[0],
@@ -80,7 +80,7 @@ def test_commit_records_marked_critical():
                          ids=["1c1s", "2c2s"])
 @pytest.mark.parametrize("mode", MODES)
 def test_write_spans_match_writebacks(mode, cores, shards):
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     result = run_point("hash_table", mode=mode, cores=cores,
                        shards=shards,
                        params=WorkloadParams(n_transactions=6),

@@ -37,7 +37,7 @@ def run_cell(workload, mode, cores=1, shards=1, params=None,
 
     ``boom=(subop, n)`` makes the ``n``th execution of that sub-op
     raise; the run's error is then part of the result."""
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     system, workloads = build(
         workload, mode, params or WorkloadParams(n_transactions=2,
                                                  n_items=8),

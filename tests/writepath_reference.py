@@ -202,7 +202,7 @@ def wq_accept(self, entry: WriteEntry):
         # Back-pressure: the queue was full and this write stalled.
         self._h_full_stall.observe(self.sim.now - arrival)
     entry.accepted_at = self.sim.now
-    self._pending.append(entry)
+    self._pending[entry] = None
     if self.tracer.enabled:
         self.tracer.counter("wq-occupancy", self.TRACK, self.sim.now,
                             {"outstanding": self.outstanding})
@@ -214,7 +214,7 @@ def wq_drain(self, entry: WriteEntry):
     try:
         yield from self.device.write_access(entry.addr)
         if entry in self._pending:  # not already ADR-flushed
-            self._pending.remove(entry)
+            del self._pending[entry]
             if entry.on_drain is not None:
                 entry.on_drain(entry)
             if self.injector is not None:
