@@ -267,26 +267,28 @@ class BmoExecutor:
         yield from self.run_subops(ctx, runnable)
         return ctx
 
+    def refresh(self, ctx: BmoContext) -> Optional[SimEvent]:
+        """Invalidate stale sub-ops and start what is left; the run's
+        done event, or ``None`` when ``ctx`` is complete and fresh."""
+        if ctx.addr is None or ctx.data is None:
+            raise SimulationError("write context needs both addr and data")
+        stale = self.pipeline.stale_subops(ctx)
+        if stale:
+            self._c_stale_rerun.add(len(stale))
+            self.pipeline.invalidate(ctx, stale)
+        return self.start(ctx)
+
     def refresh_and_complete(self, ctx: BmoContext, waiter: SimEvent,
                              fn: Callable, *args) -> None:
         """Bring ``ctx`` to a committed-ready state, then call
         ``fn(*args)``; a sub-op's error fails ``waiter``.
 
-        Re-runs stale sub-ops (and their dependents) until the context
-        is both complete and fresh.  Called by the Janus engine with
-        the write's final address and data already installed.  ``fn``
-        runs at once when nothing is left to run, else from the last
-        run's done event.
+        Repeats :meth:`refresh` until nothing is left to run, and
+        calls ``fn`` from that pass, so ``ctx`` is fresh when it runs.
+        The Janus engine makes the first pass itself.
         """
         try:
-            if ctx.addr is None or ctx.data is None:
-                raise SimulationError(
-                    "write context needs both addr and data")
-            stale = self.pipeline.stale_subops(ctx)
-            if stale:
-                self._c_stale_rerun.add(len(stale))
-                self.pipeline.invalidate(ctx, stale)
-            done = self.start(ctx)
+            done = self.refresh(ctx)
         except Exception as err:
             waiter.fail(err)
             return

@@ -92,10 +92,11 @@ class SchedulingPolicy:
         call :meth:`_bmos_done`; a sub-op's error fails ``wb``."""
         raise NotImplementedError
 
-    def _bmos_done(self, wb) -> None:
+    def _bmos_done(self, wb, fresh: bool = False) -> None:
+        # ``fresh``: this callback ran or checked ``wb.ctx``.
         wb.bmo_done = self.sim.now
         self.controller._persist(wb.ctx, wb.critical, wb, self._persisted,
-                                 wb)
+                                 wb, fresh=fresh)
 
     def _persisted(self, wb) -> None:
         mc = self.controller
@@ -129,7 +130,9 @@ class SerializedPolicy(SchedulingPolicy):
     def run_bmos(self, wb):
         wb.ctx = self.pipeline.make_context(addr=wb.line_addr,
                                             data=wb.data)
-        self.executor.run_serialized(wb.ctx, wb, self._bmos_done, wb)
+        # The block ends in the callback that commits: fresh.
+        self.executor.run_serialized(wb.ctx, wb, self._bmos_done, wb,
+                                     True)
 
 
 class ParallelPolicy(SchedulingPolicy):
@@ -164,7 +167,7 @@ class JanusPolicy(SchedulingPolicy):
 
     def _serviced(self, ctx, fully, wb):
         wb.ctx = ctx
-        self._bmos_done(wb)
+        self._bmos_done(wb, fresh=fully is not None)  # IRB-matched
 
 
 class _StopRun:

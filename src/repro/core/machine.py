@@ -246,12 +246,14 @@ class MemoryController:
                             dur_ns=persisted - bmo_done)
 
     def _persist(self, ctx, critical: bool, waiter: SimEvent,
-                 fn: Callable, *args) -> None:
+                 fn: Callable, *args, fresh: bool = False) -> None:
         """Commit BMO state and enter the persist domain, then call
         ``fn(*args)``: at once when nothing had to be waited for, else
-        where the last wait ended.  An error fails ``waiter``."""
+        where the last wait ended.  An error fails ``waiter``.  Stale
+        sub-ops re-run first, unless ``fresh`` says this callback ran
+        or checked ``ctx``, so that no commit can have come between."""
         try:
-            rerun = self._rerun_stale(ctx)
+            rerun = None if fresh else self._rerun_stale(ctx)
             accepted = None if rerun is not None \
                 else self._accept(ctx, critical)
         except Exception as err:

@@ -67,10 +67,6 @@ from repro.workloads import WORKLOADS, WorkloadParams, make_workload
 
 SCHEMA = "repro-crashtest-v1"
 DEFAULT_MODES = ("serialized", "janus")
-#: Worker entry points, resolved by dotted path inside each worker.
-_REFERENCE_FN = "repro.harness.crash_campaign:reference_trajectory"
-_CRASH_POINT_FN = "repro.harness.crash_campaign:run_crash_point"
-_SCENARIO_FN = "repro.harness.crash_campaign:run_fault_scenario"
 #: BMO set used by the fault scenarios: every metadata store plus ECC,
 #: so media faults exercise correction *and* poisoning.
 FAULT_BMOS = ("dedup", "encryption", "integrity", "ecc")
@@ -427,7 +423,6 @@ def _crash_times(config: CampaignConfig, name: str, mode: str,
 
 def run_campaign(config: Optional[CampaignConfig] = None,
                  jobs: Optional[int] = None,
-                 timeout_s: Optional[float] = None,
                  progress=None) -> Dict:
     """Run the full campaign; returns the (deterministic) report.
 
@@ -437,13 +432,12 @@ def run_campaign(config: Optional[CampaignConfig] = None,
     sealed seeded run and the report is assembled in sweep order, so
     the JSON document is **byte-identical for any job count** —
     including ``jobs=1``, which runs inline with no processes at all.
-    A point that still fails after the executor's bounded retries
-    (or exceeds ``timeout_s``) is recorded as a ``failed:`` result
-    plus a ``point-failed`` violation instead of sinking the sweep.
+    A point that still fails after the executor's bounded retries is
+    recorded as a ``failed:`` result plus a ``point-failed`` violation
+    instead of sinking the sweep.
     """
     config = config or CampaignConfig()
-    executor = ParallelExecutor(jobs=jobs, timeout_s=timeout_s,
-                                progress=progress)
+    executor = ParallelExecutor(jobs=jobs, progress=progress)
     runlog.event("harness.crashtest", "campaign.start",
                  workloads=list(config.workloads),
                  modes=list(config.modes), points=config.points,
@@ -463,10 +457,10 @@ def run_campaign(config: Optional[CampaignConfig] = None,
     # Phase 1 — reference trajectories (one per workload x mode).
     # These anchor every downstream check, so a failure here is fatal.
     references = executor.map_values([
-        SweepTask(key=(name, mode), fn=_REFERENCE_FN,
+        SweepTask(key=(name, mode), fn=reference_trajectory,
                   kwargs=dict(name=name, mode=mode, params=params,
                               seed=config.seed, shards=config.shards))
-        for name, mode in pairs], strict=True)
+        for name, mode in pairs])
 
     # Phase 2 — every crash point of every sweep, one task each.
     point_tasks = []
@@ -477,7 +471,7 @@ def run_campaign(config: Optional[CampaignConfig] = None,
                 _crash_times(config, name, mode, horizon)):
             crash_ats[(name, mode, i)] = crash_at
             point_tasks.append(SweepTask(
-                key=(name, mode, i), fn=_CRASH_POINT_FN,
+                key=(name, mode, i), fn=run_crash_point,
                 kwargs=dict(name=name, mode=mode, params=params,
                             seed=config.seed, crash_at=crash_at,
                             shards=config.shards)))
@@ -487,7 +481,7 @@ def run_campaign(config: Optional[CampaignConfig] = None,
     scenario_results: Dict[str, "TaskResult"] = {}
     if config.fault_scenarios:
         scenario_results = {r.key[0]: r for r in executor.map([
-            SweepTask(key=(label,), fn=_SCENARIO_FN,
+            SweepTask(key=(label,), fn=run_fault_scenario,
                       kwargs=dict(label=label, kind=kind,
                                   spec_kwargs=dict(spec_kwargs),
                                   bmos=bmos, config=config))
@@ -540,8 +534,8 @@ def run_campaign(config: Optional[CampaignConfig] = None,
                 else:
                     # No faults are injected in the main sweep, so a
                     # rejection here is itself a violation; a point
-                    # whose *simulation* failed (worker raised or
-                    # timed out after retries) is one too.
+                    # whose *simulation* failed (the task raised or
+                    # its worker died, after retries) is one too.
                     violations.append({
                         "workload": name, "mode": mode, "point": i,
                         "kind": "point-failed"

@@ -27,6 +27,7 @@ from repro.harness.parallel import ParallelExecutor, SweepTask
 from repro.harness.report import Table, arithmetic_mean
 from repro.harness.runner import (
     ExperimentResult,
+    run_point,
     speedup_over,
 )
 from repro.janus.overhead import hardware_overhead_report
@@ -58,9 +59,6 @@ def _params(scale: float, value_size: int = 64,
     )
 
 
-#: Worker entry point for every figure sweep (resolved in the worker).
-_RUN_POINT = "repro.harness.runner:run_point"
-
 #: ``(key, run_point kwargs)`` — the unit every sweep is built from.
 PointSpec = Tuple[Tuple, Dict]
 
@@ -72,13 +70,13 @@ def _sweep_points(specs: List[PointSpec],
     """Run an ordered spec list; return ``key -> ExperimentResult``.
 
     A figure with missing points is useless, so a point that still
-    fails after the executor's bounded retries raises (strict mode)
-    rather than rendering a partial table.
+    fails after the executor's bounded retries raises rather than
+    rendering a partial table.
     """
-    tasks = [SweepTask(key=key, fn=_RUN_POINT, kwargs=kwargs)
+    tasks = [SweepTask(key=key, fn=run_point, kwargs=kwargs)
              for key, kwargs in specs]
     executor = ParallelExecutor(jobs=jobs, progress=progress)
-    return executor.map_values(tasks, strict=True)
+    return executor.map_values(tasks)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ from repro.validate.oracles import OracleMismatch, check_recovery_idempotent
 from repro.workloads import WORKLOADS, WorkloadParams
 
 SCHEMA = "repro-soak-v1"
-_CELL_FN = "repro.harness.soak:run_cell"
 #: Metadata stores plus ECC — accumulated media damage must be
 #: correctable evidence, never silent corruption.
 SOAK_BMOS = ("dedup", "encryption", "integrity", "ecc")
@@ -469,7 +468,6 @@ def run_cell(name: str, mode: str, config: SoakConfig) -> Dict:
 # -- the campaign -------------------------------------------------------------
 def run_soak(config: Optional[SoakConfig] = None,
              jobs: Optional[int] = None,
-             timeout_s: Optional[float] = None,
              progress=None) -> Dict:
     """Run the soak campaign; returns the (deterministic) report.
 
@@ -478,8 +476,7 @@ def run_soak(config: Optional[SoakConfig] = None,
     job count.
     """
     config = config or SoakConfig()
-    executor = ParallelExecutor(jobs=jobs, timeout_s=timeout_s,
-                                progress=progress)
+    executor = ParallelExecutor(jobs=jobs, progress=progress)
     runlog.event("soak", "campaign.start",
                  workloads=list(config.workloads),
                  modes=list(config.modes), cycles=config.cycles,
@@ -487,7 +484,7 @@ def run_soak(config: Optional[SoakConfig] = None,
     cells = [(name, mode) for name in config.workloads
              for mode in config.modes]
     results = {r.key: r for r in executor.map([
-        SweepTask(key=(name, mode), fn=_CELL_FN,
+        SweepTask(key=(name, mode), fn=run_cell,
                   kwargs=dict(name=name, mode=mode, config=config))
         for name, mode in cells])}
 

@@ -198,7 +198,8 @@ class JanusEngine:
         ``fn`` runs at once when nothing had to be waited for, else
         from the callback of the last wait: in-flight pre-execution or
         a run of the remaining sub-operations.  A sub-op's error fails
-        ``waiter`` instead.
+        ``waiter`` instead.  An unmatched write, whose context may
+        have gone stale since, gets ``None`` for the flag.
         """
         try:
             entry = self.irb.match_write(thread_id, line_addr, data)
@@ -210,9 +211,9 @@ class JanusEngine:
             return
         if entry is None:
             if done is None:
-                fn(ctx, False, *args)
+                fn(ctx, None, *args)
             else:
-                done.then(waiter, fn, ctx, False, *args)
+                done.then(waiter, fn, ctx, None, *args)
             return
         if entry.inflight is not None:
             # The write arrived before its pre-execution finished —
@@ -255,15 +256,14 @@ class JanusEngine:
                 self.pipeline.invalidate(ctx, data_dependent)
             ctx.addr = line_addr
             ctx.data = data
-            fully = (not self.pipeline.stale_subops(ctx)
-                     and set(ctx.completed)
-                     == set(self.pipeline.graph.subops))
+            done = self.executor.refresh(ctx)  # None: fully pre-executed
         except Exception as err:
             waiter.fail(err)
             return
-        if fully:
+        if done is None:
             self._c_fully_pre_executed.add()
+            fn(ctx, True, *args)
         else:
             self._c_partially_pre_executed.add()
-        self.executor.refresh_and_complete(ctx, waiter, fn, ctx, fully,
-                                           *args)
+            done.then(waiter, self.executor.refresh_and_complete, ctx,
+                      waiter, fn, ctx, False, *args)

@@ -38,7 +38,7 @@ retries, report writes) omit it.
 
 import io
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Severity order for :meth:`RunLog.min_level` filtering.
 LEVELS = ("debug", "info", "warn", "error")
@@ -137,6 +137,21 @@ class RunLog:
                 self.text().splitlines() if line]
 
 
+class CapturedLog(RunLog):
+    """A sweep worker's stand-in for the log it inherited, whose
+    stream it shares with the parent: it keeps each event, with the
+    fields bound when it fired, in ``kept``.  The parent emits them in
+    task order, as if the task had run inline."""
+
+    def __init__(self, parent: RunLog):
+        super().__init__()
+        self.context = dict(parent.context)
+        self.kept: List[Tuple[Tuple, Dict]] = []
+
+    def event(self, *args, **fields) -> None:
+        self.kept.append((args, {**self.context, **fields}))
+
+
 #: The process-wide current log, or ``None`` (logging disabled).
 _CURRENT: Optional[RunLog] = None
 
@@ -161,6 +176,17 @@ def configure(path: Optional[str] = None, stream=None,
 def current() -> Optional[RunLog]:
     """The configured log, or ``None`` when logging is disabled."""
     return _CURRENT
+
+
+def capture() -> List[Tuple[Tuple, Dict]]:
+    """In a forked sweep worker: swap the inherited log for a
+    :class:`CapturedLog` without writing, flushing or closing it;
+    returns the list its events go to (none when logging is off)."""
+    global _CURRENT
+    if _CURRENT is None:
+        return []
+    _CURRENT = CapturedLog(_CURRENT)
+    return _CURRENT.kept
 
 
 def close() -> None:

@@ -12,9 +12,9 @@ Pipeline:
    :class:`~repro.validate.invariants.InvariantChecker` *and* the
    differential oracles; any ``InvariantViolation``, any
    ``OracleMismatch``, and any unexpected exception is a failure.
-   Cases shard across worker processes via
-   :mod:`repro.harness.parallel`; results merge in submission order,
-   so the report is byte-identical at any job count.
+   Each case is one task of :mod:`repro.harness.parallel`; results
+   merge in submission order, so the report is byte-identical at any
+   job count.
 3. **Reduce** — failing ``api`` cases go through a delta-debugging
    (ddmin-style) pass that removes op chunks while the same failure
    class reproduces, yielding a minimal deterministic repro.
@@ -46,8 +46,6 @@ SCHEMA_REPORT = "repro-fuzz-report-v1"
 #: Workload kernels mixed into the default case diet (small, fast,
 #: structurally diverse).
 DEFAULT_WORKLOADS = ("array_swap", "queue", "hash_table")
-#: Cases per worker-process batch (amortizes fork cost).
-BATCH = 4
 
 #: Candidate-mode rotation for differential cases: every api/workload
 #: case diffs one of these against the serialized reference, cycling
@@ -218,11 +216,6 @@ def run_case(case: FuzzCase) -> Optional[Dict]:
     return None
 
 
-def run_batch(case_dicts: List[Dict]) -> List[Optional[Dict]]:
-    """Worker entry point: one failure-or-None per case, in order."""
-    return [run_case(FuzzCase.from_dict(data)) for data in case_dicts]
-
-
 # ---------------------------------------------------------------------------
 # delta-debugging reduction (api cases)
 # ---------------------------------------------------------------------------
@@ -274,59 +267,38 @@ def run_fuzz(cases: int = 60, seed: int = 0, max_ops: int = 16,
              jobs: Optional[int] = None,
              workloads: Sequence[str] = DEFAULT_WORKLOADS,
              out_dir: Optional[str] = None, write: bool = True,
-             progress=None, shards: int = 1,
-             worker_fn: str = "repro.validate.fuzz:run_batch") -> Dict:
+             progress=None, shards: int = 1) -> Dict:
     """Run one fuzz campaign; returns the report dict.
 
     Deterministic contract: the report body and every repro file are
     byte-identical for the same ``(seed, cases, max_ops, workloads)``
-    at any ``jobs`` count — sharding is merged in submission order and
-    reduction happens in the parent.
-
-    ``worker_fn`` names the batch runner resolved inside each worker
-    process (``module:callable``, same contract as :func:`run_batch`).
-    Mutation-testing harnesses point it at a wrapper that plants a
-    bug before delegating — worker processes do not inherit the
-    parent's monkeypatches.
+    at any ``jobs`` count — cases merge in submission order and
+    reduction happens in the parent.  A worker is forked per sweep,
+    so it runs under the parent's monkeypatches (a planted bug).
     """
     runlog.event("validate.fuzz", "campaign.start", cases=cases,
                  seed=seed, max_ops=max_ops,
                  workloads=list(workloads))
     case_list = generate_cases(seed, cases, max_ops=max_ops,
                                workloads=workloads, shards=shards)
-    batches = [case_list[i:i + BATCH]
-               for i in range(0, len(case_list), BATCH)]
-    tasks = [SweepTask(key=("fuzz", i), fn=worker_fn,
-                       args=([c.to_dict() for c in batch],))
-             for i, batch in enumerate(batches)]
+    tasks = [SweepTask(key=("fuzz", i), fn=run_case, args=(case,))
+             for i, case in enumerate(case_list)]
     executor = ParallelExecutor(jobs=jobs, timeout_s=600.0,
                                 progress=progress)
     results = executor.map(tasks)
 
-    failures = []
-    for batch_index, result in enumerate(results):
-        if not result.ok:
-            # The batch runner itself died (it classifies per-case
-            # failures internally, so this is harness trouble).
-            failures.append({
-                "case": {"kind": "batch", "seed": seed,
-                         "ops": [], "params": {"batch": batch_index}},
-                "failure": {"class": "harness", "detail": result.error},
-            })
-            continue
-        for offset, failure in enumerate(result.value):
-            if failure is None:
-                continue
-            case = batches[batch_index][offset]
-            failures.append({"case": case.to_dict(),
-                             "failure": failure})
-
     repros = []
-    for entry in failures:
-        case = FuzzCase.from_dict(entry["case"]) \
-            if entry["case"]["kind"] != "batch" else None
-        if case is not None and case.kind == "api":
-            reduced, runs = reduce_case(case, entry["failure"])
+    for case, result in zip(case_list, results):
+        # run_case classifies every failure of the case itself, so a
+        # failed task is harness trouble (its worker died or timed
+        # out) and is reported, not reduced.
+        failure = result.value if result.ok \
+            else {"class": "harness", "detail": result.error}
+        if failure is None:
+            continue
+        entry = {"case": case.to_dict(), "failure": failure}
+        if result.ok and case.kind == "api":
+            reduced, runs = reduce_case(case, failure)
             entry["reduced"] = reduced.to_dict()
             entry["reduction_runs"] = runs
         repros.append(entry)

@@ -163,10 +163,9 @@ class TestWiring:
         from repro.harness.parallel import ParallelExecutor, SweepTask
 
         log = runlog.configure(run_id="p", seed=0)
-        executor = ParallelExecutor(jobs=1, retries=1)
+        executor = ParallelExecutor(jobs=1)
         results = executor.map([SweepTask(
-            key=("bad",), fn="repro.harness.parallel:resolve_callable",
-            args=("not-a-dotted-path",))])
+            key=("bad",), fn=int, args=("not-a-number",))])
         assert not results[0].ok
         events = [r["event"] for r in log.records()]
         assert "task_retry" in events

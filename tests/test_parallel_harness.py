@@ -3,22 +3,27 @@
 The executor's contract is that sharding a sweep across worker
 processes changes *nothing* but wall-clock:
 
-1. figure sweeps and campaign reports are byte-identical at any job
-   count (the merged output is assembled in task-submission order);
-2. a raising or wedged worker is retried up to the bounded budget and
-   then recorded as a failed :class:`TaskResult` — the sweep itself
-   never sinks;
-3. ``jobs=1`` never spawns a process (inline path, same code route).
+1. figure sweeps, campaign reports and the run log are byte-identical
+   at any job count (each is assembled in task-submission order);
+2. a raising task, a wedged worker and a dead worker are retried up
+   to the bounded budget and then recorded as a failed
+   :class:`TaskResult` — the sweep itself never sinks;
+3. ``jobs=1`` never spawns a process (inline path, same code route);
+4. a map reuses at most ``jobs`` workers and joins every one of them
+   before it returns or raises.
 
-Worker functions used by the process path live at module scope so a
-forked child can resolve them by dotted path via ``sys.modules``.
+Worker functions used by the process path live at module scope so
+they pickle by reference.
 """
 
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.crash_campaign import CampaignConfig, run_campaign
 from repro.harness.experiments import fig9_multicore
 from repro.harness.parallel import (
@@ -26,16 +31,13 @@ from repro.harness.parallel import (
     ParallelExecutor,
     SweepTask,
     TaskResult,
-    resolve_callable,
     resolve_jobs,
     run_task,
 )
 from repro.obs import log as runlog
 
-_HERE = __name__  # dotted module path for worker-resolvable fns
 
-
-# -- worker functions (must be importable from a forked child) ------------
+# -- worker functions (module scope: they pickle by reference) ------------
 def _double(x):
     return 2 * x
 
@@ -73,9 +75,23 @@ def _slow_once(marker_path, sleep_s, value):
     return value
 
 
-def _tasks(n, fn="_double"):
-    return [SweepTask(key=("t", i), fn=f"{_HERE}:{fn}", args=(i,))
-            for i in range(n)]
+def _pid(_x):
+    return os.getpid()
+
+
+def _die(code):
+    os._exit(code)
+
+
+def _logged(seconds, value):
+    """Emit a run-log record inside the task, after a sleep."""
+    time.sleep(seconds)
+    runlog.event("test", "task", value=value)
+    return value
+
+
+def _tasks(n, fn=_double):
+    return [SweepTask(key=("t", i), fn=fn, args=(i,)) for i in range(n)]
 
 
 @pytest.fixture
@@ -105,10 +121,6 @@ class TestResolveJobs:
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
 
-    def test_resolve_callable_rejects_plain_dotted(self):
-        with pytest.raises(ValueError):
-            resolve_callable("repro.harness.parallel.run_task")
-
 
 # -- determinism: sweeps are byte-identical at any job count --------------
 class TestByteIdenticalMerge:
@@ -134,8 +146,7 @@ class TestByteIdenticalMerge:
         # Completion order is reversed (later tasks sleep less), but
         # the merged result list must follow submission order.
         delays = [0.20, 0.12, 0.05, 0.01]
-        tasks = [SweepTask(key=("d", i), fn=f"{_HERE}:_sleepy",
-                           args=(delay, i))
+        tasks = [SweepTask(key=("d", i), fn=_sleepy, args=(delay, i))
                  for i, delay in enumerate(delays)]
         results = ParallelExecutor(jobs=4).map(tasks)
         assert [r.key for r in results] == [("d", i)
@@ -147,16 +158,15 @@ class TestByteIdenticalMerge:
 class TestFailureHandling:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_raising_task_retried_then_recorded(self, jobs, run_log):
-        executor = ParallelExecutor(jobs=jobs, retries=1)
-        tasks = _tasks(3) + [SweepTask(key=("bad",),
-                                       fn=f"{_HERE}:_boom", args=(9,))]
+        executor = ParallelExecutor(jobs=jobs)
+        tasks = _tasks(3) + [SweepTask(key=("bad",), fn=_boom, args=(9,))]
         results = executor.map(tasks)
         assert len(results) == 4
         by_key = {r.key: r for r in results}
         bad = by_key[("bad",)]
         assert not bad.ok
         assert "boom 9" in bad.error
-        assert bad.attempts == 2  # retries=1 -> two attempts
+        assert bad.attempts == 2  # one retry -> two attempts
         for i in range(3):  # the sweep itself did not sink
             assert by_key[("t", i)].ok
             assert by_key[("t", i)].value == 2 * i
@@ -166,17 +176,16 @@ class TestFailureHandling:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_flaky_task_recovers_on_retry(self, jobs, tmp_path):
         marker = tmp_path / f"flaky-{jobs}.marker"
-        task = SweepTask(key=("f",), fn=f"{_HERE}:_flaky",
+        task = SweepTask(key=("f",), fn=_flaky,
                          args=(str(marker), 1, "ok"))
-        results = ParallelExecutor(jobs=jobs, retries=1).map([task] +
-                                                             _tasks(2))
+        results = ParallelExecutor(jobs=jobs).map([task] + _tasks(2))
         flaky = {r.key: r for r in results}[("f",)]
         assert flaky.ok and flaky.value == "ok"
         assert flaky.attempts == 2
 
     def test_timed_out_worker_terminated_and_recorded(self, run_log):
-        executor = ParallelExecutor(jobs=2, timeout_s=0.25, retries=1)
-        tasks = [SweepTask(key=("slow",), fn=f"{_HERE}:_sleepy",
+        executor = ParallelExecutor(jobs=2, timeout_s=0.25)
+        tasks = [SweepTask(key=("slow",), fn=_sleepy,
                            args=(30.0, None))] + _tasks(2)
         start = time.perf_counter()
         results = executor.map(tasks)
@@ -198,9 +207,8 @@ class TestFailureHandling:
         same merged results as the inline (jobs=1) run — the timeout
         machinery may cost wall-clock, never output."""
         marker = tmp_path / "slow-once.marker"
-        executor = ParallelExecutor(jobs=2, timeout_s=1.0, retries=1)
-        tasks = _tasks(3) + [SweepTask(key=("slow",),
-                                       fn=f"{_HERE}:_slow_once",
+        executor = ParallelExecutor(jobs=2, timeout_s=1.0)
+        tasks = _tasks(3) + [SweepTask(key=("slow",), fn=_slow_once,
                                        args=(str(marker), 30.0, "v"))]
         results = executor.map(tasks)
         slow = {r.key: r for r in results}[("slow",)]
@@ -215,7 +223,7 @@ class TestFailureHandling:
         inline_marker = tmp_path / "inline.marker"
         inline_marker.write_text("x\n")
         inline_tasks = _tasks(3) + [SweepTask(
-            key=("slow",), fn=f"{_HERE}:_slow_once",
+            key=("slow",), fn=_slow_once,
             args=(str(inline_marker), 30.0, "v"))]
         inline = ParallelExecutor(jobs=1).map(inline_tasks)
         assert [r.key for r in inline] == [r.key for r in results]
@@ -223,15 +231,112 @@ class TestFailureHandling:
         assert [r.ok for r in inline] == [r.ok for r in results]
 
     def test_map_values_strict_raises_with_context(self):
-        executor = ParallelExecutor(jobs=1, retries=0)
+        executor = ParallelExecutor(jobs=1)
         with pytest.raises(RuntimeError, match="boom 0"):
-            executor.map_values(_tasks(2, fn="_boom"))
+            executor.map_values(_tasks(2, fn=_boom))
 
-    def test_map_values_non_strict_drops_failures(self):
-        executor = ParallelExecutor(jobs=1, retries=0)
-        values = executor.map_values(
-            _tasks(2) + _tasks(1, fn="_boom"), strict=False)
-        assert values == {("t", 0): 0, ("t", 1): 2}
+    def test_dead_worker_replaced_then_recorded(self, run_log):
+        results = ParallelExecutor(jobs=2).map(
+            _tasks(3) + [SweepTask(key=("dead",), fn=_die, args=(3,))])
+        dead = {r.key: r for r in results}[("dead",)]
+        assert not dead.ok and dead.attempts == 2
+        assert dead.error == \
+            "WorkerDied: exit code 3 before sending a result"
+        assert [r.value for r in results[:3]] == [0, 2, 4]
+        assert [r["key"] for r in run_log("task_retry")] == [["dead"]]
+
+
+# -- worker reuse and lifecycle -------------------------------------------
+def _map_normal():
+    assert len(ParallelExecutor(jobs=2).map(_tasks(6))) == 6
+
+
+def _map_strict_failure():
+    with pytest.raises(RuntimeError, match="boom"):
+        ParallelExecutor(jobs=2).map_values(
+            _tasks(3) + _tasks(1, fn=_boom))
+
+
+def _map_timeout():
+    results = ParallelExecutor(jobs=2, timeout_s=0.2).map(
+        [SweepTask(key=("slow",), fn=_sleepy, args=(30.0, None))]
+        + _tasks(2))
+    assert results[0].error.startswith("TaskTimeout")
+
+
+def _map_worker_death():
+    results = ParallelExecutor(jobs=2).map(
+        [SweepTask(key=("dead",), fn=_die, args=(1,))] + _tasks(2))
+    assert results[0].error.startswith("WorkerDied")
+
+
+class TestWorkerLifecycle:
+    def test_workers_are_reused(self):
+        results = ParallelExecutor(jobs=2).map(_tasks(20, fn=_pid))
+        pids = {r.value for r in results}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("jobs,n,expected", [(2, 20, 2), (8, 3, 3)])
+    def test_workers_started(self, monkeypatch, jobs, n, expected):
+        started = []
+
+        class Counted(parallel._Worker):
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                started.append(self)
+
+        monkeypatch.setattr(parallel, "_Worker", Counted)
+        ParallelExecutor(jobs=jobs).map(_tasks(n))
+        assert len(started) == expected
+
+    @pytest.mark.parametrize("scenario", [
+        _map_normal, _map_strict_failure, _map_timeout,
+        _map_worker_death], ids=lambda f: f.__name__[5:])
+    def test_no_worker_outlives_the_map(self, scenario):
+        scenario()
+        assert multiprocessing.active_children() == []
+
+
+# -- the run log: captured in workers, written in submission order --------
+class TestRunLogAcrossJobs:
+    def test_task_records_written_in_submission_order(self, tmp_path):
+        # Later tasks finish first; their records must not jump ahead.
+        tasks = [SweepTask(key=("d", i), fn=_logged, args=(delay, i))
+                 for i, delay in enumerate([0.2, 0.1, 0.0, 0.0])]
+        texts = []
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            runlog.configure(path=str(path), run_id="t", seed=0)
+            try:
+                runlog.event("test", "before")
+                ParallelExecutor(jobs=jobs).map(tasks)
+                runlog.event("test", "after")
+            finally:
+                runlog.close()
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+        records = [json.loads(line) for line in texts[0].splitlines()]
+        assert [r.get("value") for r in records] == [None, 0, 1, 2, 3,
+                                                     None]
+        assert [r["seq"] for r in records] == list(range(6))
+
+    def test_campaign_slice_log_jobs1_vs_jobs2(self, tmp_path):
+        config = CampaignConfig(workloads=("array_swap",), points=3,
+                                n_transactions=6)
+        texts = []
+        for jobs in (1, 2):
+            path = tmp_path / f"crash{jobs}.jsonl"
+            runlog.configure(path=str(path), run_id="crashtest", seed=7)
+            try:
+                run_campaign(config, jobs=jobs)
+            finally:
+                runlog.close()
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        events = [json.loads(line)["event"]
+                  for line in texts[0].decode().splitlines()]
+        # Records emitted inside the fault-scenario tasks are kept.
+        assert "injected" in events
 
 
 # -- inline path ----------------------------------------------------------
@@ -259,8 +364,7 @@ class TestInlinePath:
 
 class TestRunTask:
     def test_run_task_never_raises(self):
-        result = run_task(SweepTask(key=("x",), fn=f"{_HERE}:_boom",
-                                    args=(1,)))
+        result = run_task(SweepTask(key=("x",), fn=_boom, args=(1,)))
         assert isinstance(result, TaskResult)
         assert not result.ok and "ValueError" in result.error
         assert "boom 1" in result.traceback

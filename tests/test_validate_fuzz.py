@@ -24,8 +24,6 @@ from repro.validate.fuzz import (
 )
 from repro.validate.fuzz import replay as replay_repro
 
-_HERE = __name__
-
 
 def buggy_merge(self, existing, incoming):
     """Planted mutation: the entry gains its address but is never
@@ -39,20 +37,9 @@ def buggy_merge(self, existing, incoming):
     existing.complete = False
 
 
-def run_batch_with_bug(case_dicts):
-    """Worker-side batch runner that plants the merge bug first —
-    spawned worker processes do not inherit the parent's monkeypatch."""
-    original = IntermediateResultBuffer._merge
-    IntermediateResultBuffer._merge = buggy_merge
-    try:
-        from repro.validate.fuzz import run_batch
-        return run_batch(case_dicts)
-    finally:
-        IntermediateResultBuffer._merge = original
-
-
 @pytest.fixture
 def planted_merge_bug(monkeypatch):
+    """Plant the merge bug; the executor's forked workers inherit it."""
     monkeypatch.setattr(IntermediateResultBuffer, "_merge", buggy_merge)
 
 
@@ -100,8 +87,7 @@ def test_repro_files_byte_identical_across_job_counts(
     run_fuzz(cases=10, seed=3, jobs=1, workloads=(),
              out_dir=str(dir_inline))
     run_fuzz(cases=10, seed=3, jobs=2, workloads=(),
-             out_dir=str(dir_sharded),
-             worker_fn=f"{_HERE}:run_batch_with_bug")
+             out_dir=str(dir_sharded))
     inline, sharded = _tree(dir_inline), _tree(dir_sharded)
     assert "fuzz_report.json" in inline
     assert any(name.startswith("repro_") for name in inline)
