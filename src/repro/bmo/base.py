@@ -76,11 +76,12 @@ class BmoContext:
 
     def require(self, key: str):
         """Fetch a value produced by an earlier sub-op, or fail loudly."""
-        if key not in self.values:
+        try:
+            return self.values[key]
+        except KeyError:
             raise SimulationError(
                 f"sub-operation ordering bug: {key!r} not yet computed "
-                f"(completed={sorted(self.completed)})")
-        return self.values[key]
+                f"(completed={sorted(self.completed)})") from None
 
     def merge_from(self, other: "BmoContext") -> None:
         """Adopt another context's results (IRB hit path).

@@ -4,15 +4,19 @@ Three execution styles, matching the paper's design points:
 
 * **serialized** — the BMOs run as monolithic blocks, back to back,
   occupying one unit for their summed latency (the baseline system):
-  a unit grant callback, then one callback at the block's end;
+  a unit grant callback, then one callback at the block's end, which
+  runs every action in one loop (:meth:`BmoPipeline.execute_all`);
 * **dataflow** — one list scheduler per :meth:`BmoExecutor.start`
   call (:meth:`BmoExecutor.run_subops` is its process form).  It
   readies each sub-operation once its dependencies inside the call
-  have finished, requests a BMO unit for it from the shared
-  :class:`repro.sim.Resource` (FIFO across every concurrent write and
-  core), holds the unit for the initiation interval, runs the
-  functional action when the full latency has elapsed, and completes
-  the call through a single event the caller waits on.  Contention
+  have finished, hands it to the shared BMO units
+  (:meth:`repro.sim.Resource.pipelined`, FIFO across every concurrent
+  write and core), which hold a unit for the initiation interval and
+  deliver the finish when the full latency has elapsed, runs the
+  functional action then, and completes the call through a single
+  event the caller waits on.  Both styles use the same pipelined-unit
+  primitive, so a unit's grant and release sit in the same slots
+  whichever style holds it.  Contention
   across writes emerges from the shared unit pool; the scheduler
   itself is a plain object driven by simulator callbacks, not a
   process per sub-operation;
@@ -29,14 +33,16 @@ the simulator's same-instant FIFO batch:
 * the call starts with one callback, queued when the call is made;
   it readies the call's roots in topological order;
 * a ready sub-op first consults :attr:`BmoExecutor.timing_policy`,
-  then requests a unit; the grant queues the sub-op's start callback
-  (immediately, or from the ``release`` that hands the unit over);
-* the start callback schedules the unit release at +occupancy, then
+  then asks for a unit; the unit's grant callback is queued
+  immediately, or from the ``release`` that hands the unit over;
+* the grant callback schedules the unit release at +occupancy, then
   the finish callback at +latency;
 * a finished sub-op with dependents in the call queues one callback
-  that readies them in topological order; a dependent that waits on
-  two or more sub-ops of the call is readied one same-instant hop
-  later still;
+  that readies them in topological order.  When its only dependent
+  in the call waits on nothing else (D1, E3 and I1–I8 in the default
+  pipeline), that callback is the dependent's readiness itself.  A
+  dependent that waits on two or more sub-ops of the call is readied
+  one same-instant hop later still;
 * a sub-op with zero latency runs at readiness without a unit (one the
   timing policy discounts to zero still takes a unit for zero time);
 * the completion event fires directly when the call has a single
@@ -77,6 +83,9 @@ class CallPlan(NamedTuple):
     deps: Dict[str, Tuple[str, ...]]
     #: Each target's dependents inside the call, in topological order.
     dependents: Dict[str, Tuple[str, ...]]
+    #: The sole in-call dependent of each target that has exactly one,
+    #: when that dependent waits on nothing else in the call.
+    solo: Dict[str, str]
     #: In-call dependency counts of the targets that wait on two or more.
     waiting: Dict[str, int]
     #: Dependencies outside the call, which must already be completed.
@@ -146,25 +155,18 @@ class BmoExecutor:
 
         The block occupies a unit for its initiation interval and its
         results appear after the full serial latency — the same
-        pipelined-engine model the dataflow path uses, so serialized
-        vs. parallel compares latency composition, not unit counts.
-        The unit grant is one callback; it schedules the unit's
-        release and then the block's end, where ``fn`` is called.
+        pipelined-engine model the dataflow path uses
+        (:meth:`Resource.pipelined`), so serialized vs. parallel
+        compares latency composition, not unit counts.  The quantized
+        occupancy/latency split is precomputed in ``__init__``, so the
+        block takes exactly the quantized serial latency.
         """
-        self.units.request(self._serial_start, ctx, self.sim.now,
-                           waiter, fn, args)
-
-    def _serial_start(self, ctx: BmoContext, start: int, waiter: SimEvent,
-                      fn: Callable, args) -> None:
-        # Quantized occupancy/shadow split, precomputed in __init__ so
-        # the two delays sum to exactly the quantized serial latency
-        # (no per-leg rounding).
-        self.sim._schedule(self._serial_occupancy, self.units.release)
-        self.sim._schedule(self._serial_total, self._serial_end, ctx,
-                           start, waiter, fn, args)
+        self.units.pipelined(self._serial_occupancy, self._serial_total,
+                             self._serial_end, ctx, self.sim.now, waiter,
+                             fn, args)
 
     def _serial_end(self, ctx: BmoContext, start: int, waiter: SimEvent,
-                    fn: Callable, args) -> None:
+                    fn: Callable, args, _granted: int) -> None:
         try:
             self.pipeline.execute_all(ctx)
         except Exception as err:
@@ -239,9 +241,11 @@ class BmoExecutor:
                                if s in target_set)
                       for n in targets}
         waiting = {n: len(d) for n, d in deps.items() if len(d) > 1}
+        solo = {n: d[0] for n, d in dependents.items()
+                if len(d) == 1 and d[0] not in waiting}
         outside = frozenset(d for n in targets for d in subops[n].deps
                             if d not in target_set)
-        plan = CallPlan(steps, deps, dependents, waiting, outside)
+        plan = CallPlan(steps, deps, dependents, solo, waiting, outside)
         if len(self._plans) < _PLAN_CACHE_SIZE:
             self._plans[targets] = plan
         return plan
@@ -309,7 +313,7 @@ class SubopSchedule:
     """
 
     __slots__ = ("executor", "sim", "ctx", "targets", "steps", "deps",
-                 "dependents", "waiting", "left", "done", "failed")
+                 "dependents", "solo", "waiting", "left", "done", "failed")
 
     def __init__(self, executor: BmoExecutor, ctx: BmoContext,
                  targets: Tuple[str, ...], plan: CallPlan,
@@ -321,6 +325,7 @@ class SubopSchedule:
         self.steps = plan.steps
         self.deps = plan.deps
         self.dependents = plan.dependents
+        self.solo = plan.solo
         self.waiting = dict(plan.waiting)
         self.left = len(targets)
         self.done = done
@@ -361,11 +366,11 @@ class SubopSchedule:
         self.sim._schedule_now(self._ready, name)
 
     def _ready(self, name: str, notify: bool = True) -> bool:
-        """Dependencies satisfied: time the sub-op and request a unit,
-        or run it now if it has no latency.  Returns whether it
+        """Dependencies satisfied: time the sub-op and hand it to a
+        unit, or run it now if it has no latency.  Returns whether it
         finished here."""
         ready = self.sim.now
-        total, occupancy, timed, run = self.steps[name]
+        total, occupancy, timed, _run = self.steps[name]
         try:
             if total:
                 policy = self.executor.timing_policy
@@ -373,49 +378,39 @@ class SubopSchedule:
                     total, occupancy = policy.adjust_timing(
                         name, self.ctx, total, occupancy)
             if timed:
-                self.executor.units.request(self._start, name, ready,
-                                            total, occupancy)
+                self.executor.units.pipelined(occupancy, total,
+                                              self._finish, name, ready)
                 return False
-            if run is not None:
-                run(self.ctx)
         except Exception as err:
             self._fail(err)
             return False
-        self.ctx.completed.add(name)
-        self._finished(name, ready, notify)
-        return True
+        return self._finish(name, ready, None, notify)
 
-    def _start(self, name: str, ready: int, total: int,
-               occupancy: int) -> None:
-        """Unit granted: free it after the initiation interval, finish
-        after the full latency."""
-        sim = self.sim
-        now = sim.now
-        sim._at(now + occupancy, self.executor.units.release, ())
-        sim._at(now + total, self._finish, (name, ready, now))
-
-    def _finish(self, name: str, ready: int, exec_start: int) -> None:
-        run = self.steps[name][3]
+    def _finish(self, name: str, ready: int, granted: Optional[int],
+                notify: bool = True) -> bool:
+        """Run the sub-op's action and count it finished: after its
+        full latency from the unit grant at ``granted``, or at
+        readiness (``granted`` is ``None``) when it has no latency.
+        Returns whether it finished (its action did not raise)."""
         ctx = self.ctx
+        run = self.steps[name][3]
         if run is not None:
             try:
                 run(ctx)
             except Exception as err:
                 self._fail(err)
-                return
+                return False
         ctx.completed.add(name)
-        tracer = self.executor.tracer
-        if tracer.enabled:
-            tracer.complete(
-                name, "bmo", ("bmo", self.executor._subops[name].bmo),
-                start_ns=exec_start, dur_ns=self.sim.now - exec_start,
-                args={"addr": ctx.addr,
-                      "unit_wait_ns": exec_start - ready})
-        self._finished(name, ready)
-
-    def _finished(self, name: str, ready: int, notify: bool = True) -> None:
         executor = self.executor
         sim = self.sim
+        if granted is not None:
+            tracer = executor.tracer
+            if tracer.enabled:
+                tracer.complete(
+                    name, "bmo", ("bmo", executor._subops[name].bmo),
+                    start_ns=granted, dur_ns=sim.now - granted,
+                    args={"addr": ctx.addr,
+                          "unit_wait_ns": granted - ready})
         executor._c_subops_executed.value += 1
         hist = executor._h_subop.get(name)
         if hist is None:
@@ -423,13 +418,20 @@ class SubopSchedule:
                 executor.stats.histogram(f"subop.{name}_ns")
         hist.observe(sim.now - ready)
         if notify and self.dependents[name]:
-            sim._schedule_now(self._release_dependents, name)
+            # A sole dependent that waits on nothing else is readied
+            # in the slot the hand-off would have taken.
+            succ = self.solo.get(name)
+            if succ is None:
+                sim._schedule_now(self._release_dependents, name)
+            else:
+                sim._schedule_now(self._ready, succ)
         self.left -= 1
         if not self.left:
             if len(self.targets) == 1:
                 self.done.succeed()
             else:
                 sim._schedule_now(self.done.succeed)
+        return True
 
     def _release_dependents(self, name: str) -> None:
         waiting = self.waiting

@@ -63,6 +63,7 @@ class BmoPipeline:
         for bmo in self.bmos:
             subops.extend(bmo.subops())
         self.graph = DependencyGraph(subops)
+        self._order = tuple(self.graph.topological_order)
         self._serial_latency = sum(
             op.latency_ns for op in self.graph.subops.values())
         # Static name set, used by the per-commit completeness check.
@@ -86,14 +87,29 @@ class BmoPipeline:
         return self._serial_latency
 
     def execute_all(self, ctx: BmoContext) -> BmoContext:
-        """Run every sub-op functionally, in topological order.
+        """Run every sub-op not yet completed functionally, in
+        topological order, with no timing.
 
-        Timing-free helper used by the serialized executor (which
-        charges the serial latency as one block) and by tests.
+        Its callers run a fresh context through it: the serialized
+        block's end (``BmoExecutor._serial_end``, after one unit grant
+        charged the serial latency), every seeded line
+        (``TransactionalWorkload.seed``) and shadow paging's set-up
+        (``ShadowObject._seed``).  The actions run in one loop, with
+        no :meth:`SubOp.execute` frame per sub-op.  Each is read from
+        ``graph.subops`` when it runs, so an entry replaced after the
+        pipeline was built (after seeding, say) is honoured; an action
+        that raises leaves the sub-ops before it marked completed, as
+        :meth:`SubOp.execute` does.
         """
-        for name in self.graph.topological_order:
-            if name not in ctx.completed:
-                self.graph.subops[name].execute(ctx)
+        subops = self.graph.subops
+        completed = ctx.completed
+        for name in self._order:
+            if name in completed:
+                continue
+            run = subops[name].run
+            if run is not None:
+                run(ctx)
+            completed.add(name)
         return ctx
 
     # -- staleness ---------------------------------------------------------

@@ -49,18 +49,15 @@ def align_up(addr: int, granularity: int = CACHE_LINE_BYTES) -> int:
     return addr if rem == 0 else addr + (granularity - rem)
 
 
-def line_span(addr: int, size: int, granularity: int = CACHE_LINE_BYTES):
-    """Yield the aligned line addresses touched by ``[addr, addr + size)``.
+def line_span(addr: int, size: int,
+              granularity: int = CACHE_LINE_BYTES) -> range:
+    """The aligned line addresses touched by ``[addr, addr + size)``,
+    in ascending order (empty when ``size <= 0``).
 
     This is the decomposition performed by the Janus decoder when a
     pre-execution request covering an arbitrary byte range is split
     into cache-line-sized operations (paper §4.3.2, step 2).
     """
     if size <= 0:
-        return
-    first = align_down(addr, granularity)
-    last = align_down(addr + size - 1, granularity)
-    line = first
-    while line <= last:
-        yield line
-        line += granularity
+        return range(0)
+    return range(addr - addr % granularity, addr + size, granularity)

@@ -34,12 +34,16 @@ def derive_otp(key: bytes, counter: int, addr: int,
     can be generated knowing only the address (the counter lives with
     the address's metadata), before the data arrives.
     """
+    if length <= 0:
+        return b""
+    prefix = key + counter.to_bytes(16, "little") \
+        + addr.to_bytes(8, "little")
     pad = b""
     block = 0
     while len(pad) < length:
-        material = key + counter.to_bytes(16, "little") \
-            + addr.to_bytes(8, "little") + block.to_bytes(4, "little")
-        pad += hashlib.sha256(material).digest()
+        # One 32-byte SHA-256 block per step.
+        pad += hashlib.sha256(
+            prefix + block.to_bytes(4, "little")).digest()
         block += 1
     return pad[:length]
 

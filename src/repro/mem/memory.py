@@ -22,6 +22,8 @@ class FunctionalMemory:
         self.capacity_bytes = capacity_bytes
         self.line_bytes = line_bytes
         self._lines: Dict[int, bytes] = {}
+        #: What an unwritten line reads as (shared: bytes are immutable).
+        self._zero = bytes(line_bytes)
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.capacity_bytes:
@@ -34,7 +36,8 @@ class FunctionalMemory:
         self._check(line_addr, self.line_bytes)
         if line_addr % self.line_bytes:
             raise MemoryError_(f"unaligned line address {line_addr:#x}")
-        return self._lines.get(line_addr, bytes(self.line_bytes))
+        data = self._lines.get(line_addr)
+        return self._zero if data is None else data
 
     def write_line(self, line_addr: int, data: bytes) -> None:
         self._check(line_addr, self.line_bytes)
@@ -60,15 +63,22 @@ class FunctionalMemory:
         return bytes(out[offset:offset + size])
 
     def write(self, addr: int, data: bytes) -> None:
-        self._check(addr, len(data))
+        size = len(data)
+        self._check(addr, size)
+        line_bytes = self.line_bytes
+        lines = self._lines
         pos = 0
-        while pos < len(data):
-            line_addr = align_down(addr + pos, self.line_bytes)
-            line = bytearray(self.read_line(line_addr))
-            start = (addr + pos) - line_addr
-            chunk = min(self.line_bytes - start, len(data) - pos)
-            line[start:start + chunk] = data[pos:pos + chunk]
-            self.write_line(line_addr, bytes(line))
+        while pos < size:
+            start = (addr + pos) % line_bytes
+            line_addr = addr + pos - start
+            chunk = min(line_bytes - start, size - pos)
+            if chunk == line_bytes:
+                # A whole aligned line: stored in one step.
+                lines[line_addr] = bytes(data[pos:pos + chunk])
+            else:
+                line = bytearray(lines.get(line_addr, self._zero))
+                line[start:start + chunk] = data[pos:pos + chunk]
+                lines[line_addr] = bytes(line)
             pos += chunk
 
     def __len__(self) -> int:

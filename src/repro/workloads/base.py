@@ -5,6 +5,7 @@ target deduplication ratio, hook-driven instrumentation, fast seeding.
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -198,8 +199,9 @@ class TransactionalWorkload:
                     self._choice_rng.random() < self.params.dedup_ratio:
                 lines.append(self._choice_rng.choice(self._pool))
             else:
-                fresh = bytes(self._value_rng.getrandbits(8)
-                              for _ in range(CACHE_LINE_BYTES))
+                # One 8-bit draw per byte, looped in C.
+                fresh = bytes(map(self._value_rng.getrandbits,
+                                  repeat(8, CACHE_LINE_BYTES)))
                 self._pool.append(fresh)
                 lines.append(fresh)
         return b"".join(lines)

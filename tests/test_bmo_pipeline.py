@@ -1,5 +1,7 @@
 """Tests for the composed BMO pipeline (paper Fig. 6 configuration)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bmo import build_pipeline
@@ -228,3 +230,67 @@ class TestStaleness:
         assert action.write_data
         engine = pipeline.by_name["encryption"].engine
         assert engine.decrypt(0x40, action.payload) == line(5)
+
+
+class TestExecuteAll:
+    """``execute_all`` runs the actions in one loop; it must behave as
+    ``SubOp.execute`` called on each sub-op in topological order."""
+
+    @staticmethod
+    def per_subop(pipeline, ctx):
+        for name in pipeline.all_subops:
+            if name not in ctx.completed:
+                pipeline.graph.subops[name].execute(ctx)
+
+    def test_matches_per_subop_execution(self):
+        one, other = paper_pipeline(), paper_pipeline()
+        for addr, pattern in ((0x40, 1), (0x80, 1), (0x40, 2)):
+            got = one.make_context(addr=addr, data=line(pattern))
+            expected = other.make_context(addr=addr, data=line(pattern))
+            one.execute_all(got)
+            self.per_subop(other, expected)
+            assert got.completed == expected.completed
+            assert got.values == expected.values
+            assert one.commit(got) == other.commit(expected)
+
+    def test_action_replaced_after_seeding_is_honoured(self):
+        """Actions are read when they run, not when the pipeline is
+        built: a sub-op entry replaced after a first (seeding) pass
+        runs its new action on the next context."""
+        pipeline = paper_pipeline()
+        run_write(pipeline, 0x40, line(1))
+        graph = pipeline.graph
+        op = graph.subops["E3"]
+        seen = []
+
+        def run(ctx, _run=op.run):
+            seen.append(ctx.addr)
+            _run(ctx)
+
+        graph.subops["E3"] = dataclasses.replace(op, run=run)
+        run_write(pipeline, 0x80, line(2))
+        assert seen == [0x80]
+
+    @pytest.mark.parametrize("failing", ("D1", "E2", "I4", "I9"))
+    def test_raising_action_leaves_the_per_subop_prefix(self, failing):
+
+        def boom(ctx):
+            raise RuntimeError(failing)
+
+        contexts = []
+        for runner in ("execute_all", "per_subop"):
+            pipeline = paper_pipeline()
+            graph = pipeline.graph
+            graph.subops[failing] = dataclasses.replace(
+                graph.subops[failing], run=boom)
+            ctx = pipeline.make_context(addr=0x40, data=line(3))
+            with pytest.raises(RuntimeError, match=failing):
+                if runner == "execute_all":
+                    pipeline.execute_all(ctx)
+                else:
+                    self.per_subop(pipeline, ctx)
+            contexts.append(ctx)
+        got, expected = contexts
+        assert failing not in got.completed
+        assert got.completed == expected.completed
+        assert got.values == expected.values

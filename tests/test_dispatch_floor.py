@@ -1,71 +1,118 @@
-"""Call-count floor of the sub-op dispatch path.
+"""Call-count floors of the write path.
 
 A janus write splits into 17 sub-operations, each a few simulator
-callbacks (grant, unit release, finish, hand-off), so the Python
-calls made per executed sub-op set the host cost of a janus run.
-This test counts them on one fixed janus cell with ``sys.setprofile``:
-every call into a function of ``repro.sim``, ``repro.bmo`` or
-``repro.obs.metrics``, comprehensions excluded (Python 3.12 inlines
-list comprehensions, 3.10 and 3.11 call them), divided by the cell's
-executed sub-ops.  The count is deterministic: it moves only when the
-code does, so the floor is exact where a timing test would need a
-margin.  The cell's dispatched events are pinned beside it, so a cut
-cannot come from dispatching less.
+callbacks (unit grant, unit release, finish, hand-off), so the Python
+calls made per executed sub-op set the host cost of a janus run; a
+serialized write runs its BMOs as one block, and what it costs is the
+calls around that block, from the workload's store to the device
+write.  These tests count calls with ``sys.setprofile`` on fixed
+cells.  A count is deterministic: it moves only when the code does,
+so each floor is exact where a timing test would need a margin.  Each
+cell's dispatched events are pinned beside it, so a cut cannot come
+from dispatching less.
+
+Every call of a counted function is one ``call`` event, generator
+expressions included (3.10, 3.11 and 3.12 all run them as frames,
+one call per resume).  List, dict and set comprehensions are not
+counted: 3.10 and 3.11 call them, 3.12 inlines them.
 """
 
 import os
 import sys
 
+import repro
 import repro.bmo
 import repro.obs.metrics
 import repro.sim
 from repro.harness.crash_campaign import build
 from repro.workloads import WorkloadParams
 
-#: Calls per executed sub-op on the cell below: 20.44 before the
-#: one-lookup sub-op steps, 18.49 after (3,115 sub-ops).
-MAX_CALLS_PER_SUBOP = 18.49
-#: Dispatched events of the cell; calls may fall, dispatches not.
+#: Calls into the sub-op layers per executed sub-op on tpcc / janus
+#: (3,115 sub-ops): 18.07 before the pipelined-unit grant, the direct
+#: hand-off to a sole dependent and the one finish callback, 16.48
+#: after them.  (The floors before, 20.44 and then 18.49, did not
+#: count generator expressions.)
+MAX_CALLS_PER_SUBOP = 16.48
+#: Dispatched events of the janus cell; calls may fall, dispatches not.
 EVENTS = 14_991
+#: Calls into ``repro`` per writeback on tpcc / serialized (172
+#: writebacks): 189.69 before the one-loop ``execute_all`` and the
+#: per-line helpers in C, 138.83 after them.
+MAX_CALLS_PER_WRITEBACK = 138.84
+#: Dispatched events of the serialized cell.
+SERIALIZED_EVENTS = 2_226
+#: Calls into ``repro`` while building btree / serialized at 64 items
+#: (seeding included): 22,046 before the one-loop ``execute_all`` and
+#: the per-line helpers in C, 14,729 after them.
+MAX_BUILD_CALLS = 14_729
 
-COMPREHENSIONS = frozenset(
-    {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
+INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 LAYER_DIRS = tuple(os.path.dirname(module.__file__) + os.sep
                    for module in (repro.sim, repro.bmo))
 METRICS_FILE = repro.obs.metrics.__file__
 
 
-def count_calls():
-    """Run tpcc / janus / 1 core (12 txns, 64 items); return (calls
-    into the counted layers, executed sub-ops, dispatched events)."""
-    system, workloads = build(
-        "tpcc", "janus", WorkloadParams(n_items=64, n_transactions=12))
-    programs = [w.run() for w in workloads]
-    calls = 0
+def in_subop_layers(filename):
+    return filename.startswith(LAYER_DIRS) or filename == METRICS_FILE
 
+
+def in_repro(filename):
+    return filename.startswith(REPRO_DIR)
+
+
+def counted(counts, where):
     def profile(frame, event, arg):
-        nonlocal calls
         if event != "call":
             return
         code = frame.f_code
-        if code.co_name in COMPREHENSIONS:
-            return
-        filename = code.co_filename
-        if filename.startswith(LAYER_DIRS) or filename == METRICS_FILE:
-            calls += 1
+        if code.co_name not in INLINED and where(code.co_filename):
+            counts[0] += 1
+    return profile
 
-    sys.setprofile(profile)
+
+def count_calls(fn, where):
+    """Run ``fn()``; return (its result, calls it made into ``where``)."""
+    counts = [0]
+    sys.setprofile(counted(counts, where))
     try:
-        system.run_programs(programs)
+        result = fn()
     finally:
         sys.setprofile(None)
-    subops = system.metrics.scope("bmo").counters["subops_executed"].value
-    return calls, subops, system.sim.events
+    return result, counts[0]
+
+
+def run_cell(mode, where):
+    """Run tpcc / ``mode`` / 1 core (12 txns, 64 items); return (the
+    system, calls into ``where`` during the run)."""
+    system, workloads = build(
+        "tpcc", mode, WorkloadParams(n_items=64, n_transactions=12))
+    programs = [w.run() for w in workloads]
+    _, calls = count_calls(lambda: system.run_programs(programs), where)
+    return system, calls
 
 
 def test_calls_per_subop_stay_at_the_floor():
-    calls, subops, events = count_calls()
-    assert events == EVENTS
+    system, calls = run_cell("janus", in_subop_layers)
+    subops = system.metrics.scope("bmo").counters["subops_executed"].value
+    assert system.sim.events == EVENTS
     assert subops == 3_115
     assert calls / subops <= MAX_CALLS_PER_SUBOP, \
         f"{calls} calls for {subops} sub-ops ({calls / subops:.3f})"
+
+
+def test_calls_per_serialized_writeback_stay_at_the_floor():
+    system, calls = run_cell("serialized", in_repro)
+    writebacks = system.metrics.scope("mc").counters["writebacks"].value
+    assert system.sim.events == SERIALIZED_EVENTS
+    assert writebacks == 172
+    assert calls / writebacks <= MAX_CALLS_PER_WRITEBACK, \
+        f"{calls} calls for {writebacks} writebacks " \
+        f"({calls / writebacks:.2f})"
+
+
+def test_calls_to_build_a_seeded_system_stay_at_the_floor():
+    _, calls = count_calls(
+        lambda: build("btree", "serialized", WorkloadParams(n_items=64)),
+        in_repro)
+    assert calls <= MAX_BUILD_CALLS
