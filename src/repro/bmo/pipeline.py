@@ -142,14 +142,17 @@ class BmoPipeline:
                 f"commit with incomplete sub-ops: {sorted(missing)}")
         dedup = self.by_name.get("dedup")
         if dedup is not None:
-            live_dup = dedup.table.lookup(
-                ctx.require("fingerprint"), ctx.data) is not None
-            if live_dup != bool(ctx.values.get("is_dup")):
+            # One lookup for the check and for the dedup commit.
+            live = dedup.table.lookup(ctx.require("fingerprint"), ctx.data)
+            if (live is not None) != bool(ctx.values.get("is_dup")):
                 raise SimulationError(
                     "stale duplicate verdict reached commit; the "
                     "executor must refresh stale sub-ops first")
         for bmo in self.bmos:
-            bmo.commit(ctx)
+            if bmo is dedup:
+                dedup.commit(ctx, live)
+            else:
+                bmo.commit(ctx)
 
         is_dup = bool(ctx.values.get("is_dup"))
         if "encryption" in self.by_name:

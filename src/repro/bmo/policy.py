@@ -240,10 +240,13 @@ class TimingPolicyMux:
         #: shard id -> policy exposing ``adjust_timing`` (a weak
         #: proxy; the policy's controller owns it).
         self.policies: Dict[int, "CoalescedPolicy"] = {}
+        #: Sub-ops some shard's ledger may discount (its integrity
+        #: levels); every other sub-op returns before routing.
+        self.discounted: Set[str] = set()
 
     def adjust_timing(self, name: str, ctx, total: int,
                       occupancy: int) -> Tuple[int, int]:
-        if ctx.addr is None:
+        if name not in self.discounted or ctx.addr is None:
             return total, occupancy
         policy = self.policies.get(self.router.shard_of(ctx.addr))
         if policy is None:
@@ -306,6 +309,7 @@ class CoalescedPolicy(ParallelPolicy):
                 mux = TimingPolicyMux(self.system.router)
                 self.executor.timing_policy = mux
             mux.policies[controller.shard_id] = hook
+            mux.discounted.update(self._strides)
 
     def writeback(self, wb):
         if self._inflight == 0:
@@ -329,10 +333,10 @@ class CoalescedPolicy(ParallelPolicy):
         node = self._integrity.leaf_index(ctx.addr) // stride
         key = (name, node)
         if self._charged.get(key) == self._batch:
-            self._c_coalesced.add()
+            self._c_coalesced.value += 1
             return 0, 0
         self._charged[key] = self._batch
-        self._c_charged.add()
+        self._c_charged.value += 1
         return total, occupancy
 
 

@@ -188,9 +188,9 @@ class MemoryController:
         hit = self._counter_cache.access(
             (line_addr // CACHE_LINE_BYTES) * 16)
         if hit:
-            self._c_cc_hits.add()
+            self._c_cc_hits.value += 1
             return 0.0 if streamed else lat.xor_ns
-        self._c_cc_misses.add()
+        self._c_cc_misses.value += 1
         if streamed:
             return self.cfg.core.stream_line_ns
         return self.cfg.memory.read_service_ns + lat.aes_ns \
@@ -211,7 +211,7 @@ class MemoryController:
         what a ``clwb``'s completion — observed by the next
         ``sfence`` — waits for.
         """
-        self._c_writebacks.add()
+        self._c_writebacks.value += 1
         wb.start = self.sim.now
         # Cache hierarchy -> memory controller transfer (~15 ns).
         self.sim._schedule(self.cfg.cache.writeback_ns, self._arrive, wb)
@@ -304,7 +304,7 @@ class MemoryController:
             system.write_queue_for(action.device_addr).accept(
                 entry, accepted.arrive)
         else:
-            self._c_dedup_cancelled.add()
+            self._c_dedup_cancelled.value += 1
         for i in range(action.metadata_lines):
             wait_for_meta = critical or \
                 not self.cfg.selective_metadata_atomicity
@@ -313,7 +313,7 @@ class MemoryController:
                 # metadata updates; they reach the device lazily on
                 # eviction, off both the critical path and the write
                 # queue (selective counter-atomicity, §4.3).
-                self._c_metadata_lazy.add()
+                self._c_metadata_lazy.value += 1
                 continue
             meta_addr = self._metadata_line_for(ctx.addr, i)
             meta_entry = WriteEntry(addr=meta_addr,
@@ -322,15 +322,15 @@ class MemoryController:
             accepted.count += 1
             system.write_queue_for(meta_addr).accept(meta_entry,
                                                      accepted.arrive)
-            self._c_metadata_atomic_waits.add()
+            self._c_metadata_atomic_waits.value += 1
         if not accepted.count:
-            self._c_writes_persisted.add()
+            self._c_writes_persisted.value += 1
             return None
         accepted.add_callback(self._count_persisted)
         return accepted
 
     def _count_persisted(self, accepted: Join) -> None:
-        self._c_writes_persisted.add()
+        self._c_writes_persisted.value += 1
 
     def _metadata_line_for(self, addr: int, index: int) -> int:
         line = (addr // CACHE_LINE_BYTES + index) % \
@@ -453,14 +453,14 @@ class Core:
         """Process: load ``size`` bytes; returns them."""
         yield self.sim.delay(self._access_latency(addr, size,
                                                   is_read=True))
-        self._c_reads.add()
+        self._c_reads.value += 1
         return self.system.volatile.read(addr, size)
 
     def store(self, addr: int, data: bytes):
         """Process: store ``data``; volatile until written back."""
         yield self.sim.delay(self._access_latency(addr, len(data)))
         self.system.volatile.write(addr, data)
-        self._c_stores.add()
+        self._c_stores.value += 1
 
     # -- persistence primitives ----------------------------------------------
     def clwb(self, addr: int, size: int, critical: bool = False):
@@ -480,7 +480,7 @@ class Core:
                            critical)
             sim._schedule_now(controller.writeback, wb)
             self._outstanding.append(wb)
-            self._c_clwbs.add()
+            self._c_clwbs.value += 1
         yield sim.delay(self.cfg.core.instruction_ns)
 
     def sfence(self):
@@ -498,7 +498,7 @@ class Core:
                     ("write-path", f"core{self.core_id}"),
                     start_ns=start, dur_ns=stall,
                     args={"writebacks": len(pending)})
-        self._c_fences.add()
+        self._c_fences.value += 1
         if self.system.checker is not None:
             # Cross-shard sfence barrier: every controller this fence
             # waited on must agree the fence's durability contract

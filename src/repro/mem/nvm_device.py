@@ -57,6 +57,7 @@ class NvmDevice:
         #: line address -> number of device writes (cell wear).
         self.write_counts: Dict[int, int] = {}
         self.stats = stats if stats is not None else MetricsScope("nvm")
+        self._c_writes = None
 
     def _channel_index(self, addr: int) -> int:
         if self._local_addr is not None:
@@ -72,7 +73,12 @@ class NvmDevice:
         for ``write_service_ns``, and the callback at the end releases
         it and calls ``done`` in the same dispatch.
         """
-        self.stats.counter("writes").add()
+        counter = self._c_writes
+        if counter is None:
+            # Resolved at the first write: a device never written
+            # registers no ``writes`` counter.
+            counter = self._c_writes = self.stats.counter("writes")
+        counter.value += 1
         self.write_counts[addr] = self.write_counts.get(addr, 0) + 1
         channel = self._channels[self._channel_index(addr)]
         channel.request(self._granted, channel, done, args)

@@ -112,7 +112,7 @@ class WriteQueue:
                 args) -> None:
         sim = self.sim
         now = sim.now
-        self._c_accepted.add()
+        self._c_accepted.value += 1
         self._h_occupancy.observe(self.outstanding)
         if arrival < now:
             # Back-pressure: the queue was full and this write stalled.
@@ -138,7 +138,7 @@ class WriteQueue:
                     entry.on_drain(entry)
                 if self.injector is not None:
                     self.injector.on_device_write(entry)
-            self._c_drained.add()
+            self._c_drained.value += 1
             if entry.accepted_at is None:
                 raise SimulationError(
                     f"drain of unaccepted write entry {entry.addr:#x}")

@@ -17,6 +17,17 @@ which is exactly the order a per-event ``(time, seq)`` heap produces.
 ``tests/test_scheduler_equivalence.py`` keeps that heap as a
 reference oracle and checks the two in lockstep.
 
+The one rule the hot paths rely on: only code running inside a
+dispatch, where ``now == _batch_time``, may append ``(fn, args)`` to
+the live batch ``_batch``, and doing so is exactly
+:meth:`Simulator._schedule_now`.  Such code may also file a callback
+at a later time straight into ``_buckets`` (creating a bucket pushes
+its time onto ``_times``), which is exactly :meth:`Simulator._at`.
+The BMO sub-op hops (``Resource._occupy`` and the executor's
+``SubopSchedule``) do both, with no scheduling frame between a hop and
+what it schedules; the heap oracle stands in for ``_batch`` and
+``_buckets`` so that those appends still reach its heap.
+
 :meth:`Simulator.delay` is how a process sleeps: it returns a pooled
 :class:`Delay` marker that :meth:`Process._step` recognizes and turns
 into a direct re-schedule of the process — no event allocation, no
@@ -25,7 +36,6 @@ callback when the sleep ends.
 """
 
 from heapq import heappop, heappush
-from itertools import islice
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.common.errors import SimulationError
@@ -414,26 +424,23 @@ class Simulator:
         buckets = self._buckets
         times = self._times
         batch = self._batch
-        pos = self._batch_pos
+        # C-level list iteration.  The iterator re-checks the length
+        # each step, so same-instant callbacks appended during dispatch
+        # are picked up, and it steps past an entry before the call, so
+        # a raising callback counts as dispatched and is not replayed
+        # on resume.  The cursor is read back from it only when the
+        # run ends.
+        steps = iter(batch)
+        steps.__setstate__(self._batch_pos)
         # Callbacks dispatched by this call: the entries of every batch
         # it finished, less those a previous call had already run,
         # plus the cursor of the batch it ends in.
-        dispatched = -pos
+        dispatched = -self._batch_pos
         stopped = stop.triggered
         try:
             if not stopped:
-                # C-level list iteration with the cursor maintained by
-                # enumerate.  The iterator re-checks the length each
-                # step, so same-instant callbacks appended during
-                # dispatch are picked up; ``pos`` is assigned before
-                # the call, so a raising callback counts as dispatched
-                # and is not replayed on resume.
-                if pos:
-                    steps = enumerate(islice(batch, pos, None), pos + 1)
-                else:
-                    steps = enumerate(batch, 1)
                 while True:
-                    for pos, (fn, args) in steps:
+                    for fn, args in steps:
                         fn(*args)
                         if stop.triggered:
                             stopped = True
@@ -445,12 +452,12 @@ class Simulator:
                         self.now = until
                         break
                     heappop(times)
-                    dispatched += pos
+                    dispatched += len(batch)
                     self.now = self._batch_time = time
                     batch = self._batch = buckets.pop(time)
-                    pos = 0
-                    steps = enumerate(batch, 1)
+                    steps = iter(batch)
         finally:
+            pos = len(batch) - steps.__length_hint__()
             self._end_run(dispatched + pos, batch, pos)
         if until is not None and not times and not stopped:
             self.now = max(self.now, until)

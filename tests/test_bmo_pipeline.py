@@ -202,6 +202,32 @@ class TestStaleness:
         stale = pipeline.stale_subops(ctx)
         assert "D2" in stale and "E3" in stale
 
+    def test_stale_dedup_verdict_raises_before_any_bmo_commits(self):
+        """Commit checks the verdict against the live table before the
+        first BMO commits, with compression and wear-leveling (which
+        commit before dedup) enabled, and changes nothing."""
+        pipeline = build_pipeline(default_config(
+            bmos=("compression", "wear_leveling", "dedup", "encryption",
+                  "integrity")))
+        ctx = pipeline.make_context(addr=0x80, data=line(0x99))
+        pipeline.execute_all(ctx)
+        assert not ctx.values["is_dup"]
+        run_write(pipeline, 0x0, line(0x99))  # the verdict goes stale
+
+        def state():
+            bmos = pipeline.by_name
+            compression = bmos["compression"]
+            return (dict(compression.size_map), compression.bytes_in,
+                    bmos["wear_leveling"].start_gap._writes,
+                    pipeline.unreconstructable_metadata(),
+                    bmos["integrity"].tree.root)
+
+        before = state()
+        with pytest.raises(SimulationError,
+                           match="stale duplicate verdict reached commit"):
+            pipeline.commit(ctx)
+        assert state() == before
+
     def test_sibling_merkle_update_stales_partially(self):
         import dataclasses
         cfg = default_config()

@@ -24,27 +24,41 @@ import repro
 import repro.bmo
 import repro.obs.metrics
 import repro.sim
+from repro.bmo.dedup import DedupTable
 from repro.harness.crash_campaign import build
 from repro.workloads import WorkloadParams
 
 #: Calls into the sub-op layers per executed sub-op on tpcc / janus
 #: (3,115 sub-ops): 18.07 before the pipelined-unit grant, the direct
 #: hand-off to a sole dependent and the one finish callback, 16.48
-#: after them.  (The floors before, 20.44 and then 18.49, did not
-#: count generator expressions.)
-MAX_CALLS_PER_SUBOP = 16.48
+#: after them, and 11.06 once each sub-op hop queues its own
+#: successors and the write path bumps its counters in place.  (The
+#: floors before, 20.44 and then 18.49, did not count generator
+#: expressions.)
+MAX_CALLS_PER_SUBOP = 11.06
 #: Dispatched events of the janus cell; calls may fall, dispatches not.
 EVENTS = 14_991
+#: Calls into ``repro`` per executed sub-op on hash_table / coalesced
+#: at 2 cores and 2 shards (12 txns per core, 64 items; 1,786
+#: sub-ops), where the sharded timing hook runs for every timed
+#: sub-op: 24.35 before the hops queued their own successors and the
+#: hook returned early for sub-ops no ledger discounts, 17.23 after.
+MAX_CALLS_PER_COALESCED_SUBOP = 17.23
+#: Dispatched events of the coalesced cell.
+COALESCED_EVENTS = 8_535
 #: Calls into ``repro`` per writeback on tpcc / serialized (172
 #: writebacks): 189.69 before the one-loop ``execute_all`` and the
-#: per-line helpers in C, 138.83 after them.
-MAX_CALLS_PER_WRITEBACK = 138.84
+#: per-line helpers in C, 138.83 after them, and 127.39 with one
+#: commit-side dedup lookup and the write path's counters bumped in
+#: place.
+MAX_CALLS_PER_WRITEBACK = 127.39
 #: Dispatched events of the serialized cell.
 SERIALIZED_EVENTS = 2_226
 #: Calls into ``repro`` while building btree / serialized at 64 items
 #: (seeding included): 22,046 before the one-loop ``execute_all`` and
-#: the per-line helpers in C, 14,729 after them.
-MAX_BUILD_CALLS = 14_729
+#: the per-line helpers in C, 14,729 after them, 14,474 with one
+#: commit-side dedup lookup.
+MAX_BUILD_CALLS = 14_474
 
 INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
@@ -82,11 +96,13 @@ def count_calls(fn, where):
     return result, counts[0]
 
 
-def run_cell(mode, where):
-    """Run tpcc / ``mode`` / 1 core (12 txns, 64 items); return (the
-    system, calls into ``where`` during the run)."""
+def run_cell(mode, where, workload="tpcc", **shape):
+    """Run ``workload`` / ``mode`` (12 txns per core, 64 items; one
+    core unless ``shape`` says otherwise); return (the system, calls
+    into ``where`` during the run)."""
     system, workloads = build(
-        "tpcc", mode, WorkloadParams(n_items=64, n_transactions=12))
+        workload, mode, WorkloadParams(n_items=64, n_transactions=12),
+        **shape)
     programs = [w.run() for w in workloads]
     _, calls = count_calls(lambda: system.run_programs(programs), where)
     return system, calls
@@ -99,6 +115,37 @@ def test_calls_per_subop_stay_at_the_floor():
     assert subops == 3_115
     assert calls / subops <= MAX_CALLS_PER_SUBOP, \
         f"{calls} calls for {subops} sub-ops ({calls / subops:.3f})"
+
+
+def test_calls_per_coalesced_subop_stay_at_the_floor():
+    system, calls = run_cell("coalesced", in_repro, "hash_table",
+                             cores=2, shards=2)
+    subops = system.metrics.scope("bmo").counters["subops_executed"].value
+    assert system.sim.events == COALESCED_EVENTS
+    assert subops == 1_786
+    assert calls / subops <= MAX_CALLS_PER_COALESCED_SUBOP, \
+        f"{calls} calls for {subops} sub-ops ({calls / subops:.3f})"
+
+
+def test_serialized_writeback_looks_the_dedup_table_up_twice(
+        monkeypatch):
+    """Once for the duplicate verdict (D2) and once at commit, where
+    the stale-verdict check and the dedup commit share the lookup."""
+    lookups = [0]
+    lookup = DedupTable.lookup
+
+    def counting(table, *args):
+        lookups[0] += 1
+        return lookup(table, *args)
+
+    system, workloads = build(
+        "tpcc", "serialized", WorkloadParams(n_items=64, n_transactions=12))
+    programs = [w.run() for w in workloads]
+    monkeypatch.setattr(DedupTable, "lookup", counting)
+    system.run_programs(programs)
+    writebacks = system.metrics.scope("mc").counters["writebacks"].value
+    assert writebacks == 172
+    assert lookups[0] == 2 * writebacks
 
 
 def test_calls_per_serialized_writeback_stay_at_the_floor():

@@ -25,18 +25,53 @@ from repro.sim.engine import SimEvent
 from repro.validate import OracleMismatch
 
 
+class HeapSlot:
+    """The live batch, or one calendar bucket, as the heap sees it:
+    an append pushes its ``(fn, args)`` at ``time``, or at the clock
+    when ``time`` is ``None``."""
+
+    __slots__ = ("sim", "time")
+
+    def __init__(self, sim: "HeapSimulator", time: Optional[int] = None):
+        self.sim = sim
+        self.time = time
+
+    def append(self, entry: tuple) -> None:
+        sim = self.sim
+        fn, args = entry
+        sim._at(sim.now if self.time is None else self.time, fn, args)
+
+
+class HeapCalendar:
+    """The calendar's buckets as the heap sees them: every time has
+    one, so a hot path that files into ``_buckets`` only appends."""
+
+    __slots__ = ("sim",)
+
+    def __init__(self, sim: "HeapSimulator"):
+        self.sim = sim
+
+    def get(self, time: int) -> HeapSlot:
+        return HeapSlot(self.sim, time)
+
+
 class HeapSimulator(Simulator):
     """The per-event heap scheduler, kept verbatim as the oracle.
 
     Every event is one ``(time, seq, fn, args)`` heap entry; ``seq``
     breaks same-instant ties in schedule order, which is the FIFO
-    order the calendar queue's batches reproduce.
+    order the calendar queue's batches reproduce.  The hot paths that
+    append to the live batch or file into a bucket themselves (the
+    kernel's live-batch rule) reach the heap through
+    :class:`HeapSlot` and :class:`HeapCalendar`, in schedule order.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._heap: List = []
         self._seq = 0
+        self._batch = HeapSlot(self)
+        self._buckets = HeapCalendar(self)
 
     def _schedule(self, delay, fn, *args) -> None:
         if type(delay) is not int:
@@ -438,7 +473,8 @@ def test_stop_plans_reach_their_cases():
             for _, stopped, _, _ in calls} == {False, True}
 
 
-def _run_queue(monkeypatch, sim_cls, mode: str) -> tuple:
+def _run_queue(monkeypatch, sim_cls, mode: str, cores: int,
+               shards: int) -> tuple:
     """``run_point("queue")`` with the system built on ``sim_cls``."""
     sims = []
 
@@ -448,18 +484,26 @@ def _run_queue(monkeypatch, sim_cls, mode: str) -> tuple:
             sims.append(self)
 
     monkeypatch.setattr(repro.core.machine, "Simulator", Recording)
-    result = run_point("queue", mode=mode)
+    result = run_point("queue", mode=mode, cores=cores, shards=shards)
     (sim,) = sims
     return result.elapsed_ns, sim.events, sorted(result.stats.items())
 
 
-@pytest.mark.parametrize("mode", ["serialized", "janus"])
-def test_workload_identical_under_both_schedulers(monkeypatch, mode):
+@pytest.mark.parametrize("mode,cores,shards", [
+    pytest.param("serialized", 1, 1, id="serialized"),
+    pytest.param("janus", 1, 1, id="janus"),
+    # The relaxed modes at the shape the relaxed-sharded benchmark
+    # runs: a sharded timing hook and a flusher process per shard.
+    pytest.param("coalesced", 2, 2, id="coalesced-2c2s"),
+    pytest.param("async-epoch", 2, 2, id="async-epoch-2c2s"),
+])
+def test_workload_identical_under_both_schedulers(monkeypatch, mode,
+                                                  cores, shards):
     """A real workload produces the same simulated time, event count,
     and metrics on the production loop and on the heap oracle."""
     with monkeypatch.context() as patch:
-        expected = _run_queue(patch, HeapSimulator, mode)
-    got = _run_queue(monkeypatch, Simulator, mode)
+        expected = _run_queue(patch, HeapSimulator, mode, cores, shards)
+    got = _run_queue(monkeypatch, Simulator, mode, cores, shards)
     assert got[1] > 0
     assert got == expected
 
