@@ -72,7 +72,7 @@ def test_request_grant_is_queued_where_the_slot_frees():
     assert res.in_use == 1 and res.queue_length == 0
 
 
-# -- the pipelined-unit primitive ---------------------------------------------
+# -- the pipelined-unit grant: request(res._occupy, occupancy, total, fn, args)
 class DispatchLog:
     """A profiler hook that records every dispatched callback as
     ``(now, name)``, so a test can read each callback's slot."""
@@ -115,8 +115,8 @@ def test_pipelined_grant_sits_in_the_request_slot():
     hands the unit over — the slots ``request`` gives."""
     sim, res, trace, delivered, deliver = pipelined_sim()
     sim._schedule_now(before)
-    res.pipelined(3, 10, deliver, "a")
-    res.pipelined(2, 4, deliver, "b")
+    res.request(res._occupy, 3, 10, deliver, ("a",))
+    res.request(res._occupy, 2, 4, deliver, ("b",))
     assert res.in_use == 1 and res.queue_length == 1
     sim._schedule_now(after)
     sim.run()
@@ -136,16 +136,16 @@ def test_pipelined_release_is_queued_before_the_delivery():
     at +total, so a full-latency occupancy frees the unit first; the
     delivery receives the grant's time."""
     sim, res, trace, delivered, deliver = pipelined_sim()
-    sim._schedule(5, res.pipelined, 6, 6, deliver, "x")
+    sim._schedule(5, res.request, res._occupy, 6, 6, deliver, ("x",))
     sim.run()
-    assert trace.log == [(5, "pipelined"), (5, "_occupy"),
+    assert trace.log == [(5, "request"), (5, "_occupy"),
                          (11, "release"), (11, "deliver")]
     assert delivered == [("x", 5, 11)]
 
 
 def test_pipelined_waiters_get_the_unit_fifo():
-    """Pipelined and plain requests wait in one FIFO queue; each
-    pipelined waiter's delivery carries its own grant time."""
+    """Pipelined grants and plain requests wait in one FIFO queue;
+    each pipelined waiter's delivery carries its own grant time."""
     sim, res, _trace, delivered, deliver = pipelined_sim()
     granted = []
 
@@ -153,10 +153,10 @@ def test_pipelined_waiters_get_the_unit_fifo():
         granted.append((tag, sim.now))
         sim._schedule(1, res.release)
 
-    res.pipelined(2, 5, deliver, "a")
-    res.pipelined(2, 5, deliver, "b")
+    res.request(res._occupy, 2, 5, deliver, ("a",))
+    res.request(res._occupy, 2, 5, deliver, ("b",))
     res.request(plain, "c")
-    res.pipelined(2, 5, deliver, "d")
+    res.request(res._occupy, 2, 5, deliver, ("d",))
     sim.run()
     assert delivered == [("a", 0, 5), ("b", 2, 7), ("d", 5, 10)]
     assert granted == [("c", 4)]
@@ -168,8 +168,8 @@ def test_pipelined_zero_occupancy_and_latency():
     next waiter is granted in that instant too; a zero latency
     delivers there as well."""
     sim, res, trace, delivered, deliver = pipelined_sim()
-    res.pipelined(0, 0, deliver, "a")
-    res.pipelined(0, 3, deliver, "b")
+    res.request(res._occupy, 0, 0, deliver, ("a",))
+    res.request(res._occupy, 0, 3, deliver, ("b",))
     sim.run()
     assert trace.log == [
         (0, "_occupy"), (0, "release"), (0, "deliver"), (0, "_occupy"),
