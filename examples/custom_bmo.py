@@ -79,7 +79,7 @@ def main():
     executor = BmoExecutor(sim, pipeline,
                            Resource(sim, capacity=4, name="units"))
     ctx = pipeline.make_context(addr=0x4000)  # address known early
-    sim.process(executor.run_pre_execution(ctx))
+    executor.start(ctx, pipeline.graph.runnable_with(ctx.available_inputs))
     sim.run()
     print(f"address-only pre-execution completed: "
           f"{sorted(ctx.completed)}")

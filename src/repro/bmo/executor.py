@@ -7,8 +7,7 @@ Three execution styles, matching the paper's design points:
   a unit grant callback, then one callback at the block's end, which
   runs every action in one loop (:meth:`BmoPipeline.execute_all`);
 * **dataflow** — one list scheduler per :meth:`BmoExecutor.start`
-  call (:meth:`BmoExecutor.run_subops` is its process form).  It
-  readies each sub-operation once its dependencies inside the call
+  call.  It readies each sub-operation once its dependencies inside the call
   have finished, hands it to the shared BMO units (the pipelined-unit
   grant :meth:`repro.sim.Resource._occupy`, FIFO across every
   concurrent write and core), which hold a unit for the initiation
@@ -47,8 +46,9 @@ the simulator's same-instant FIFO batch:
   timing policy discounts to zero still takes a unit for zero time);
 * the completion event fires directly when the call has a single
   target and one hop later otherwise.  An exception from a sub-op's
-  action fails it instead, and reaches whoever waits on it: a process
-  parked on it, or the write whose continuation it carries.
+  action fails it instead, and reaches whoever waits on it: the write
+  or pre-execution whose continuation it carries, or a process parked
+  on it.
 
 The write path (``repro.core.machine``) extends this contract to the
 steps around the executor: whoever waits on a call's completion
@@ -112,8 +112,6 @@ class BmoExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot metric handles: resolved once, not per sub-operation.
         self._c_subops_executed = self.stats.counter("subops_executed")
-        self._c_pre_exec_requests = \
-            self.stats.counter("pre_exec_requests")
         self._c_stale_rerun = self.stats.counter("stale_subops_rerun")
         self._h_serialized_block = \
             self.stats.histogram("serialized_block_ns")
@@ -217,14 +215,6 @@ class BmoExecutor:
         SubopSchedule(self, ctx, targets, plan, done)
         return done
 
-    def run_subops(self, ctx: BmoContext,
-                   names: Optional[Iterable[str]] = None):
-        """Process: :meth:`start` ``names`` and wait until they ran."""
-        done = self.start(ctx, names)
-        if done is not None:
-            yield done
-        return ctx
-
     def _plan(self, targets: Tuple[str, ...]) -> CallPlan:
         target_set = set(targets)
         graph = self.pipeline.graph
@@ -260,18 +250,6 @@ class BmoExecutor:
                         f"cannot run {name!r}: dependency {dep!r} neither "
                         f"completed nor scheduled")
 
-    # -- pre-execution helpers -----------------------------------------------
-    def pre_executable(self, ctx: BmoContext) -> list:
-        """Sub-ops whose external requirements ``ctx`` can satisfy."""
-        return self.pipeline.graph.runnable_with(ctx.available_inputs)
-
-    def run_pre_execution(self, ctx: BmoContext):
-        """Process: run everything the context's inputs allow."""
-        runnable = self.pre_executable(ctx)
-        self._c_pre_exec_requests.add()
-        yield from self.run_subops(ctx, runnable)
-        return ctx
-
     def refresh(self, ctx: BmoContext) -> Optional[SimEvent]:
         """Invalidate stale sub-ops and start what is left; the run's
         done event, or ``None`` when ``ctx`` is complete and fresh."""
@@ -305,7 +283,7 @@ class BmoExecutor:
 
 
 class SubopSchedule:
-    """The list scheduler of one :meth:`BmoExecutor.run_subops` call.
+    """The list scheduler of one :meth:`BmoExecutor.start` call.
 
     Driven entirely by simulator callbacks (see the module docstring
     for where each one sits in a same-instant batch).  Each runs

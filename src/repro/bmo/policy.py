@@ -16,8 +16,10 @@ implies durability.
 A policy drives each write as simulator callbacks carried by the
 write's :class:`repro.core.machine.Writeback` event, in the slots a
 process per write resumes in (the contract is in the
-``repro.core.machine`` docstring).  Only the async-epoch flusher is a
-process: one per run of closed epochs, not one per write.
+``repro.core.machine`` docstring).  The work no program waits on —
+ideal mode's off-path writes and the async-epoch flusher — runs as
+callbacks too, with :class:`_StopRun` as its waiter: its error stops
+the run.
 
 ``ideal``: BMOs and persistence run off the critical path entirely —
 the paper's non-blocking upper bound (oracle, not buildable hardware).
@@ -48,7 +50,7 @@ torn (partially-flushed) epoch — see
 
 import itertools
 import weakref
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim import SimEvent
@@ -387,21 +389,24 @@ class TxnOrderCoordinator:
             self._pending.setdefault(txn, []).append(seq)
         return seq
 
-    def wait_turn(self, txn: int, seq: int):
-        """Process: block until ``seq`` heads its transaction's queue."""
-        if not txn:
-            return
+    def wait_turn(self, txn: int, seq: int, fn: Callable, *args) -> None:
+        """Call ``fn(*args)`` once ``seq`` heads its transaction's
+        queue (``txn`` 0 has none): at once if it does, else from the
+        dispatch of a gate :meth:`mark_persisted` opens, checking again
+        there."""
         queue = self._pending.get(txn)
-        while queue and queue[0] != seq:
-            # The blocking write may still be in another shard's open
-            # epoch; demand it be sealed so that shard's flusher can
-            # reach it (the demand may transiently push that shard one
-            # epoch past its staleness bound — see docs/sharding.md).
-            for policy in self.policies:
-                policy.demand_close(txn, seq)
-            gate = self.sim.event("txn-order")
-            self._gates.setdefault(txn, []).append(gate)
-            yield gate
+        if not queue or queue[0] == seq:
+            fn(*args)
+            return
+        # The blocking write may still be in another shard's open
+        # epoch; demand it be sealed so that shard's flusher can
+        # reach it (the demand may transiently push that shard one
+        # epoch past its staleness bound — see docs/sharding.md).
+        for policy in self.policies:
+            policy.demand_close(txn, seq)
+        gate = self.sim.event("txn-order")
+        self._gates.setdefault(txn, []).append(gate)
+        gate.then(_StopRun, self.wait_turn, txn, seq, fn, *args)
 
     def mark_persisted(self, txn: int, seq: int) -> None:
         """A write of ``txn`` reached the persist domain."""
@@ -452,7 +457,8 @@ class AsyncEpochPolicy(SchedulingPolicy):
         self._open_txns: Set[int] = set()
         #: Closed epochs awaiting (or under) flush, FIFO.
         self._closed: List[Tuple[List, Set[int]]] = []
-        self._flusher = None
+        #: From the close that starts the flusher until it runs dry.
+        self._flushing = False
         self._stall_gates: List = []
         #: Durable watermark: transactions whose containing epoch has
         #: fully reached the persist domain.  Transaction ids are
@@ -525,9 +531,9 @@ class AsyncEpochPolicy(SchedulingPolicy):
         self._open, self._open_txns = [], set()
         self._epochs_closed += 1
         self._c_epochs_closed.add()
-        if self._flusher is None or self._flusher.triggered:
-            self._flusher = self.sim.process(self._flush(),
-                                             name="epoch-flush")
+        if not self._flushing:
+            self._flushing = True
+            self.sim._schedule_now(self._flush)
 
     def demand_close(self, txn: int, before_seq: int) -> None:
         """Coordinator callback: seal the open epoch if it holds an
@@ -538,38 +544,29 @@ class AsyncEpochPolicy(SchedulingPolicy):
                 self._close_epoch()
                 return
 
-    def _flush(self):
-        """Background process: replay closed epochs, oldest first,
-        through the normal per-write BMO/persist path.  Strictly
-        sequential, so the persist domain always holds a *prefix* of
-        this shard's buffered write stream — the property torn-epoch
-        recovery stands on.  On the sharded machine each write also
-        waits its cross-shard turn within its transaction before
-        persisting (write-ahead across shards)."""
-        mc = self.controller
-        coord = self._coordinator
-        while self._closed:
-            writes, txns = self._closed[0]
-            start = self.sim.now
-            for thread_id, line_addr, data, critical, txn, seq in writes:
-                ctx = self.pipeline.make_context(
-                    addr=line_addr, data=data)
-                yield from self.executor.run_subops(ctx)
-                if coord is not None:
-                    yield from coord.wait_turn(txn, seq)
-                rerun = mc._rerun_stale(ctx)
-                while rerun is not None:
-                    yield rerun
-                    rerun = mc._rerun_stale(ctx)
-                accepted = mc._accept(ctx, critical)
-                if accepted is not None:
-                    yield accepted
-                if coord is not None:
-                    coord.mark_persisted(txn, seq)
+    def _flush(self) -> None:
+        """The flusher: replay closed epochs, oldest first, through the
+        normal per-write BMO/persist path.  Strictly sequential, so the
+        persist domain always holds a *prefix* of this shard's
+        buffered write stream — the property torn-epoch recovery
+        stands on.  On the sharded machine each write also waits its
+        cross-shard turn within its transaction before persisting
+        (write-ahead across shards).  No program waits on it, so an
+        error in it stops the run (:class:`_StopRun`)."""
+        if self._closed:
+            self._flush_write(self._closed[0][0], 0, self.sim.now)
+        else:
+            self._flushing = False
+
+    def _flush_write(self, writes: List, index: int, start: int) -> None:
+        """Replay ``writes[index]`` of the oldest closed epoch, whose
+        flush began at ``start``; past its last write, advance the
+        durable watermark and go on to the next epoch."""
+        if index == len(writes):
             # Everything in this epoch is accepted into the ADR
             # domain: advance the durable watermark atomically (no
-            # yield between the last persist and this update).
-            self._closed.pop(0)
+            # wait between the last persist and this update).
+            _writes, txns = self._closed.pop(0)
             self._epochs_flushed += 1
             self._c_epochs_flushed.add()
             self._h_flush.observe(self.sim.now - start)
@@ -577,6 +574,26 @@ class AsyncEpochPolicy(SchedulingPolicy):
             gates, self._stall_gates = self._stall_gates, []
             for gate in gates:
                 gate.succeed()
+            self._flush()
+            return
+        _thread_id, line_addr, data, critical, txn, seq = writes[index]
+        ctx = self.pipeline.make_context(addr=line_addr, data=data)
+        # Once the sub-ops ran: persist, after the write's cross-shard
+        # turn on the sharded machine.
+        step = (self.controller._persist, ctx, critical, _StopRun,
+                self._flushed, writes, index, start)
+        if self._coordinator is not None:
+            step = (self._coordinator.wait_turn, txn, seq) + step
+        done = self.executor.start(ctx)
+        if done is None:
+            step[0](*step[1:])
+        else:
+            done.then(_StopRun, *step)
+
+    def _flushed(self, writes: List, index: int, start: int) -> None:
+        if self._coordinator is not None:
+            self._coordinator.mark_persisted(*writes[index][4:])
+        self._flush_write(writes, index + 1, start)
 
     def quiesce(self) -> None:
         # Clean shutdown: seal the open epoch; the caller's background

@@ -670,9 +670,7 @@ def cmd_scrub(args) -> int:
 
     system, workloads = build(args.workload, seed=args.seed,
                               injector=injector, **point)
-    for workload in workloads:
-        system.sim.process(workload.run(), name="stream")
-    system.sim.run(until=crash_at)
+    system.run_until([w.run() for w in workloads], until=crash_at)
     snapshot = system.crash()
     print(f"{args.workload} mode={args.mode}: power failure at "
           f"{crash_at:,.0f} ns")

@@ -41,7 +41,8 @@ replaced (``tests/writepath_reference.py`` keeps those processes;
 
 A step that raises fails the write's :class:`Writeback`, so
 ``sfence`` raises where it raised when the write was a process.  Ideal
-mode's off-path work has no such waiter: its error stops the run.
+mode's off-path work and the async-epoch flusher have no such waiter:
+their errors stop the run.
 """
 
 import itertools
@@ -249,39 +250,28 @@ class MemoryController:
                  fn: Callable, *args, fresh: bool = False) -> None:
         """Commit BMO state and enter the persist domain, then call
         ``fn(*args)``: at once when nothing had to be waited for, else
-        where the last wait ended.  An error fails ``waiter``.  Stale
-        sub-ops re-run first, unless ``fresh`` says this callback ran
-        or checked ``ctx``, so that no commit can have come between."""
+        where the last wait ended.  An error fails ``waiter``.  What
+        went stale while the write was queued (concurrent cores may
+        interleave) re-runs first and is checked again, unless
+        ``fresh`` says this callback ran or checked ``ctx``, so that no
+        commit can have come between."""
         try:
-            rerun = None if fresh else self._rerun_stale(ctx)
-            accepted = None if rerun is not None \
-                else self._accept(ctx, critical)
+            stale = None if fresh else self.pipeline.stale_subops(ctx)
+            if stale:
+                self.pipeline.invalidate(ctx, stale)
+                rerun = self.executor.start(ctx)
+            else:
+                accepted = self._accept(ctx, critical)
         except Exception as err:
             waiter.fail(err)
             return
-        if rerun is not None:
+        if stale:
             rerun.then(waiter, self._persist, ctx, critical, waiter, fn,
                        *args)
         elif accepted is not None:
             accepted.then(waiter, fn, *args)
         else:
             fn(*args)
-
-    def _rerun_stale(self, ctx) -> Optional[SimEvent]:
-        """Start re-running whatever went stale while the write was
-        queued; returns the re-run's done event, or ``None`` when
-        ``ctx`` is fresh.  The caller commits only once it is fresh.
-
-        Janus mode already guarantees freshness; serialized/parallel
-        contexts executed just now, but concurrent cores may
-        interleave.
-        """
-        pipeline = self.pipeline
-        stale = pipeline.stale_subops(ctx)
-        if not stale:
-            return None
-        pipeline.invalidate(ctx, stale)
-        return self.executor.start(ctx)
 
     def _accept(self, ctx, critical: bool) -> Optional[Join]:
         """Commit a fresh ``ctx`` and hand its lines to the write
@@ -731,6 +721,19 @@ class NvmSystem:
                 "programs deadlocked: event heap drained with "
                 "programs still blocked")
         return elapsed
+
+    def run_until(self, programs, until: Optional[float] = None,
+                  stop_event: Optional[SimEvent] = None) -> None:
+        """Run one program per core (in core order) to a crash point's
+        ``until`` or ``stop_event``: no quiesce, no drain and no waiter
+        (its dispatch of a finished program would move slots).  A
+        program's error is raised as :meth:`run_programs` raises it."""
+        procs = [self.sim.process(gen, name=f"program{core_id}")
+                 for core_id, gen in enumerate(programs)]
+        self.sim.run(until=until, stop_event=stop_event)
+        for proc in procs:
+            if proc._exc is not None:
+                raise proc._exc
 
     # -- crash / recovery support ----------------------------------------------
     def crash(self) -> dict:

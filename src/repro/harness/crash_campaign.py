@@ -213,9 +213,8 @@ def run_to_accept(system, program, n: int) -> None:
 
     for queue in system.write_queues:
         queue.on_accept = observe
-    system.sim.process(program, name="stream")
     try:
-        system.sim.run(stop_event=stop)
+        system.run_until([program], stop_event=stop)
     finally:
         for queue in system.write_queues:
             queue.on_accept = None
@@ -271,8 +270,7 @@ def run_crash_point(name: str, mode: str, params: WorkloadParams,
                                injector=injector, bmos=bmos,
                                shards=shards)
     if crash_on_accept is None:
-        system.sim.process(workload.run(), name="stream")
-        system.sim.run(until=crash_at)
+        system.run_until([workload.run()], until=crash_at)
     else:
         run_to_accept(system, workload.run(), crash_on_accept)
         crash_at = system.sim.now
@@ -333,8 +331,7 @@ def crash_mid_bmo(name: str, mode: str = "janus",
         return action
 
     system.pipeline.commit = wrapped
-    system.sim.process(workload.run(), name="stream")
-    system.sim.run(stop_event=stop)
+    system.run_until([workload.run()], stop_event=stop)
     system.pipeline.commit = original
     snapshot = system.crash()
     return system, workload, snapshot

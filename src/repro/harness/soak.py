@@ -275,8 +275,7 @@ def _run_cycle(name: str, mode: str, config: SoakConfig,
         elif kind in ("wq_tear", "wq_drop"):
             run_to_accept(system, program, accept_n)
         else:
-            system.sim.process(program, name="stream")
-            system.sim.run(until=crash_frac * horizon)
+            system.run_until([program], until=crash_frac * horizon)
         record["crash_at"] = system.sim.now
         snapshot = system.crash()
 

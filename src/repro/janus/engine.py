@@ -13,9 +13,10 @@
   when the actual write arrives: it matches the IRB, validates the
   stored data copy, waits for in-flight pre-execution, refreshes any
   stale sub-operations, and hands a commit-ready context to its
-  continuation.  It runs as simulator callbacks in the slots a
-  process per write resumes in; pre-execution (step 4) stays one
-  ``janus-preexec`` process per admitted operation.
+  continuation.
+
+Both run as simulator callbacks, in the slots a process per write or
+per admitted operation (:class:`_PreExecution`) resumes in.
 """
 
 from typing import Callable
@@ -147,47 +148,7 @@ class JanusEngine:
             return  # IRB full: drop (performance-only loss)
         self._c_ops_admitted.add()
         self._inflight_ops += 1
-        self.sim.process(self._pre_execute(target), name="janus-preexec")
-
-    # -- step 3/4: optimized BMO logic + IRB fill ----------------------------
-    def _pre_execute(self, entry: IrbEntry):
-        try:
-            # Serialize per-entry work: a merge may extend an entry
-            # whose earlier sub-ops are still executing.
-            while entry.inflight is not None:
-                yield entry.inflight
-            done_event = self.sim.event("irb-entry-complete")
-            entry.inflight = done_event
-            ctx = entry.ctx
-            runnable = self.pipeline.graph.runnable_with(
-                ctx.available_inputs)
-            if ctx.completed:
-                runnable = [name for name in runnable
-                            if name not in ctx.completed]
-            if runnable:
-                pre_start = self.sim.now
-                try:
-                    yield from self.executor.run_subops(ctx, runnable)
-                except Exception as err:
-                    # The write that matches this entry, now or later,
-                    # fails with the sub-op's error.
-                    done_event.fail(err)
-                    return
-                self._c_subops_pre_executed.add(len(runnable))
-                if self.tracer.enabled:
-                    self.tracer.complete(
-                        "pre-execute", "janus", ("janus", "pre-exec"),
-                        start_ns=pre_start,
-                        dur_ns=self.sim.now - pre_start,
-                        args={"line_addr": entry.line_addr,
-                              "subops": len(runnable)})
-            entry.complete = True
-            entry.inflight = None
-            if self.injector is not None:
-                self.injector.on_irb_complete(entry)
-            done_event.succeed()
-        finally:
-            self._inflight_ops -= 1
+        self.sim._schedule_now(_PreExecution(self, target).run)
 
     # -- step 5: the actual write arrives -----------------------------------
     def service_write(self, thread_id: int, line_addr: int, data: bytes,
@@ -267,3 +228,68 @@ class JanusEngine:
             self._c_partially_pre_executed.add()
             done.then(waiter, self.executor.refresh_and_complete, ctx,
                       waiter, fn, ctx, False, *args)
+
+
+class _PreExecution:
+    """Steps 3-4 for one admitted operation, run as callbacks in the
+    slots a process per operation resumed in.  It is the waiter of its
+    own waits: an error fails the entry's in-flight event, if it made
+    one (the write that matches the entry fails with it), and the
+    operation leaves the queue either way."""
+
+    __slots__ = ("engine", "entry", "done", "runnable", "start")
+
+    def __init__(self, engine: JanusEngine, entry: IrbEntry):
+        self.engine = engine
+        self.entry = entry
+        self.done = None
+
+    def run(self) -> None:
+        engine = self.engine
+        entry = self.entry
+        if entry.inflight is not None:
+            # Serialize per-entry work: a merge may extend an entry
+            # whose earlier sub-ops are still executing.
+            entry.inflight.then(self, self.run)
+            return
+        self.done = entry.inflight = engine.sim.event("irb-entry-complete")
+        ctx = entry.ctx
+        runnable = engine.pipeline.graph.runnable_with(ctx.available_inputs)
+        if ctx.completed:
+            runnable = [name for name in runnable
+                        if name not in ctx.completed]
+        self.runnable = runnable
+        self.start = engine.sim.now
+        if not runnable:
+            self._finish()
+            return
+        try:
+            done = engine.executor.start(ctx, runnable)
+        except Exception as err:
+            self.fail(err)
+            return
+        done.then(self, self._finish)
+
+    def _finish(self) -> None:
+        engine = self.engine
+        entry = self.entry
+        if self.runnable:
+            engine._c_subops_pre_executed.add(len(self.runnable))
+            if engine.tracer.enabled:
+                engine.tracer.complete(
+                    "pre-execute", "janus", ("janus", "pre-exec"),
+                    start_ns=self.start,
+                    dur_ns=engine.sim.now - self.start,
+                    args={"line_addr": entry.line_addr,
+                          "subops": len(self.runnable)})
+        entry.complete = True
+        entry.inflight = None
+        if engine.injector is not None:
+            engine.injector.on_irb_complete(entry)
+        self.done.succeed()
+        engine._inflight_ops -= 1
+
+    def fail(self, exc: BaseException) -> None:
+        if self.done is not None:
+            self.done.fail(exc)
+        self.engine._inflight_ops -= 1

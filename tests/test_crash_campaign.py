@@ -15,6 +15,8 @@ pin its three contracts:
    about.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.consistency import recover
@@ -150,6 +152,45 @@ class TestRunToAccept:
         assert all(queue.on_accept is None
                    for queue in system.write_queues)
         assert any(queue._pending for queue in system.write_queues)
+
+
+class TestProgramErrors:
+    """A program that raises before its crash point fails the crash
+    point: the error reaches the caller, not a record that reads
+    ``recovered`` over a run cut short."""
+
+    @pytest.fixture
+    def planted_e3(self, monkeypatch):
+        """Every system the campaign builds raises at its third E3."""
+        build = cc.build
+
+        def planted(*args, **kwargs):
+            system, workloads = build(*args, **kwargs)
+            graph = system.pipeline.graph
+            op, runs = graph.subops["E3"], []
+
+            def run(ctx):
+                runs.append(ctx)
+                if len(runs) == 3:
+                    raise RuntimeError("E3 #3")
+                op.run(ctx)
+
+            graph.subops["E3"] = dataclasses.replace(op, run=run)
+            return system, workloads
+
+        monkeypatch.setattr(cc, "build", planted)
+
+    @pytest.mark.parametrize("cut", [{"crash_at": 20000},
+                                     {"crash_at": 0, "crash_on_accept": 30}],
+                             ids=["until", "on-accept"])
+    def test_crash_point_raises_the_program_error(self, planted_e3, cut):
+        params = WorkloadParams(n_items=8, n_transactions=12)
+        with pytest.raises(RuntimeError, match="E3 #3"):
+            cc.run_crash_point("btree", "serialized", params, SEED, **cut)
+
+    def test_mid_bmo_crash_raises_the_program_error(self, planted_e3):
+        with pytest.raises(RuntimeError, match="E3 #3"):
+            cc.crash_mid_bmo("btree", mode="serialized")
 
 
 class TestShardedCampaign:

@@ -17,6 +17,7 @@ one call per resume).  List, dict and set comprehensions are not
 counted: 3.10 and 3.11 call them, 3.12 inlines them.
 """
 
+import gc
 import os
 import sys
 
@@ -86,13 +87,22 @@ def counted(counts, where):
 
 
 def count_calls(fn, where):
-    """Run ``fn()``; return (its result, calls it made into ``where``)."""
+    """Run ``fn()``; return (its result, calls it made into ``where``).
+
+    Earlier tests' garbage is collected first and the collector is off
+    while counting, so no finalizer of another test's objects runs
+    inside the counted region."""
     counts = [0]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(counted(counts, where))
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return result, counts[0]
 
 

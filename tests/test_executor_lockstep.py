@@ -34,7 +34,7 @@ from repro.obs.tracer import Tracer
 from repro.sim import Resource, Simulator
 from repro.sim.engine import Process, SimEvent
 from repro.workloads import WORKLOADS, WorkloadParams
-from tests.writepath_reference import acquire, cancel
+from tests.writepath_reference import acquire, cancel, run_subops
 
 DAG_MODES = ("parallel", "janus", "ideal", "coalesced", "async-epoch")
 
@@ -236,9 +236,11 @@ def drive(executor_cls, scenario: dict) -> dict:
         contexts.append(ctx)
         try:
             if kind == "full":
-                yield from executor.run_subops(ctx)
+                yield from run_subops(executor, ctx)
             else:
-                yield from executor.run_pre_execution(ctx)
+                yield from run_subops(executor, ctx,
+                                      pipeline.graph.runnable_with(
+                                          ctx.available_inputs))
                 yield sim.delay(spec["gap"])
                 ctx.addr, ctx.data = spec["addr"], data
             refreshed = sim.event("refreshed")

@@ -19,9 +19,11 @@ import repro.core.machine
 from repro.common.errors import ReproError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.harness.runner import run_point
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim import Join, Resource, Simulator
-from repro.sim.engine import SimEvent
+from repro.sim.engine import _NEVER, SimEvent
 from repro.validate import OracleMismatch
 
 
@@ -39,7 +41,7 @@ class HeapSlot:
     def append(self, entry: tuple) -> None:
         sim = self.sim
         fn, args = entry
-        sim._at(sim.now if self.time is None else self.time, fn, args)
+        sim._push(sim.now if self.time is None else self.time, fn, args)
 
 
 class HeapCalendar:
@@ -87,7 +89,7 @@ class HeapSimulator(Simulator):
         self._seq += 1
         heappush(self._heap, (self.now, self._seq, fn, args))
 
-    def _at(self, time, fn, args) -> None:
+    def _push(self, time, fn, args) -> None:
         self._seq += 1
         heappush(self._heap, (time, self._seq, fn, args))
 
@@ -110,6 +112,68 @@ class HeapSimulator(Simulator):
         stopped = stop_event is not None and stop_event.triggered
         if until is not None and not heap and not stopped:
             self.now = max(self.now, until)
+        return self.now
+
+
+class HookedLoopSimulator(Simulator):
+    """The separate loop profiled and sampled runs took before the one
+    loop absorbed it, kept verbatim as the oracle for the hooks: an
+    indexed drain that reads the stop event before each callback,
+    times each callback for a profiler, and drives a sampler at each
+    clock advance (before the batch at the new time dispatches) and
+    once more at the end."""
+
+    def run(self, until: Optional[float] = None,
+            stop_event: Optional[SimEvent] = None) -> float:
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is before the clock ({self.now})")
+        profile = self.profile
+        sampler = self.sampler
+        if profile is not None:
+            clock = profile.clock
+            record = profile.record
+        stop = _NEVER if stop_event is None else stop_event
+        buckets = self._buckets
+        times = self._times
+        batch = self._batch
+        pos = self._batch_pos
+        dispatched = -pos
+        stopped = False
+        try:
+            while True:
+                while pos < len(batch) and not stop.triggered:
+                    fn, args = batch[pos]
+                    pos += 1
+                    if profile is None:
+                        fn(*args)
+                    else:
+                        start = clock()
+                        fn(*args)
+                        record(fn, clock() - start)
+                if stop.triggered:
+                    stopped = True
+                    break
+                if not times:
+                    break
+                time = times[0]
+                if until is not None and time > until:
+                    self.now = until
+                    break
+                heappop(times)
+                dispatched += pos
+                self.now = time
+                if sampler is not None and time >= sampler.next_ns:
+                    sampler.on_advance(time)
+                self._batch_time = time
+                batch = self._batch = buckets.pop(time)
+                pos = 0
+        finally:
+            self._end_run(dispatched + pos, batch, pos)
+        if until is not None and not times and not stopped:
+            self.now = max(self.now, until)
+        if sampler is not None and self.now >= sampler.next_ns:
+            sampler.on_advance(self.now)
         return self.now
 
 
@@ -340,25 +404,36 @@ def run_scheduler_program(sim_cls, program: Sequence[Sequence[tuple]],
     }
 
 
-def profiled_simulator() -> Simulator:
-    """The production kernel with a profiler attached, which runs it
-    on its hooked loop."""
-    sim = Simulator()
-    sim.profile = SimProfiler()
-    return sim
+def hooked_simulator(profile: bool, sample: bool):
+    """The production kernel with a profiler and/or a sampler (every
+    3 ns, so most batches cross a boundary) attached: each hook sends
+    batches through the loop's slow step."""
+    def make() -> Simulator:
+        sim = Simulator()
+        if profile:
+            sim.profile = SimProfiler()
+        if sample:
+            sim.sampler = TimeSeriesSampler(3).bind(MetricsRegistry())
+        return sim
+    return make
 
 
-#: The production kernel's two loops, each checked against the heap.
-LOOPS = (("bucket", Simulator), ("hooked", profiled_simulator))
+#: The production kernel's one loop, bare and with each set of
+#: observability hooks, each checked against the heap.
+LOOPS = (("bucket", Simulator),
+         ("profiled", hooked_simulator(True, False)),
+         ("sampled", hooked_simulator(False, True)),
+         ("profiled+sampled", hooked_simulator(True, True)))
 
 
 def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
                                 rounds: int = 1, segments=None) -> None:
-    """Raise :class:`OracleMismatch` unless both loops of the calendar
-    queue reproduce the reference heap's behaviour — same dispatch
-    order, same clocks, same dispatched-event count — on ``rounds``
-    random programs drawn from ``rng``.  ``segments(rng)``, when
-    given, draws each round's :func:`run_segments` plan."""
+    """Raise :class:`OracleMismatch` unless the calendar queue's loop,
+    with and without hooks, reproduces the reference heap's behaviour
+    — same dispatch order, same clocks, same dispatched-event count —
+    on ``rounds`` random programs drawn from ``rng``.
+    ``segments(rng)``, when given, draws each round's
+    :func:`run_segments` plan."""
     for round_no in range(rounds):
         program = build_scheduler_program(rng, workers=workers,
                                           steps=steps)
@@ -438,7 +513,7 @@ STOP_PLANS = {
 def test_stopped_and_resumed_runs_in_lockstep(plan):
     """Runs cut short and resumed dispatch the same callbacks at the
     same times, count the same events and leave the same clocks on
-    the heap, the plain loop and the hooked loop, at every cut."""
+    the heap and on the loop with and without hooks, at every cut."""
     rng = DeterministicRng(7).stream(f"sched-stop-{plan}")
     check_scheduler_equivalence(rng, workers=10, steps=40, rounds=6,
                                 segments=STOP_PLANS[plan])
@@ -493,7 +568,7 @@ def _run_queue(monkeypatch, sim_cls, mode: str, cores: int,
     pytest.param("serialized", 1, 1, id="serialized"),
     pytest.param("janus", 1, 1, id="janus"),
     # The relaxed modes at the shape the relaxed-sharded benchmark
-    # runs: a sharded timing hook and a flusher process per shard.
+    # runs: a sharded timing hook and a flusher per shard.
     pytest.param("coalesced", 2, 2, id="coalesced-2c2s"),
     pytest.param("async-epoch", 2, 2, id="async-epoch-2c2s"),
 ])
@@ -505,6 +580,41 @@ def test_workload_identical_under_both_schedulers(monkeypatch, mode,
         expected = _run_queue(patch, HeapSimulator, mode, cores, shards)
     got = _run_queue(monkeypatch, Simulator, mode, cores, shards)
     assert got[1] > 0
+    assert got == expected
+
+
+def _hooked_queue(monkeypatch, sim_cls, mode: str, cores: int,
+                  shards: int, profiled: bool) -> tuple:
+    """``run_point("queue")`` on ``sim_cls`` with a sampler every 200 ns
+    and, if ``profiled``, a profiler: the elapsed ns, the sampled
+    series and the profile's dispatch counts."""
+    monkeypatch.setattr(repro.core.machine, "Simulator", sim_cls)
+    sampler = TimeSeriesSampler(200)
+    profiler = SimProfiler() if profiled else None
+    result = run_point("queue", mode=mode, cores=cores, shards=shards,
+                       sampler=sampler, profiler=profiler)
+    counts = {key: entry[0] for key, entry in
+              (profiler.dispatch.items() if profiled else ())}
+    return result.elapsed_ns, sampler.samples, counts
+
+
+@pytest.mark.parametrize("profiled", [False, True],
+                         ids=["sampled", "profiled+sampled"])
+@pytest.mark.parametrize("mode,cores,shards", [
+    pytest.param("janus", 1, 1, id="janus"),
+    pytest.param("async-epoch", 2, 2, id="async-epoch-2c2s"),
+])
+def test_hooks_see_what_the_hooked_loop_saw(monkeypatch, mode, cores,
+                                            shards, profiled):
+    """A sampler attached to the one loop takes the samples the
+    separate hooked loop took, with the same metrics in each, and a
+    profiler counts the same dispatches under the same keys."""
+    with monkeypatch.context() as patch:
+        expected = _hooked_queue(patch, HookedLoopSimulator, mode, cores,
+                                 shards, profiled)
+    got = _hooked_queue(monkeypatch, Simulator, mode, cores, shards,
+                        profiled)
+    assert len(got[1]) > 5
     assert got == expected
 
 

@@ -61,6 +61,30 @@ def test_checked_workload_run_counts_checks(mode):
     assert result.stats["validate.violations"] == 0
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_flusher_commit_violation_reaches_the_caller(monkeypatch, shards):
+    """Under async-epoch the commits run in the epoch flusher, which no
+    program waits on: a violation found at one of them stops the run
+    and reaches the caller as that violation, not as stalled
+    programs."""
+    check_logs, checks = InvariantChecker.check_logs, []
+
+    def planted(checker):
+        # Seeding commits at 0 ns; the flusher's run later.
+        if checker.system.sim.now:
+            checks.append(checker.system.sim.now)
+            if len(checks) == 5:
+                raise InvariantViolation("planted", "test",
+                                         "fifth commit check")
+        check_logs(checker)
+
+    monkeypatch.setattr(InvariantChecker, "check_logs", planted)
+    with pytest.raises(InvariantViolation, match="fifth commit check"):
+        run_point("queue", mode="async-epoch", shards=shards,
+                  check_invariants=True)
+    assert len(checks) == 5
+
+
 def test_checker_hooks_every_pipeline_commit():
     system = _checked_system()
     before = system.checker._commits_seen

@@ -149,26 +149,32 @@ def test_raising_subop_matches_reference(monkeypatch, mode, variant,
 
 def test_failed_background_write_stops_the_run():
     """No program waits on an ideal-mode write's background BMOs and
-    persist, so a sub-op or commit error there stops the run with
-    that error instead of surfacing as a lost write at recovery.  The
-    reference's ``ideal-bg`` process swallows it: no lockstep here."""
-    got = run_cell("queue", "ideal", cores=2, boom=("I2", 3))
-    assert got["error"] == "RuntimeError: I2 #3 at 873"
+    persist, nor on the async-epoch flusher, so a sub-op or commit
+    error there stops the run with that error instead of surfacing as
+    a lost write at recovery.  The reference's ``ideal-bg`` and
+    ``epoch-flush`` processes swallow it: no lockstep here."""
+    for mode, cores, shards, at in (("ideal", 2, 1, 873),
+                                    ("async-epoch", 1, 1, 3079),
+                                    ("async-epoch", 2, 2, 2388)):
+        got = run_cell("queue", mode, cores=cores, shards=shards,
+                       boom=("I2", 3))
+        assert got["error"] == f"RuntimeError: I2 #3 at {at}", \
+            (mode, shards)
 
-    system, workloads = build("queue", "ideal",
-                              WorkloadParams(n_transactions=2, n_items=8),
-                              cores=2)
-    commit, commits = system.pipeline.commit, []
+        system, workloads = build(
+            "queue", mode, WorkloadParams(n_transactions=2, n_items=8),
+            cores=cores, shards=shards)
+        commit, commits = system.pipeline.commit, []
 
-    def failing_commit(ctx):
-        commits.append(ctx)
-        if len(commits) == 3:
-            raise RuntimeError("commit #3")
-        return commit(ctx)
+        def failing_commit(ctx):
+            commits.append(ctx)
+            if len(commits) == 3:
+                raise RuntimeError("commit #3")
+            return commit(ctx)
 
-    system.pipeline.commit = failing_commit
-    with pytest.raises(RuntimeError, match="commit #3"):
-        system.run_programs([w.run() for w in workloads])
+        system.pipeline.commit = failing_commit
+        with pytest.raises(RuntimeError, match="commit #3"):
+            system.run_programs([w.run() for w in workloads])
 
 
 def test_failed_pre_execution_matches_reference(monkeypatch):

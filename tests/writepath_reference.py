@@ -6,18 +6,24 @@ comment above it: every writeback ran as a ``clwb`` process, each
 acceptance as an ``accept-data``/``accept-meta`` process joined by an
 ``AllOf``, each drain as a ``wq-drain`` process, the serialized BMO
 block and the Janus write service as generator steps of the
-writeback, and an ideal-mode write's background work as an
-``ideal-bg`` process.  (``CoalescedPolicy.writeback`` calls
+writeback, an ideal-mode write's background work as an ``ideal-bg``
+process, each admitted Janus operation's pre-execution as a
+``janus-preexec`` process and the async-epoch flusher as an
+``epoch-flush`` process, waiting its cross-shard turn in a generator
+``wait_turn``.  (``CoalescedPolicy.writeback`` calls
 ``ParallelPolicy.writeback`` where it called ``super()``: a function
-outside its class has no ``super``.)  :func:`install` patches them
-over the production methods, the way
-``tests/test_executor_lockstep.py`` patches its reference executor
-in; ``tests/test_writepath_lockstep.py`` then checks that both write
-paths produce the same run, dispatch for dispatch.
+outside its class has no ``super``.  ``AsyncEpochPolicy._close_epoch``
+reads its flusher with ``getattr``: the policy no longer makes the
+attribute.)  :func:`install` patches them over the production
+methods, the way ``tests/test_executor_lockstep.py`` patches its
+reference executor in; ``tests/test_writepath_lockstep.py`` then
+checks that both write paths produce the same run, dispatch for
+dispatch.
 
 The kernel grants units to callbacks only (``Resource.request``);
 :func:`acquire`, :func:`cancel` and :func:`use` give these processes
-the grant they yielded on.
+the grant they yielded on, and :func:`run_subops` the sub-op calls
+(:meth:`BmoExecutor.start`) they waited on.
 """
 
 from repro.bmo.base import BmoContext, ExternalInput
@@ -30,11 +36,13 @@ from repro.bmo.policy import (
     ParallelPolicy,
     SchedulingPolicy,
     SerializedPolicy,
+    TxnOrderCoordinator,
 )
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES, line_span
 from repro.core.machine import Core, MemoryController
 from repro.janus.engine import JanusEngine
+from repro.janus.irb import IrbEntry
 from repro.mem.nvm_device import NvmDevice
 from repro.mem.write_queue import WriteEntry, WriteQueue
 from repro.sim import SimEvent
@@ -84,6 +92,15 @@ def use(resource, service_ns):
         yield resource.sim.delay(service_ns)
     finally:
         resource.release()
+
+
+def run_subops(executor, ctx: BmoContext, names=None):
+    """Process helper: start ``names`` (default: all not yet
+    completed) on ``executor`` and wait until they ran."""
+    done = executor.start(ctx, names)
+    if done is not None:
+        yield done
+    return ctx
 
 
 # Core.clwb
@@ -137,7 +154,7 @@ def mc_persist(self, ctx, critical: bool):
     stale = pipeline.stale_subops(ctx)
     while stale:
         pipeline.invalidate(ctx, stale)
-        yield from self.executor.run_subops(ctx)
+        yield from run_subops(self.executor, ctx)
         stale = pipeline.stale_subops(ctx)
     action = pipeline.commit(ctx)
 
@@ -304,7 +321,7 @@ def executor_refresh_and_complete(self, ctx: BmoContext):
         remaining = [n for n in self._order if n not in ctx.completed]
         if not remaining:
             return ctx
-        yield from self.run_subops(ctx, remaining)
+        yield from run_subops(self, ctx, remaining)
 
 
 # JanusEngine.service_write
@@ -317,7 +334,7 @@ def janus_service_write(self, thread_id: int, line_addr: int, data: bytes):
     entry = self.irb.match_write(thread_id, line_addr, data)
     if entry is None:
         ctx = self.pipeline.make_context(addr=line_addr, data=data)
-        yield from self.executor.run_subops(ctx)
+        yield from run_subops(self.executor, ctx)
         return ctx, False
 
     if entry.inflight is not None:
@@ -389,7 +406,7 @@ def serialized_run_bmos(self, thread_id, line_addr, data):
 # ParallelPolicy.run_bmos
 def parallel_run_bmos(self, thread_id, line_addr, data):
     ctx = self.pipeline.make_context(addr=line_addr, data=data)
-    yield from self.executor.run_subops(ctx)
+    yield from run_subops(self.executor, ctx)
     return ctx
 
 
@@ -424,7 +441,7 @@ def ideal_background(self, line_addr, data, critical, wait_for=None):
     if wait_for is not None and not wait_for.triggered:
         yield wait_for
     ctx = self.pipeline.make_context(addr=line_addr, data=data)
-    yield from self.executor.run_subops(ctx)
+    yield from run_subops(self.executor, ctx)
     yield from self.controller._persist(ctx, critical)
 
 
@@ -474,6 +491,20 @@ def async_epoch_writeback(self, thread_id, line_addr, data, critical, start):
         self._close_epoch()
 
 
+# AsyncEpochPolicy._close_epoch
+def async_epoch_close_epoch(self) -> None:
+    if not self._open:
+        return
+    self._closed.append((self._open, self._open_txns))
+    self._open, self._open_txns = [], set()
+    self._epochs_closed += 1
+    self._c_epochs_closed.add()
+    flusher = getattr(self, "_flusher", None)
+    if flusher is None or flusher.triggered:
+        self._flusher = self.sim.process(self._flush(),
+                                         name="epoch-flush")
+
+
 # AsyncEpochPolicy._flush
 def async_epoch_flush(self):
     """Background process: replay closed epochs, oldest first,
@@ -491,7 +522,7 @@ def async_epoch_flush(self):
         for thread_id, line_addr, data, critical, txn, seq in writes:
             ctx = self.pipeline.make_context(
                 addr=line_addr, data=data)
-            yield from self.executor.run_subops(ctx)
+            yield from run_subops(self.executor, ctx)
             if coord is not None:
                 yield from coord.wait_turn(txn, seq)
             yield from mc._persist(ctx, critical)
@@ -510,6 +541,92 @@ def async_epoch_flush(self):
             gate.succeed()
 
 
+# TxnOrderCoordinator.wait_turn
+def coordinator_wait_turn(self, txn: int, seq: int):
+    """Process: block until ``seq`` heads its transaction's queue."""
+    if not txn:
+        return
+    queue = self._pending.get(txn)
+    while queue and queue[0] != seq:
+        # The blocking write may still be in another shard's open
+        # epoch; demand it be sealed so that shard's flusher can
+        # reach it (the demand may transiently push that shard one
+        # epoch past its staleness bound — see docs/sharding.md).
+        for policy in self.policies:
+            policy.demand_close(txn, seq)
+        gate = self.sim.event("txn-order")
+        self._gates.setdefault(txn, []).append(gate)
+        yield gate
+
+
+# JanusEngine._admit
+def janus_admit(self, op) -> None:
+    if self.owns is not None and op.line_addr is not None \
+            and not self.owns(op.line_addr):
+        # Sharded machine: this line belongs to another shard's
+        # controller; its engine admits the operation instead.
+        return
+    if self._inflight_ops >= self.max_inflight_ops:
+        self._c_ops_dropped_full.add()
+        return
+    entry = IrbEntry(
+        pre_id=op.pre_id, thread_id=op.thread_id,
+        transaction_id=op.transaction_id,
+        line_addr=op.line_addr, data=op.line_data,
+        ctx=self.pipeline.make_context(addr=op.line_addr,
+                                       data=op.line_data),
+        data_seq=op.data_seq)
+    # ``insert`` returns the entry that owns this line's context —
+    # the new entry, or the existing one it merged into.
+    target = self.irb.insert(entry)
+    if target is None:
+        return  # IRB full: drop (performance-only loss)
+    self._c_ops_admitted.add()
+    self._inflight_ops += 1
+    self.sim.process(self._pre_execute(target), name="janus-preexec")
+
+
+# JanusEngine._pre_execute
+def janus_pre_execute(self, entry: IrbEntry):
+    try:
+        # Serialize per-entry work: a merge may extend an entry
+        # whose earlier sub-ops are still executing.
+        while entry.inflight is not None:
+            yield entry.inflight
+        done_event = self.sim.event("irb-entry-complete")
+        entry.inflight = done_event
+        ctx = entry.ctx
+        runnable = self.pipeline.graph.runnable_with(
+            ctx.available_inputs)
+        if ctx.completed:
+            runnable = [name for name in runnable
+                        if name not in ctx.completed]
+        if runnable:
+            pre_start = self.sim.now
+            try:
+                yield from run_subops(self.executor, ctx, runnable)
+            except Exception as err:
+                # The write that matches this entry, now or later,
+                # fails with the sub-op's error.
+                done_event.fail(err)
+                return
+            self._c_subops_pre_executed.add(len(runnable))
+            if self.tracer.enabled:
+                self.tracer.complete(
+                    "pre-execute", "janus", ("janus", "pre-exec"),
+                    start_ns=pre_start,
+                    dur_ns=self.sim.now - pre_start,
+                    args={"line_addr": entry.line_addr,
+                          "subops": len(runnable)})
+        entry.complete = True
+        entry.inflight = None
+        if self.injector is not None:
+            self.injector.on_irb_complete(entry)
+        done_event.succeed()
+    finally:
+        self._inflight_ops -= 1
+
+
 #: (class, method name, reference body) for every patched method.
 PATCHES = (
     (Core, "clwb", core_clwb),
@@ -521,6 +638,8 @@ PATCHES = (
     (BmoExecutor, "run_serialized", executor_run_serialized),
     (BmoExecutor, "refresh_and_complete", executor_refresh_and_complete),
     (JanusEngine, "service_write", janus_service_write),
+    (JanusEngine, "_admit", janus_admit),
+    (JanusEngine, "_pre_execute", janus_pre_execute),
     (SchedulingPolicy, "writeback", policy_writeback),
     (SerializedPolicy, "run_bmos", serialized_run_bmos),
     (ParallelPolicy, "run_bmos", parallel_run_bmos),
@@ -529,7 +648,9 @@ PATCHES = (
     (IdealPolicy, "_background", ideal_background),
     (CoalescedPolicy, "writeback", coalesced_writeback),
     (AsyncEpochPolicy, "writeback", async_epoch_writeback),
+    (AsyncEpochPolicy, "_close_epoch", async_epoch_close_epoch),
     (AsyncEpochPolicy, "_flush", async_epoch_flush),
+    (TxnOrderCoordinator, "wait_turn", coordinator_wait_turn),
 )
 
 
